@@ -91,14 +91,20 @@ bench-smoke:
 # batch-smoke exercises the vertical batch sorting surface under the
 # race detector: the exhaustive 0-1 verification of every committed
 # batch kernel (both the pure-Go and, where the CPU supports it, the
-# AVX-512 implementations), the differential tests against slices.Sort,
-# the float64 bit-multiset check, the shape-panic contract, and the
-# fuzz seed corpus. The SIMD kernels and the pooled transpose scratch
-# are the assembly/unsafe surface this PR adds; -race plus the go/simd
-# subtest split is the cheapest way to keep both honest in CI.
+# AVX-512 implementations), the differential tests against slices.Sort
+# (the []string abbreviated-key paths included), the float64
+# bit-multiset check, the shape-panic contract, and the fuzz seed
+# corpus. The SIMD kernels and the pooled transpose scratch are the
+# assembly/unsafe surface; -race plus the go/simd subtest split is the
+# cheapest way to keep both honest in CI. The simd subtests skip when
+# sortkernels.BatchSIMDAvailable() is false, so the last line reports
+# how many ran: a runner without AVX-512 tests only the Go kernels.
 batch-smoke:
-	$(GO) test -race -count=1 -timeout 5m \
-		-run 'TestBatch|TestSortBatch|TestSortDispatchZeroAlloc|FuzzSortBatch' .
+	$(GO) test -race -count=1 -timeout 5m -v \
+		-run 'TestBatch|TestSortBatch|TestSortStrings|TestSortDispatchZeroAlloc|FuzzSortBatch' . \
+		> /tmp/batch_smoke.out || { cat /tmp/batch_smoke.out; exit 1; }
+	@echo "batch-smoke: ok; AVX-512 kernels ran in $$(grep -c -- '--- PASS: .*/simd' /tmp/batch_smoke.out) simd subtests," \
+		"$$(grep -c -- '--- SKIP: .*/simd' /tmp/batch_smoke.out) skipped for lack of AVX-512"
 
 # obs-smoke drives the live-telemetry path end to end: a short adversary
 # optimum search with -progress and -journal, then cmd/obsreport over
@@ -165,11 +171,13 @@ coord-smoke:
 	grep -q 'witness verified against the circuit' /tmp/coord_smoke_out.txt
 	@echo "coord-smoke: ok"
 
-# Short fuzz pass over the parsers / compiled-kernel round trip and the
-# Sort dispatcher vs slices.Sort differential.
+# Short fuzz pass over the parsers / compiled-kernel round trip, the
+# Sort dispatcher vs slices.Sort differential, and the batch façades
+# (numeric and []string lanes) vs slices.Sort.
 fuzz:
 	$(GO) test ./internal/network/ -run FuzzCompileEval -fuzz FuzzCompileEval -fuzztime 20s
 	$(GO) test . -run FuzzSortT -fuzz FuzzSortT -fuzztime 20s
+	$(GO) test . -run FuzzSortBatch -fuzz FuzzSortBatch -fuzztime 20s
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"shufflenet/internal/randnet"
@@ -106,11 +107,12 @@ func TestOptimalSkipSeedResume(t *testing.T) {
 			done[c.prefix] = true
 			seed = c.incumbent
 		}
-		var resumed int
+		// OnPrefixDone runs on the workers, concurrently.
+		var resumed atomic.Int64
 		got, err := OptimalNoncollidingPacked(ctx, circ, OptimalOptions{
 			SkipPrefix:    func(p int) bool { return done[p] },
 			SeedIncumbent: seed,
-			OnPrefixDone:  func(int, uint64) { resumed++ },
+			OnPrefixDone:  func(int, uint64) { resumed.Add(1) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -118,8 +120,8 @@ func TestOptimalSkipSeedResume(t *testing.T) {
 		if got != want {
 			t.Fatalf("resume after %d prefixes packed %#x, uninterrupted run packed %#x", cut, got, want)
 		}
-		if resumed != prefixes {
-			t.Fatalf("resume after %d prefixes retired %d, want %d (skipped prefixes still check in)", cut, resumed, prefixes)
+		if n := resumed.Load(); n != int64(prefixes) {
+			t.Fatalf("resume after %d prefixes retired %d, want %d (skipped prefixes still check in)", cut, n, prefixes)
 		}
 	}
 }

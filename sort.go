@@ -13,7 +13,12 @@ import (
 // schedule for that width, fully unrolled with every element held in a
 // local, so the int, uint64 and float64 element types take concrete
 // fast paths whose compare-exchanges compile to conditional moves
-// rather than branches. Longer slices fall back to slices.Sort.
+// rather than branches. A []string is sorted on abbreviated keys: each
+// string becomes a uint64 (its first 7 bytes above its position), the
+// uint64 kernel sorts the keys, and strings whose keys tie are sorted
+// again the same way on their next 7 bytes. Other ordered types, named
+// string types included, take the generic kernels. Longer slices fall
+// back to slices.Sort.
 //
 // Semantics match slices.Sort exactly, NaNs included: a comparator
 // network cannot order elements an incomparable NaN sits between, so
@@ -37,6 +42,9 @@ func Sort[T cmp.Ordered](s []T) {
 			if sortkernels.Float64(v) {
 				return
 			}
+		case []string:
+			sortStrings(v)
+			return
 		default:
 			if sortkernels.Ordered(s) {
 				return

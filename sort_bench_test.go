@@ -87,7 +87,10 @@ func BenchmarkGeneratedSort(b *testing.B) {
 
 // BenchmarkSortDispatch: the public shufflenet.Sort entry point —
 // kernel dispatch overhead included — against slices.Sort, through the
-// kernel range (8, 16) and past it into the fallback (24, 32, 64).
+// kernel range (8, 16) and past it into the fallback (24, 32, 64),
+// plus []string (the abbreviated-key path) at width 8, and at widths 8
+// and 16 on strings that share their first 8 bytes, so every key
+// prefix in a row ties.
 func BenchmarkSortDispatch(b *testing.B) {
 	intf := func(rng *rand.Rand) int { return int(rng.Int63()) }
 	for _, n := range []int{8, 16, 24, 32, 64} {
@@ -98,6 +101,35 @@ func BenchmarkSortDispatch(b *testing.B) {
 			benchSort(b, n, intf, slices.Sort[[]int])
 		})
 	}
+	b.Run("string-n8/sort", func(b *testing.B) {
+		benchSort(b, 8, benchString, shufflenet.Sort[string])
+	})
+	b.Run("string-n8/stdlib", func(b *testing.B) {
+		benchSort(b, 8, benchString, slices.Sort[[]string])
+	})
+	for _, n := range []int{8, 16} {
+		b.Run("string-prefix-n"+strconv.Itoa(n)+"/sort", func(b *testing.B) {
+			benchSort(b, n, benchPrefixString, shufflenet.Sort[string])
+		})
+		b.Run("string-prefix-n"+strconv.Itoa(n)+"/stdlib", func(b *testing.B) {
+			benchSort(b, n, benchPrefixString, slices.Sort[[]string])
+		})
+	}
+}
+
+// benchString draws a random lowercase string of 4..15 bytes.
+func benchString(rng *rand.Rand) string {
+	b := make([]byte, 4+rng.Intn(12))
+	for i := range b {
+		b[i] = byte('a' + rng.Intn(26))
+	}
+	return string(b)
+}
+
+// benchPrefixString draws "https://" followed by a benchString, as in
+// a list of URLs: the first 8 bytes always tie.
+func benchPrefixString(rng *rand.Rand) string {
+	return "https://" + benchString(rng)
 }
 
 // BenchmarkProgramEvalScratch proves the allocation-free Program

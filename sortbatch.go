@@ -22,6 +22,11 @@ const batchMinRows = 8
 // supporting amd64 CPUs, branchless Go elsewhere), with no transpose
 // and no allocation.
 //
+// A []string batch is sorted on abbreviated uint64 keys (see Sort):
+// the columnar uint64 kernels sort the keys, each row's strings are
+// permuted to match, and runs whose keys tie are sorted again on their
+// next 7 bytes.
+//
 // len(data) must be a multiple of m (it panics otherwise: a malformed
 // shape cannot be sorted meaningfully). Widths above
 // sortkernels.BatchMaxWidth (16) and float64 batches containing NaN
@@ -56,6 +61,11 @@ func SortBatchCols[T cmp.Ordered](data []T, m int) {
 		if sortkernels.BatchFloat64(s, m) {
 			return
 		}
+	case []string:
+		if n <= sortkernels.BatchMaxWidth {
+			sortStringBatch(s, n, m, 1, m)
+			return
+		}
 	default:
 		if sortkernels.BatchOrdered(data, m) {
 			return
@@ -78,7 +88,9 @@ func SortBatchCols[T cmp.Ordered](data []T, m int) {
 // SortBatchFlat sorts every contiguous width-sized row of a row-major
 // batch in place: data holds m = len(data)/width rows, row r at
 // data[r*width:(r+1)*width]. For kernel widths (2..16) and enough rows
-// it runs the columnar batch kernels through pooled transpose scratch;
+// it runs the columnar batch kernels through pooled transpose scratch
+// (a []string batch instead writes its abbreviated keys, see Sort,
+// column-major into pooled scratch, so no transpose is needed);
 // otherwise it sorts row by row.
 //
 // len(data) must be a multiple of width (it panics otherwise). Float64
@@ -114,6 +126,9 @@ func SortBatchFlat[T cmp.Ordered](data []T, width int) {
 			if sortkernels.BatchFlatFloat64(s, width) {
 				return
 			}
+		case []string:
+			sortStringBatch(s, width, m, width, 1)
+			return
 		default:
 			if sortkernels.BatchFlatOrdered(data, width) {
 				return
@@ -156,9 +171,10 @@ func sortBatchGathered[T cmp.Ordered](batch [][]T, width int, pool *sync.Pool) {
 // one kernel width (2..16) and the batch is big enough to amortize the
 // gather, the concrete int, uint64 and float64 element types are
 // copied through a pooled row-major buffer and sorted by the columnar
-// batch kernels in one pass; everything else — ragged batches, long or
+// batch kernels in one pass. Everything else — ragged batches, long or
 // tiny slices, other element types, float64 batches containing NaN —
-// is sorted slice by slice with Sort. Either way the result equals
+// is sorted slice by slice with Sort, so []string rows take Sort's
+// abbreviated-key path one row at a time. Either way the result equals
 // calling Sort on every slice.
 func SortBatch[T cmp.Ordered](batch [][]T) {
 	if len(batch) >= batchMinRows {

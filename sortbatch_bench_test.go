@@ -14,6 +14,7 @@ package shufflenet_test
 // memmove for every leg of one shape.
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -137,30 +138,93 @@ func BenchmarkSortBatch(b *testing.B) {
 			}
 		})
 	})
-	// SortBatch on [][]T includes the gather/scatter round trip.
 	b.Run("int-n8-m1024/batch2d", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(42))
-		src := make([][]int, m)
-		for r := range src {
-			src[r] = make([]int, n)
-			for w := range src[r] {
-				src[r][w] = int(rng.Int63())
-			}
-		}
-		buf := make([][]int, m)
-		for r := range buf {
-			buf[r] = make([]int, n)
-		}
-		b.ReportAllocs()
-		b.SetBytes(int64(n * m * 8))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for r := range buf {
-				copy(buf[r], src[r])
-			}
-			shufflenet.SortBatch(buf)
-		}
+		benchBatch2D(b, n, m, intf)
 	})
+	// Strings take the abbreviated-key path: uint64 keys through the
+	// batch kernels, then a permutation and the tie pass.
+	b.Run("string-n8-m1024/looped", func(b *testing.B) {
+		benchBatch(b, n, m, false, benchString, func(data []string) {
+			for r := 0; r < m; r++ {
+				shufflenet.Sort(data[r*n : (r+1)*n])
+			}
+		})
+	})
+	b.Run("string-n8-m1024/cols", func(b *testing.B) {
+		benchBatch(b, n, m, true, benchString, func(data []string) {
+			shufflenet.SortBatchCols(data, m)
+		})
+	})
+	b.Run("string-n8-m1024/flat", func(b *testing.B) {
+		benchBatch(b, n, m, false, benchString, func(data []string) {
+			shufflenet.SortBatchFlat(data, n)
+		})
+	})
+	b.Run("string-n8-m1024/batch2d", func(b *testing.B) {
+		benchBatch2D(b, n, m, benchString)
+	})
+	b.Run("string-n8-m1024/stdlib", func(b *testing.B) {
+		benchBatch(b, n, m, false, benchString, func(data []string) {
+			for r := 0; r < m; r++ {
+				slices.Sort(data[r*n : (r+1)*n])
+			}
+		})
+	})
+	// Strings sharing their first 8 bytes: every key prefix in a row
+	// ties, so the tie pass orders whole rows.
+	for _, w := range []int{8, 16} {
+		tag := fmt.Sprintf("string-prefix-n%d-m%d", w, m)
+		b.Run(tag+"/looped", func(b *testing.B) {
+			benchBatch(b, w, m, false, benchPrefixString, func(data []string) {
+				for r := 0; r < m; r++ {
+					shufflenet.Sort(data[r*w : (r+1)*w])
+				}
+			})
+		})
+		b.Run(tag+"/cols", func(b *testing.B) {
+			benchBatch(b, w, m, true, benchPrefixString, func(data []string) {
+				shufflenet.SortBatchCols(data, m)
+			})
+		})
+		b.Run(tag+"/flat", func(b *testing.B) {
+			benchBatch(b, w, m, false, benchPrefixString, func(data []string) {
+				shufflenet.SortBatchFlat(data, w)
+			})
+		})
+		b.Run(tag+"/stdlib", func(b *testing.B) {
+			benchBatch(b, w, m, false, benchPrefixString, func(data []string) {
+				for r := 0; r < m; r++ {
+					slices.Sort(data[r*w : (r+1)*w])
+				}
+			})
+		})
+	}
+}
+
+// benchBatch2D times SortBatch on an m-row [][]T of width n, the
+// gather/scatter round trip (or string key build) included.
+func benchBatch2D[T cmp.Ordered](b *testing.B, n, m int, fill func(*rand.Rand) T) {
+	rng := rand.New(rand.NewSource(42))
+	src := make([][]T, m)
+	for r := range src {
+		src[r] = make([]T, n)
+		for w := range src[r] {
+			src[r][w] = fill(rng)
+		}
+	}
+	buf := make([][]T, m)
+	for r := range buf {
+		buf[r] = make([]T, n)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(n * m * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := range buf {
+			copy(buf[r], src[r])
+		}
+		shufflenet.SortBatch(buf)
+	}
 }
 
 // BenchmarkBatchKernel: the raw columnar kernels with the SIMD switch

@@ -441,8 +441,9 @@ func TestSortBatchPanicsOnBadShape(t *testing.T) {
 }
 
 // TestSortDispatchZeroAlloc pins the dispatch paths as allocation-free:
-// Sort's kernel lookup is a width-indexed table load, and the columnar
-// batch entry point runs fully in place.
+// Sort's kernel lookup is a width-indexed table load, the columnar
+// batch entry point runs fully in place, and the string paths sort
+// their abbreviated keys without allocating.
 func TestSortDispatchZeroAlloc(t *testing.T) {
 	s := []int{5, 2, 7, 1, 8, 3, 6, 4}
 	if n := testing.AllocsPerRun(100, func() { Sort(s) }); n != 0 {
@@ -463,15 +464,59 @@ func TestSortDispatchZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { SortBatchFlat(flat, 8) }); n >= 1 {
 		t.Errorf("SortBatchFlat: %v allocs per run, want < 1", n)
 	}
+
+	// Strings: Sort keeps its key array on the stack (calling the
+	// uint64 kernels through sortkernels' function table would move it
+	// to the heap); SortBatchCols and SortBatchFlat take their keys
+	// from a pool, and SortBatch sorts each row with Sort.
+	words := []string{"pear", "fig", "apple", "yuzu", "kiwifruit", "date", "plum", "lime"}
+	ss := slices.Clone(words)
+	if n := testing.AllocsPerRun(100, func() { Sort(ss) }); n != 0 {
+		t.Errorf("Sort string8: %v allocs per run, want 0", n)
+	}
+	strs := make([]string, 8*128)
+	for i := range strs {
+		strs[i] = words[i%len(words)]
+	}
+	if n := testing.AllocsPerRun(100, func() { SortBatchCols(strs, 128) }); n >= 1 {
+		t.Errorf("SortBatchCols string: %v allocs per run, want < 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { SortBatchFlat(strs, 8) }); n >= 1 {
+		t.Errorf("SortBatchFlat string: %v allocs per run, want < 1", n)
+	}
+	rows := make([][]string, 128)
+	for r := range rows {
+		rows[r] = strs[r*8 : (r+1)*8]
+	}
+	if n := testing.AllocsPerRun(100, func() { SortBatch(rows) }); n >= 1 {
+		t.Errorf("SortBatch string: %v allocs per run, want < 1", n)
+	}
 }
 
 // FuzzSortBatch cross-checks the batch façades against slices.Sort on
 // fuzzer-chosen shapes and values, including ragged batches and NaN
 // payloads (compared under cmp.Compare, which treats NaNs as equal).
+// Its string lane cuts windows of the fuzz bytes that start at one of
+// four offsets, so their 7-byte key prefixes collide and runs of tied
+// keys are sorted again on later bytes.
 func FuzzSortBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(4), false)
 	f.Add([]byte{0xff, 0x00, 0x80, 0x7f}, uint8(2), true)
 	f.Add([]byte{}, uint8(0), false)
+	// String-lane seeds, one (offset, length) byte pair per string.
+	// NUL runs of lengths 0..20: zero padding against real NUL bytes.
+	nul := make([]byte, 24)
+	for i := 0; i < 64; i++ {
+		nul = append(nul, byte(i%2), byte(i%21))
+	}
+	f.Add(nul, uint8(8), false)
+	// Lengths 6..11 over "aaaaaaaabcde": shared 7-byte prefixes that
+	// differ only after byte 7.
+	prefix := []byte("aaaaaaaabcde")
+	for i := 0; i < 8; i++ {
+		prefix = append(prefix, 0, 6, 0, 7, 0, 8, 1, 8, 0, 9, 1, 9, 1, 11, 2, 7)
+	}
+	f.Add(prefix, uint8(6), true)
 	f.Fuzz(func(t *testing.T, data []byte, width uint8, ragged bool) {
 		if len(data) > 8*512 {
 			data = data[:8*512]
@@ -519,6 +564,46 @@ func FuzzSortBatch(f *testing.F) {
 					if cols[j*m+r] != want[r][j] {
 						t.Fatalf("cols: row %d slot %d = %d, want %d", r, j, cols[j*m+r], want[r][j])
 					}
+				}
+			}
+		}
+
+		// String lane: byte pair i picks a window of data starting at
+		// offset data[2i]%4 with length data[2i+1]%24, long enough for
+		// ties to be keyed three times.
+		strs := make([]string, len(data)/2)
+		for i := range strs {
+			lo := min(int(data[2*i]%4), len(data))
+			strs[i] = string(data[lo:min(lo+int(data[2*i+1]%24), len(data))])
+		}
+		if w == 0 {
+			return
+		}
+		m := len(strs) / w
+		var sbatch [][]string
+		flat := slices.Clone(strs[:w*m])
+		cols := make([]string, w*m)
+		for r := 0; r < m; r++ {
+			sbatch = append(sbatch, slices.Clone(strs[r*w:(r+1)*w]))
+			for j := 0; j < w; j++ {
+				cols[j*m+r] = strs[r*w+j]
+			}
+		}
+		if ragged {
+			sbatch = append(sbatch, slices.Clone(strs[w*m:]))
+		}
+		swant := sortBatchWant(sbatch)
+		SortBatch(sbatch)
+		checkBatchEqual(t, "string", sbatch, swant)
+		SortBatchFlat(flat, w)
+		SortBatchCols(cols, m)
+		for r := 0; r < m; r++ {
+			for j := 0; j < w; j++ {
+				if flat[r*w+j] != swant[r][j] {
+					t.Fatalf("string flat: row %d slot %d = %q, want %q", r, j, flat[r*w+j], swant[r][j])
+				}
+				if cols[j*m+r] != swant[r][j] {
+					t.Fatalf("string cols: row %d slot %d = %q, want %q", r, j, cols[j*m+r], swant[r][j])
 				}
 			}
 		}
