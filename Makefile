@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-ctx check-memo vet race bench bench-json bench-diff bench-smoke batch-smoke obs-smoke serve-smoke resume-smoke coord-smoke fuzz experiments netgen netgen-check
+.PHONY: build test check check-ctx check-memo vet race bench bench-json bench-diff bench-smoke batch-smoke obs-smoke serve-smoke resume-smoke coord-smoke fuzz experiments netgen netgen-check perfbench-check
 
 # Benchmark snapshot recorded for this PR (see EXPERIMENTS.md).
 BENCH_JSON ?= BENCH_PR10.json
@@ -41,6 +41,14 @@ check: vet race build test
 check-ctx:
 	$(GO) test -race -count=2 -timeout 10m -run 'Ctx|Cancel|Canceled|Timeout|Resume|Spill|Coord' \
 		./internal/par ./internal/core ./internal/sortcheck ./internal/halver ./internal/coord .
+
+# perfbench-check compiles, vets and short-tests the end-to-end
+# benchmark against this tree. perfbench/ is its own module, so
+# ./... from the root never reaches it: without this gate a change to
+# an internal API it calls would pass every other check and break only
+# when the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short -count=1 ./...
 
 # check-memo is the memo-differential gate: the optimum search with
 # the transposition table on, off, shared between searches, and under

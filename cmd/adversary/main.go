@@ -149,6 +149,9 @@ func main() {
 	}
 	defer cli.Finish()
 
+	if *k < 0 || *k > core.MaxK {
+		fail(fmt.Sprintf("-k must be in [0, %d] (0 = lg n); got %d", core.MaxK, *k))
+	}
 	if *check != "" {
 		if *file == "" {
 			fail("-check needs -file with the circuit to verify against")

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -40,7 +41,8 @@ func main() {
 		}
 		// The adaptive move: D-wires to slots 0..|D|-1.
 		pre := packFirst(n, d, rng)
-		rep := inc.AddBlock(pre, delta.NewForest(delta.Butterfly(l)))
+		// A Background context never cancels, so AddBlock cannot fail.
+		rep, _ := inc.AddBlock(context.Background(), pre, delta.NewForest(delta.Butterfly(l)))
 		fmt.Printf("block %d: builder aimed at |D|=%3d  ->  survivors %3d across sets, kept [M_%d] with %3d wires\n",
 			b, rep.Before, rep.Survivors, rep.ChosenSet, rep.After)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -34,7 +35,8 @@ func main() {
 			sub = sub.Sub(0)
 		}
 		p := pattern.Uniform(sub.Inputs(), pattern.M(0))
-		res := core.Lemma41(sub, p, k)
+		// A Background context never cancels, so Lemma41 cannot fail.
+		res, _ := core.Lemma41(context.Background(), sub, p, k)
 		fmt.Printf("%d-level sub-network (%d slots): |A| = %d -> |B| = %d across %d nonempty sets\n",
 			lvl, sub.Inputs(), res.Initial, res.Survivors, res.SetCount())
 		for i, ws := range res.Sets {
@@ -49,7 +51,7 @@ func main() {
 	// The root run, with the independent noncollision verification the
 	// test suite uses.
 	p := pattern.Uniform(tree.Inputs(), pattern.M(0))
-	res := core.Lemma41(tree, p, k)
+	res, _ := core.Lemma41(context.Background(), tree, p, k)
 	circ := tree.ToNetwork()
 	fmt.Println("root collections verified noncolliding by symbol simulation:")
 	for i, ws := range res.Sets {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -32,7 +33,8 @@ func main() {
 	fmt.Printf("network: 2 butterfly blocks on %d wires, comparator depth %d, size %d\n",
 		n, it.Depth(), it.Size())
 
-	an := core.Theorem41(it, 0)
+	// A Background context never cancels, so the run cannot fail.
+	an, _ := core.Theorem41Ctx(context.Background(), it, 0)
 	fmt.Printf("\nadversary (k = lg n = %d):\n", an.K)
 	for _, rep := range an.Reports {
 		fmt.Printf("  block %d: tracked set %d -> %d survivors across noncolliding sets -> kept [M_%d] of size %d\n",

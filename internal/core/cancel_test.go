@@ -11,25 +11,9 @@ import (
 	"shufflenet/internal/par"
 )
 
-// Cancellation contract of the ctx-aware engine entry points: a
-// Background context is free and behaviorally identical to the legacy
-// API, a canceled context yields a typed *par.ErrCanceled carrying the
-// honest partial progress, and a partial Analysis never claims blocks
-// it did not finish.
-
-func TestTheorem41CtxBackgroundMatchesPlain(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	it := iteratedButterflies(64, 2, rng)
-	want := Theorem41(it, 0)
-	got, err := Theorem41Ctx(context.Background(), it, 0)
-	if err != nil {
-		t.Fatalf("Background run errored: %v", err)
-	}
-	if len(got.D) != len(want.D) || len(got.Reports) != len(want.Reports) {
-		t.Fatalf("ctx/plain disagree: |D| %d vs %d, reports %d vs %d",
-			len(got.D), len(want.D), len(got.Reports), len(want.Reports))
-	}
-}
+// Cancellation contract of the engine entry points: a canceled context
+// yields a typed *par.ErrCanceled carrying the honest partial progress,
+// and a partial Analysis never claims blocks it did not finish.
 
 func TestTheorem41CtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -69,7 +53,7 @@ func TestLemma41CtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tree := delta.Butterfly(4)
-	res, err := Lemma41Ctx(ctx, tree, allM(16), 2)
+	res, err := Lemma41(ctx, tree, allM(16), 2)
 	if res != nil {
 		t.Fatalf("canceled lemma returned a result: %+v", res)
 	}
@@ -83,7 +67,7 @@ func TestAddBlockCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	inc := NewIncremental(16, 0)
-	_, err := inc.AddBlockCtx(ctx, nil, delta.NewForest(delta.Butterfly(4)))
+	_, err := inc.AddBlock(ctx, nil, delta.NewForest(delta.Butterfly(4)))
 	var ce *par.ErrCanceled
 	if !errors.As(err, &ce) || ce.Op != "core.Incremental.AddBlock" {
 		t.Fatalf("error = %v, want ErrCanceled{Op: core.Incremental.AddBlock}", err)
@@ -97,7 +81,7 @@ func TestAddBlockCtxPreCanceled(t *testing.T) {
 // parallel recursion (run under -race this doubles as a data-race
 // check on the cancellation unwinding). The assertions hold whichever
 // side of the race fires: a canceled run must report a consistent
-// prefix, a completed run must match the plain API.
+// prefix, a completed run must cover every block.
 func TestTheorem41CtxDeadlineMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	it := iteratedButterflies(4096, 3, rng)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -162,8 +163,8 @@ func FuzzCanonicalRelabel(f *testing.F) {
 			}
 		}
 		sigma := rng.Perm(n)
-		sizeA, pA, _ := OptimalNoncolliding(c)
-		sizeB, _, _ := OptimalNoncolliding(relabelNetwork(c, sigma))
+		sizeA, pA, _, _ := OptimalNoncollidingOpt(context.Background(), c, OptimalOptions{})
+		sizeB, _, _, _ := OptimalNoncollidingOpt(context.Background(), relabelNetwork(c, sigma), OptimalOptions{})
 		if sizeA != sizeB {
 			t.Fatalf("optimum changed under relabeling: %d vs %d", sizeA, sizeB)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestCertificateJSONRoundTrip(t *testing.T) {
 	it := delta.NewIterated(n)
 	it.AddBlock(nil, delta.Butterfly(6))
 	it.AddBlock(perm.Random(n, rng), delta.Butterfly(6))
-	an := Theorem41(it, 0)
+	an, _ := Theorem41Ctx(context.Background(), it, 0)
 	cert, err := an.Certificate()
 	if err != nil {
 		t.Fatal(err)

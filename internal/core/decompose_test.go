@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestAdversaryOnDecomposedCircuit(t *testing.T) {
 		if !ok {
 			t.Fatalf("n=%d: decomposition failed", n)
 		}
-		an := Theorem41(recovered, 0)
+		an, _ := Theorem41Ctx(context.Background(), recovered, 0)
 		if len(an.D) < 2 {
 			t.Fatalf("n=%d: adversary found nothing on the recovered structure", n)
 		}
@@ -49,7 +50,7 @@ func TestAdversaryOnDecomposedBitonic(t *testing.T) {
 	if !ok {
 		t.Fatal("decomposition failed")
 	}
-	an := Theorem41(recovered, 0)
+	an, _ := Theorem41Ctx(context.Background(), recovered, 0)
 	if _, err := an.Certificate(); err == nil {
 		t.Fatal("certificate extracted from a (decomposed) sorting network")
 	}

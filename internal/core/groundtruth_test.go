@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestCertificateGroundTruthExhaustive(t *testing.T) {
 		it := delta.NewIterated(n)
 		it.AddBlock(nil, delta.Random(3, 1.0, rng))
 		it.AddBlock(perm.Random(n, rng), delta.Random(3, 1.0, rng))
-		an := Theorem41(it, 0)
+		an, _ := Theorem41Ctx(context.Background(), it, 0)
 		if len(an.D) < 2 {
 			continue // tiny n: the adversary may legitimately run dry
 		}

@@ -43,8 +43,11 @@ type Incremental struct {
 }
 
 // NewIncremental starts an adversary on n = 2^d wires with averaging
-// parameter k (k <= 0 selects the paper's k = lg n).
+// parameter k <= MaxK (k <= 0 selects the paper's k = lg n).
 func NewIncremental(n, k int) *Incremental {
+	if k > MaxK {
+		panic(fmt.Sprintf("core.NewIncremental: k = %d exceeds %d", k, MaxK))
+	}
 	if k <= 0 {
 		k = lg(n)
 		if k < 1 {
@@ -82,18 +85,14 @@ func (inc *Incremental) Dead() bool { return inc.dead }
 // pre (nil = identity) followed by the forest f. It returns the report
 // for the block. The caller must feed the same blocks, in the same
 // order, to the network being argued about.
-func (inc *Incremental) AddBlock(pre perm.Perm, f delta.Forest) BlockReport {
-	rep, _ := inc.AddBlockCtx(context.Background(), pre, f)
-	return rep
-}
-
-// AddBlockCtx is AddBlock under a context. On cancellation the block
-// is abandoned: the pattern, D, and reports are left exactly as after
-// the last completed block (so Analysis() stays honest), and the
-// returned *par.ErrCanceled records that state. The receiver is then
-// mid-block (its slot bookkeeping has already absorbed pre) and must
-// not be advanced further — read it out and drop it.
-func (inc *Incremental) AddBlockCtx(ctx context.Context, pre perm.Perm, f delta.Forest) (BlockReport, error) {
+//
+// On cancellation the block is abandoned: the pattern, D, and reports
+// are left exactly as after the last completed block (so Analysis()
+// stays honest), and the returned *par.ErrCanceled records that state.
+// The receiver is then mid-block (its slot bookkeeping has already
+// absorbed pre) and must not be advanced further — read it out and
+// drop it.
+func (inc *Incremental) AddBlock(ctx context.Context, pre perm.Perm, f delta.Forest) (BlockReport, error) {
 	n := inc.n
 	if f.Slots() != n {
 		panic(fmt.Sprintf("core.Incremental: forest covers %d slots, want %d", f.Slots(), n))
@@ -123,7 +122,7 @@ func (inc *Incremental) AddBlockCtx(ctx context.Context, pre perm.Perm, f delta.
 	collisions := 0
 	for _, tree := range f.Trees() {
 		m := tree.Inputs()
-		res, err := Lemma41Ctx(ctx, tree, pSlots[off:off+m].Clone(), inc.k)
+		res, err := Lemma41(ctx, tree, pSlots[off:off+m].Clone(), inc.k)
 		if err != nil {
 			return BlockReport{}, &par.ErrCanceled{
 				Op:         "core.Incremental.AddBlock",
@@ -204,7 +203,7 @@ func (inc *Incremental) AddBlockCtx(ctx context.Context, pre perm.Perm, f delta.
 	return rep, nil
 }
 
-// Analysis snapshots the adversary's state in the Theorem41 result
+// Analysis snapshots the adversary's state in the Theorem41Ctx result
 // form.
 func (inc *Incremental) Analysis() *Analysis {
 	return &Analysis{

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 	"shufflenet/internal/perm"
 )
 
-// Incremental must agree exactly with the batch Theorem41.
+// Incremental must agree exactly with the batch Theorem41Ctx.
 func TestIncrementalMatchesTheorem41(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 8; trial++ {
@@ -24,9 +25,9 @@ func TestIncrementalMatchesTheorem41(t *testing.T) {
 			}
 			tree := delta.Random(5, 0.9, rng)
 			it.AddBlock(pre, tree)
-			inc.AddBlock(pre, delta.NewForest(tree))
+			inc.AddBlock(context.Background(), pre, delta.NewForest(tree))
 		}
-		batch := Theorem41(it, 0)
+		batch, _ := Theorem41Ctx(context.Background(), it, 0)
 		live := inc.Analysis()
 		if !batch.P.Equal(live.P) {
 			t.Fatalf("patterns differ:\nbatch %v\nlive  %v", batch.P, live.P)
@@ -66,7 +67,7 @@ func TestIncrementalAdaptiveBuilder(t *testing.T) {
 		// levels). The adversary's wires-at-slots layout is internal,
 		// but the input pattern is public; attack the original wires.
 		pre := packFirst(n, d)
-		rep := inc.AddBlock(pre, delta.NewForest(delta.Butterfly(l)))
+		rep, _ := inc.AddBlock(context.Background(), pre, delta.NewForest(delta.Butterfly(l)))
 		// Lemma 4.1 guarantee holds regardless of adaptivity.
 		if k*k*rep.Survivors < rep.Before*(k*k-l) {
 			t.Fatalf("block %d: adaptive builder beat the bound: %+v", b, rep)
@@ -104,12 +105,12 @@ func TestIncrementalDeadStaysDead(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	inc := NewIncremental(8, 1)
 	for b := 0; b < 20 && !inc.Dead(); b++ {
-		inc.AddBlock(perm.Random(8, rng), delta.NewForest(delta.Random(3, 1.0, rng)))
+		inc.AddBlock(context.Background(), perm.Random(8, rng), delta.NewForest(delta.Random(3, 1.0, rng)))
 	}
 	if !inc.Dead() {
 		t.Skip("adversary survived even with k=1 (possible; nothing to assert)")
 	}
-	inc.AddBlock(nil, delta.NewForest(delta.Butterfly(3)))
+	inc.AddBlock(context.Background(), nil, delta.NewForest(delta.Butterfly(3)))
 	if len(inc.D()) != 0 {
 		t.Fatal("dead adversary revived")
 	}
@@ -144,16 +145,17 @@ func TestIncrementalValidation(t *testing.T) {
 	}
 	inc := NewIncremental(16, 0)
 	mustPanic("wrong forest width", func() {
-		inc.AddBlock(nil, delta.NewForest(delta.Butterfly(3)))
+		inc.AddBlock(context.Background(), nil, delta.NewForest(delta.Butterfly(3)))
 	})
 	mustPanic("wrong perm width", func() {
-		inc.AddBlock(perm.Identity(8), delta.NewForest(delta.Butterfly(4)))
+		inc.AddBlock(context.Background(), perm.Identity(8), delta.NewForest(delta.Butterfly(4)))
 	})
+	mustPanic("k above MaxK", func() { NewIncremental(8, MaxK+1) })
 }
 
 func TestIncrementalReportsAndOutPattern(t *testing.T) {
 	inc := NewIncremental(16, 0)
-	inc.AddBlock(nil, delta.NewForest(delta.Butterfly(4)))
+	inc.AddBlock(context.Background(), nil, delta.NewForest(delta.Butterfly(4)))
 	reps := inc.Reports()
 	if len(reps) != 1 || reps[0].Before != 16 {
 		t.Fatalf("Reports() = %+v", reps)
@@ -161,7 +163,7 @@ func TestIncrementalReportsAndOutPattern(t *testing.T) {
 
 	// OutPattern of a Lemma result: the output pattern must contain the
 	// same symbol multiset as the input pattern of the block.
-	res := Lemma41(delta.Butterfly(3), pattern.Uniform(8, pattern.M(0)), 3)
+	res, _ := Lemma41(context.Background(), delta.Butterfly(3), pattern.Uniform(8, pattern.M(0)), 3)
 	out := res.OutPattern()
 	if len(out) != 8 {
 		t.Fatalf("OutPattern length %d", len(out))

@@ -18,7 +18,7 @@ var rankSymbols = [3]pattern.Symbol{pattern.S(0), pattern.M(0), pattern.L(0)}
 
 // incSim extends a symbol simulation of a circuit one input wire at a
 // time, with O(fired comparators) undo — the engine under the
-// branch-and-bound in OptimalNoncolliding. The from-scratch
+// branch-and-bound in OptimalNoncollidingPacked. The from-scratch
 // alternative (pattern.Noncolliding per leaf) re-simulates all
 // c.Size() comparators for every enumerated pattern; incSim fires each
 // comparator exactly once per DFS branch and rolls it back on

@@ -10,7 +10,7 @@
 // (steps 1, 2, 1', 2' of the paper) that realize the matching as a
 // pattern refinement.
 //
-// Theorem41 iterates Lemma41 across the blocks of an iterated reverse
+// Theorem41Ctx iterates Lemma41 across the blocks of an iterated reverse
 // delta network, between blocks renaming the largest surviving set to
 // M_0 via Lemma 3.4's ρ_i and discarding the rest.
 //
@@ -104,29 +104,32 @@ func (r *LemmaResult) LargestSet() (int, []int) {
 	return bestIdx, r.Sets[bestIdx]
 }
 
+// MaxK caps the averaging parameter k accepted by Lemma41 and
+// NewIncremental. The paper's choice is k = lg n, and the widest
+// ablation (A1) uses 4·lg 1024 = 40; 64 leaves headroom. The cap
+// exists because the lemma allocates k³ + l·k² set slots and a k²
+// histogram: an unchecked k from a request or a flag can exhaust
+// memory, which a recover cannot catch.
+const MaxK = 64
+
 // Lemma41 runs the constructive Lemma 4.1 on the l-level reverse delta
 // tree d under input pattern p (which must use only S_0, M_0, L_0),
-// with averaging parameter k >= 1. It returns a refinement Q of p and
-// at most t(l) = k³ + l·k² disjoint noncolliding [M_i]-sets that
+// with averaging parameter 1 <= k <= MaxK. It returns a refinement Q of
+// p and at most t(l) = k³ + l·k² disjoint noncolliding [M_i]-sets that
 // together contain at least |A|·(1 − l/k²) of the wires of the original
 // [M_0]-set A.
-func Lemma41(d *delta.Network, p pattern.Pattern, k int) *LemmaResult {
-	res, _ := Lemma41Ctx(context.Background(), d, p, k)
-	return res
-}
-
-// Lemma41Ctx is Lemma41 under a context. The recursion probes the
-// context's done channel once per tree node (never inside a node's
-// comparator loops), which a Background context compiles down to a nil
-// check. On cancellation the induction's intermediate state is
-// discarded — a half-built refinement proves nothing — and a
-// *par.ErrCanceled is returned with a nil result.
-func Lemma41Ctx(ctx context.Context, d *delta.Network, p pattern.Pattern, k int) (*LemmaResult, error) {
+//
+// The recursion probes the context's done channel once per tree node
+// (never inside a node's comparator loops), which a Background context
+// compiles down to a nil check. On cancellation the induction's
+// intermediate state is discarded — a half-built refinement proves
+// nothing — and a *par.ErrCanceled is returned with a nil result.
+func Lemma41(ctx context.Context, d *delta.Network, p pattern.Pattern, k int) (*LemmaResult, error) {
 	if len(p) != d.Inputs() {
 		panic(fmt.Sprintf("core.Lemma41: pattern width %d != %d inputs", len(p), d.Inputs()))
 	}
-	if k < 1 {
-		panic("core.Lemma41: k must be positive")
+	if k < 1 || k > MaxK {
+		panic(fmt.Sprintf("core.Lemma41: k = %d outside [1, %d]", k, MaxK))
 	}
 	for _, s := range p {
 		if s != pattern.S(0) && s != pattern.M(0) && s != pattern.L(0) {

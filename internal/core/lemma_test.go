@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -97,11 +98,11 @@ func checkLemmaInvariants(t *testing.T, tree *delta.Network, p pattern.Pattern, 
 func allM(n int) pattern.Pattern { return pattern.Uniform(n, pattern.M(0)) }
 
 func TestLemma41Leaf(t *testing.T) {
-	res := Lemma41(delta.Leaf(), pattern.Pattern{pattern.M(0)}, 3)
+	res, _ := Lemma41(context.Background(), delta.Leaf(), pattern.Pattern{pattern.M(0)}, 3)
 	if res.Survivors != 1 || len(res.Sets[0]) != 1 {
 		t.Fatalf("leaf result wrong: %+v", res)
 	}
-	res = Lemma41(delta.Leaf(), pattern.Pattern{pattern.S(0)}, 3)
+	res, _ = Lemma41(context.Background(), delta.Leaf(), pattern.Pattern{pattern.S(0)}, 3)
 	if res.Survivors != 0 || res.SetCount() != 0 {
 		t.Fatalf("leaf with S0 should have no sets")
 	}
@@ -112,7 +113,7 @@ func TestLemma41Butterfly(t *testing.T) {
 		tree := delta.Butterfly(l)
 		p := allM(tree.Inputs())
 		k := maxInt(2, l)
-		res := Lemma41(tree, p, k)
+		res, _ := Lemma41(context.Background(), tree, p, k)
 		checkLemmaInvariants(t, tree, p, k, res)
 	}
 }
@@ -122,7 +123,7 @@ func TestLemma41ButterflyPaperParameters(t *testing.T) {
 	for _, l := range []int{3, 4, 5, 6} {
 		tree := delta.Butterfly(l)
 		p := allM(tree.Inputs())
-		res := Lemma41(tree, p, l)
+		res, _ := Lemma41(context.Background(), tree, p, l)
 		checkLemmaInvariants(t, tree, p, l, res)
 		if res.Survivors == 0 {
 			t.Fatalf("l=%d: everything lost", l)
@@ -137,7 +138,7 @@ func TestLemma41RandomRDNs(t *testing.T) {
 		tree := delta.Random(l, 0.3+0.7*rng.Float64(), rng)
 		p := allM(tree.Inputs())
 		k := 2 + rng.Intn(4)
-		res := Lemma41(tree, p, k)
+		res, _ := Lemma41(context.Background(), tree, p, k)
 		checkLemmaInvariants(t, tree, p, k, res)
 	}
 }
@@ -161,7 +162,7 @@ func TestLemma41MixedPattern(t *testing.T) {
 			}
 		}
 		k := 2 + rng.Intn(3)
-		res := Lemma41(tree, p, k)
+		res, _ := Lemma41(context.Background(), tree, p, k)
 		checkLemmaInvariants(t, tree, p, k, res)
 	}
 }
@@ -169,7 +170,7 @@ func TestLemma41MixedPattern(t *testing.T) {
 func TestLemma41EmptyASurvivesTrivially(t *testing.T) {
 	tree := delta.Butterfly(3)
 	p := pattern.Uniform(8, pattern.S(0))
-	res := Lemma41(tree, p, 3)
+	res, _ := Lemma41(context.Background(), tree, p, 3)
 	if res.Survivors != 0 || res.Initial != 0 || res.SetCount() != 0 {
 		t.Fatal("no tracked wires expected")
 	}
@@ -178,7 +179,7 @@ func TestLemma41EmptyASurvivesTrivially(t *testing.T) {
 func TestLemma41LargestSet(t *testing.T) {
 	tree := delta.Butterfly(4)
 	p := allM(16)
-	res := Lemma41(tree, p, 4)
+	res, _ := Lemma41(context.Background(), tree, p, 4)
 	idx, ws := res.LargestSet()
 	if idx < 0 || len(ws) == 0 {
 		t.Fatal("no largest set")
@@ -198,7 +199,7 @@ func TestLemma41OutWireConsistentWithEvaluation(t *testing.T) {
 		l := 2 + rng.Intn(3)
 		tree := delta.Random(l, 0.9, rng)
 		p := allM(tree.Inputs())
-		res := Lemma41(tree, p, 3)
+		res, _ := Lemma41(context.Background(), tree, p, 3)
 		circ := tree.ToNetwork()
 		sim := pattern.EvalTrace(circ, res.Q)
 		for _, ws := range res.Sets {
@@ -224,12 +225,13 @@ func TestLemma41Panics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("bad width", func() { Lemma41(delta.Butterfly(2), allM(8), 2) })
-	mustPanic("bad k", func() { Lemma41(delta.Butterfly(2), allM(4), 0) })
+	mustPanic("bad width", func() { Lemma41(context.Background(), delta.Butterfly(2), allM(8), 2) })
+	mustPanic("bad k", func() { Lemma41(context.Background(), delta.Butterfly(2), allM(4), 0) })
+	mustPanic("k above MaxK", func() { Lemma41(context.Background(), delta.Butterfly(2), allM(4), MaxK+1) })
 	mustPanic("bad symbol", func() {
 		p := allM(4)
 		p[0] = pattern.X(0, 0)
-		Lemma41(delta.Butterfly(2), p, 2)
+		Lemma41(context.Background(), delta.Butterfly(2), p, 2)
 	})
 }
 

@@ -8,7 +8,7 @@ import (
 	"shufflenet/internal/obs"
 )
 
-// Memo is the transposition table for OptimalNoncolliding: a bounded,
+// Memo is the transposition table for the optimum search: a bounded,
 // sharded, lock-striped map from canonical residual states (see
 // canonizer.key) to an upper bound on the number of M's any completion
 // of that state can still add. Entries are true bounds, never exact
@@ -64,7 +64,7 @@ const (
 	memoShardN    = 1 << memoShardBits
 	memoEntryCost = 24 / 2 // bucket bytes per entry
 
-	// DefaultMemoBytes is the table budget OptimalNoncolliding uses
+	// DefaultMemoBytes is the table budget the optimum search uses
 	// when the caller does not supply a Memo; memoAutoBytes shrinks it
 	// for small n, where the whole state space is far smaller.
 	DefaultMemoBytes = 256 << 20
@@ -134,7 +134,7 @@ func memoAutoBytes(n int) int64 {
 	return b
 }
 
-// AutoMemoBytes is the table budget OptimalNoncolliding picks for an
+// AutoMemoBytes is the table budget the optimum search picks for an
 // n-wire search when the caller passes neither a Memo nor NoMemo.
 // Exported so CLIs can build the same table explicitly and report its
 // Stats in run journals.

@@ -183,7 +183,7 @@ func TestSpillTornBucketIsMiss(t *testing.T) {
 func TestOptimalSpillDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	circ := randnet.Levels(14, 8, rng)
-	wantSize, wantP, wantSet := OptimalNoncolliding(circ)
+	wantSize, wantP, wantSet, _ := OptimalNoncollidingOpt(context.Background(), circ, OptimalOptions{})
 
 	path := filepath.Join(t.TempDir(), "spill.bin")
 	for pass, label := range []string{"cold", "warm"} {

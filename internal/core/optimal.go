@@ -12,7 +12,7 @@ import (
 	"shufflenet/internal/pattern"
 )
 
-// MaxOptimalWires bounds OptimalNoncolliding. The cost model is not
+// MaxOptimalWires bounds the optimum search. The cost model is not
 // 3^n leaf enumeration: the branch-and-bound explores only prefixes
 // that are noncolliding so far and not provably unable to beat the
 // incumbent, with collision pruning (incSim), a direct-pair capacity
@@ -139,7 +139,7 @@ func OptimalPrefixes(n int) int {
 }
 
 // DecodeOptimalWitness unpacks a packed incumbent (size<<2n | inverted
-// lex key) into the result triple OptimalNoncolliding returns: set
+// lex key) into the result triple OptimalNoncollidingOpt returns: set
 // size, witnessing pattern, and the [M_0]-set. A zero pack decodes to
 // the defensive singleton-M default (unreachable from a completed
 // search on n >= 1 wires).
@@ -163,11 +163,13 @@ func DecodeOptimalWitness(n int, packed uint64) (int, pattern.Pattern, []int) {
 	return size, p, p.Set(pattern.M(0))
 }
 
-// OptimalNoncolliding finds, over all 3^n patterns with symbols
+// OptimalNoncollidingOpt finds, over all 3^n patterns with symbols
 // {S_0, M_0, L_0}, a largest noncolliding [M_0]-set in the circuit —
 // the best any adversary of the paper's form could possibly achieve on
 // this network. It returns the set size, the witnessing pattern, and
-// the set itself.
+// the set itself. opt sets the worker count (0 = GOMAXPROCS), the
+// transposition table, telemetry, checkpointing and sharding; the zero
+// value runs the whole search with a private table.
 //
 // The search is branch-and-bound: patterns are enumerated wire by wire
 // in the canonizer's cone-closing order (M, then S, then L at each
@@ -187,22 +189,11 @@ func DecodeOptimalWitness(n int, packed uint64) (int, pattern.Pattern, []int) {
 // this optimum; comparing the two (experiment A2) measures the
 // per-instance slack of the paper's argument. n must be at most
 // MaxOptimalWires.
-func OptimalNoncolliding(c *network.Network) (int, pattern.Pattern, []int) {
-	size, p, set, _ := OptimalNoncollidingCtx(context.Background(), c, 0)
-	return size, p, set
-}
-
-// OptimalNoncollidingCtx is OptimalNoncolliding under a context and an
-// explicit worker count (0 = GOMAXPROCS). The search probes for
-// cancellation between prefixes and every few thousand DFS nodes; on
-// cancellation the incumbent so far is discarded — a partial
-// enumeration proves no optimum — and a *par.ErrCanceled is returned.
-func OptimalNoncollidingCtx(ctx context.Context, c *network.Network, workers int) (int, pattern.Pattern, []int, error) {
-	return OptimalNoncollidingOpt(ctx, c, OptimalOptions{Workers: workers})
-}
-
-// OptimalNoncollidingOpt is OptimalNoncollidingCtx with full control
-// over the transposition table, checkpointing, and sharding.
+//
+// The search probes for cancellation between prefixes and every few
+// thousand DFS nodes; on cancellation the incumbent so far is
+// discarded — a partial enumeration proves no optimum — and a
+// *par.ErrCanceled is returned.
 func OptimalNoncollidingOpt(ctx context.Context, c *network.Network, opt OptimalOptions) (int, pattern.Pattern, []int, error) {
 	packed, err := OptimalNoncollidingPacked(ctx, c, opt)
 	if err != nil {

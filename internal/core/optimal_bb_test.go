@@ -86,7 +86,7 @@ func TestOptimalNoncollidingMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for ci, c := range testCircuits(8, rng) {
 		wantSize, wantP, wantSet := bruteOptimalNoncolliding(c)
-		gotSize, gotP, gotSet := OptimalNoncolliding(c)
+		gotSize, gotP, gotSet, _ := OptimalNoncollidingOpt(context.Background(), c, OptimalOptions{})
 		if gotSize != wantSize {
 			t.Fatalf("circuit %d: size %d, oracle %d", ci, gotSize, wantSize)
 		}
@@ -116,8 +116,8 @@ func TestOptimalNoncollidingWorkersDeterministic(t *testing.T) {
 	}
 	shared := NewMemo(1 << 20)
 	for ci, c := range circs {
-		s1, p1, set1, err1 := OptimalNoncollidingCtx(context.Background(), c, 1)
-		s8, p8, set8, err8 := OptimalNoncollidingCtx(context.Background(), c, 8)
+		s1, p1, set1, err1 := OptimalNoncollidingOpt(context.Background(), c, OptimalOptions{Workers: 1})
+		s8, p8, set8, err8 := OptimalNoncollidingOpt(context.Background(), c, OptimalOptions{Workers: 8})
 		if err1 != nil || err8 != nil {
 			t.Fatalf("circuit %d: unexpected errors %v, %v", ci, err1, err8)
 		}
@@ -154,7 +154,7 @@ func TestOptimalNoncollidingWorkersDeterministic(t *testing.T) {
 func TestOptimalNoncollidingCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := OptimalNoncollidingCtx(ctx, delta.Butterfly(3).ToNetwork(), 2)
+	_, _, _, err := OptimalNoncollidingOpt(ctx, delta.Butterfly(3).ToNetwork(), OptimalOptions{Workers: 2})
 	var ce *par.ErrCanceled
 	if !asErrCanceled(err, &ce) {
 		t.Fatalf("err = %v, want *par.ErrCanceled", err)
@@ -266,9 +266,9 @@ func TestLemma41GOMAXPROCSDeterministic(t *testing.T) {
 	p := pattern.Uniform(n, pattern.M(0))
 
 	old := runtime.GOMAXPROCS(1)
-	a := Lemma41(tree, p, lg(n))
+	a, _ := Lemma41(context.Background(), tree, p, lg(n))
 	runtime.GOMAXPROCS(old)
-	b := Lemma41(tree, p, lg(n))
+	b, _ := Lemma41(context.Background(), tree, p, lg(n))
 
 	if !a.Q.Equal(b.Q) || a.Survivors != b.Survivors {
 		t.Fatal("Lemma41 differs between GOMAXPROCS=1 and default")

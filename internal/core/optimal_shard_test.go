@@ -131,7 +131,7 @@ func TestOptimalSkipSeedResume(t *testing.T) {
 func TestDecodeOptimalWitnessRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	circ := randnet.Levels(10, 6, rng)
-	wantSize, wantP, wantSet := OptimalNoncolliding(circ)
+	wantSize, wantP, wantSet, _ := OptimalNoncollidingOpt(context.Background(), circ, OptimalOptions{})
 	packed, err := OptimalNoncollidingPacked(context.Background(), circ, OptimalOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"shufflenet/internal/delta"
@@ -10,7 +11,7 @@ import (
 
 func TestOptimalNoncollidingButterfly(t *testing.T) {
 	circ := delta.Butterfly(3).ToNetwork()
-	size, p, set := OptimalNoncolliding(circ)
+	size, p, set, _ := OptimalNoncollidingOpt(context.Background(), circ, OptimalOptions{})
 	if size != len(set) || p.Count(pattern.M(0)) != size {
 		t.Fatalf("inconsistent result: size=%d set=%v", size, set)
 	}
@@ -22,7 +23,7 @@ func TestOptimalNoncollidingButterfly(t *testing.T) {
 		t.Fatalf("optimal size %d < 2 on a lg-n-depth network", size)
 	}
 	// The constructive adversary cannot beat it.
-	an := Theorem41(delta.NewIterated(8).AddBlock(nil, delta.Butterfly(3)), 0)
+	an, _ := Theorem41Ctx(context.Background(), delta.NewIterated(8).AddBlock(nil, delta.Butterfly(3)), 0)
 	if len(an.D) > size {
 		t.Fatalf("adversary %d beats optimum %d", len(an.D), size)
 	}
@@ -30,7 +31,7 @@ func TestOptimalNoncollidingButterfly(t *testing.T) {
 
 func TestOptimalNoncollidingEmptyNetwork(t *testing.T) {
 	// With no comparators, everything is noncolliding: optimum = n.
-	size, _, _ := OptimalNoncolliding(network.New(6))
+	size, _, _, _ := OptimalNoncollidingOpt(context.Background(), network.New(6), OptimalOptions{})
 	if size != 6 {
 		t.Fatalf("empty network optimum = %d, want 6", size)
 	}
@@ -40,7 +41,7 @@ func TestOptimalNoncollidingSorter(t *testing.T) {
 	// A sorting network admits only singletons.
 	circ, place := delta.BitonicIterated(3).ToNetwork()
 	_ = place
-	size, _, _ := OptimalNoncolliding(circ)
+	size, _, _, _ := OptimalNoncollidingOpt(context.Background(), circ, OptimalOptions{})
 	if size != 1 {
 		t.Fatalf("sorting network optimum = %d, want 1", size)
 	}
@@ -52,5 +53,5 @@ func TestOptimalNoncollidingGuard(t *testing.T) {
 			t.Error("no panic for n > MaxOptimalWires")
 		}
 	}()
-	OptimalNoncolliding(network.New(MaxOptimalWires + 1))
+	OptimalNoncollidingOpt(context.Background(), network.New(MaxOptimalWires+1), OptimalOptions{})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"shufflenet/internal/delta"
@@ -19,8 +20,8 @@ func TestLemma41ParallelPathDeterministicAndSound(t *testing.T) {
 	tree := delta.Butterfly(l)
 	p := pattern.Uniform(n, pattern.M(0))
 
-	a := Lemma41(tree, p, l)
-	b := Lemma41(tree, p, l)
+	a, _ := Lemma41(context.Background(), tree, p, l)
+	b, _ := Lemma41(context.Background(), tree, p, l)
 
 	if !a.Q.Equal(b.Q) {
 		t.Fatal("parallel recursion nondeterministic: patterns differ")

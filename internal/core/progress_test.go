@@ -16,7 +16,7 @@ import (
 // arrive with honest sizes.
 func TestOptimalProgressReadOnly(t *testing.T) {
 	circ := delta.Butterfly(4).ToNetwork()
-	baseSize, baseP, _, err := OptimalNoncollidingCtx(context.Background(), circ, 4)
+	baseSize, baseP, _, err := OptimalNoncollidingOpt(context.Background(), circ, OptimalOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestOptimalProgressSampleFields(t *testing.T) {
 // completion through its source.
 func TestTheorem41ProgressReadOnly(t *testing.T) {
 	it := delta.BitonicIterated(4)
-	base := Theorem41(it, 0)
+	base, _ := Theorem41Ctx(context.Background(), it, 0)
 
 	p := obs.NewProgress("test", "r", time.Hour)
 	var samples []*obs.Sample

@@ -27,7 +27,7 @@ type BlockReport struct {
 	PaperBound float64 // n / lg^{4(d+1)} n, the Theorem 4.1 guarantee
 }
 
-// Analysis is the outcome of Theorem41: a pattern over the network's
+// Analysis is the outcome of Theorem41Ctx: a pattern over the network's
 // original input wires whose [M_0]-set D is noncolliding in the entire
 // iterated network.
 type Analysis struct {
@@ -43,26 +43,21 @@ type Analysis struct {
 	K int
 }
 
-// Theorem41 runs the constructive Theorem 4.1 on an iterated reverse
-// delta network: it pushes a pattern through the blocks, applying
-// Lemma41 to every tree of every block and keeping, after each block,
-// the largest surviving noncolliding set (renamed to M_0 by Lemma 3.4's
-// ρ). k is the averaging parameter; k <= 0 selects the paper's choice
-// k = lg n.
-func Theorem41(it *delta.Iterated, k int) *Analysis {
-	an, _ := Theorem41Ctx(context.Background(), it, k)
-	return an
-}
-
-// Theorem41Ctx is Theorem41 under a context. On cancellation it
-// returns the analysis as of the last *completed* block — the pattern
-// and set D are exactly what the adversary holds at that point, so the
-// partial reports are honest telemetry, not an approximation — plus a
-// *par.ErrCanceled whose BlocksDone and Survivors record the cut
-// point. The in-flight block is discarded (Lemma 4.1's induction has
-// no meaningful half-state). Callers must not derive a certificate
-// from a canceled run: D is noncolliding only for the prefix of the
-// network actually processed.
+// Theorem41Ctx runs the constructive Theorem 4.1 on an iterated
+// reverse delta network: it pushes a pattern through the blocks,
+// applying Lemma41 to every tree of every block and keeping, after each
+// block, the largest surviving noncolliding set (renamed to M_0 by
+// Lemma 3.4's ρ). k is the averaging parameter, at most MaxK; k <= 0
+// selects the paper's choice k = lg n.
+//
+// On cancellation it returns the analysis as of the last *completed*
+// block — the pattern and set D are exactly what the adversary holds
+// at that point, so the partial reports are honest telemetry, not an
+// approximation — plus a *par.ErrCanceled whose BlocksDone and
+// Survivors record the cut point. The in-flight block is discarded
+// (Lemma 4.1's induction has no meaningful half-state). Callers must
+// not derive a certificate from a canceled run: D is noncolliding only
+// for the prefix of the network actually processed.
 func Theorem41Ctx(ctx context.Context, it *delta.Iterated, k int) (*Analysis, error) {
 	return Theorem41Prog(ctx, it, k, nil)
 }
@@ -88,7 +83,7 @@ func Theorem41Prog(ctx context.Context, it *delta.Iterated, k int, prog *obs.Pro
 		defer unregister()
 	}
 	for b := 0; b < blocks; b++ {
-		if _, err := inc.AddBlockCtx(ctx, it.Pre(b), it.Block(b)); err != nil {
+		if _, err := inc.AddBlock(ctx, it.Pre(b), it.Block(b)); err != nil {
 			return inc.Analysis(), &par.ErrCanceled{
 				Op:         "core.Theorem41",
 				Cause:      ctx.Err(),

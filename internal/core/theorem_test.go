@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -53,7 +54,7 @@ func iteratedButterflies(n, blocks int, rng *rand.Rand) *delta.Iterated {
 func TestTheorem41SingleButterfly(t *testing.T) {
 	for _, n := range []int{8, 16, 32, 64} {
 		it := iteratedButterflies(n, 1, nil)
-		an := Theorem41(it, 0)
+		an, _ := Theorem41Ctx(context.Background(), it, 0)
 		checkAnalysis(t, it, an)
 		if len(an.Reports) != 1 {
 			t.Fatalf("want 1 report, got %d", len(an.Reports))
@@ -79,7 +80,7 @@ func TestTheorem41MultiBlockRandomGlue(t *testing.T) {
 	for _, n := range []int{16, 32, 64} {
 		for blocks := 1; blocks <= 3; blocks++ {
 			it := iteratedButterflies(n, blocks, rng)
-			an := Theorem41(it, 0)
+			an, _ := Theorem41Ctx(context.Background(), it, 0)
 			checkAnalysis(t, it, an)
 			if len(an.Reports) != blocks {
 				t.Fatalf("reports: %d", len(an.Reports))
@@ -103,7 +104,7 @@ func TestTheorem41RandomRDNBlocks(t *testing.T) {
 		for b := 0; b < blocks; b++ {
 			it.AddBlock(perm.Random(n, rng), delta.Random(5, 0.5+0.5*rng.Float64(), rng))
 		}
-		an := Theorem41(it, 0)
+		an, _ := Theorem41Ctx(context.Background(), it, 0)
 		checkAnalysis(t, it, an)
 	}
 }
@@ -121,7 +122,7 @@ func TestTheorem41ForestBlocks(t *testing.T) {
 		}
 		it.AddForest(perm.Random(n, rng), delta.NewForest(trees...))
 	}
-	an := Theorem41(it, 0)
+	an, _ := Theorem41Ctx(context.Background(), it, 0)
 	checkAnalysis(t, it, an)
 	// Shallow blocks lose little: with l=2 and k=5, each block keeps
 	// > 90% of wires across sets; after 4 blocks the largest set should
@@ -135,7 +136,7 @@ func TestCertificateOnIteratedButterflies(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, n := range []int{16, 32, 64} {
 		it := iteratedButterflies(n, 2, rng)
-		an := Theorem41(it, 0)
+		an, _ := Theorem41Ctx(context.Background(), it, 0)
 		cert, err := an.Certificate()
 		if err != nil {
 			if errors.Is(err, ErrSetTooSmall) {
@@ -172,7 +173,7 @@ func TestAdversaryCannotBeatSortingNetwork(t *testing.T) {
 		if !ok {
 			t.Fatalf("d=%d: bitonic iterated RDN does not sort (%v)", d, w)
 		}
-		an := Theorem41(it, 0)
+		an, _ := Theorem41Ctx(context.Background(), it, 0)
 		checkAnalysis(t, it, an)
 		if _, err := an.Certificate(); err == nil {
 			t.Fatalf("d=%d: extracted a certificate from a sorting network!", d)
@@ -200,7 +201,7 @@ func TestCertificateVerifyRejectsTampering(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	n := 32
 	it := iteratedButterflies(n, 2, rng)
-	an := Theorem41(it, 0)
+	an, _ := Theorem41Ctx(context.Background(), it, 0)
 	cert, err := an.Certificate()
 	if err != nil {
 		t.Fatal(err)

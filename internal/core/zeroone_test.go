@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestZeroOneWitness(t *testing.T) {
 		it := delta.NewIterated(n)
 		it.AddBlock(nil, delta.Butterfly(l))
 		it.AddBlock(perm.Random(n, rng), delta.Butterfly(l))
-		an := Theorem41(it, 0)
+		an, _ := Theorem41Ctx(context.Background(), it, 0)
 		cert, err := an.Certificate()
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +44,7 @@ func TestZeroOneWitnessRejectsBadCertificate(t *testing.T) {
 	it := delta.NewIterated(n)
 	it.AddBlock(nil, delta.Butterfly(5))
 	it.AddBlock(perm.Random(n, rng), delta.Butterfly(5))
-	an := Theorem41(it, 0)
+	an, _ := Theorem41Ctx(context.Background(), it, 0)
 	cert, err := an.Certificate()
 	if err != nil {
 		t.Fatal(err)

@@ -87,7 +87,7 @@ func A1KSweep(cfg Config) *Table {
 		inc := core.NewIncremental(c.n, c.k)
 		blocks := 0
 		for _, b := range c.stack {
-			if _, err := inc.AddBlockCtx(cfg.Context(), b.pre, delta.NewForest(b.tree)); err != nil {
+			if _, err := inc.AddBlock(cfg.Context(), b.pre, delta.NewForest(b.tree)); err != nil {
 				return cellRow{err: err}
 			}
 			if len(inc.D()) < 2 {

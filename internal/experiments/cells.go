@@ -37,7 +37,7 @@ func runCells(cfg Config, t *Table, count int, cell func(i int) cellRow) bool {
 	results := make([]cellRow, count)
 	done := make([]bool, count)
 	metCellsTotal.Add(int64(count))
-	err := par.ForEachGrainCtx(cfg.Context(), count, cfg.Workers, 1, func(i int) {
+	err := par.ForEach(cfg.Context(), count, cfg.Workers, 1, func(i int) {
 		results[i] = cell(i)
 		done[i] = true
 		metCellsDone.Inc()

@@ -53,7 +53,7 @@ func E2LemmaSurvival(cfg Config) *Table {
 		sp := cfg.Phase("lemma41", obs.A("n", c.n), obs.A("topo", c.topo))
 		defer sp.End()
 		p := pattern.Uniform(c.n, pattern.M(0))
-		res, err := core.Lemma41Ctx(cfg.Context(), c.tree, p, c.l)
+		res, err := core.Lemma41(cfg.Context(), c.tree, p, c.l)
 		if err != nil {
 			return cellRow{err: err}
 		}
@@ -271,7 +271,7 @@ func E5TruncatedBlocks(cfg Config) *Table {
 			for i := range trees {
 				trees[i] = delta.Random(c.f, 1.0, rng)
 			}
-			if _, err := inc.AddBlockCtx(cfg.Context(), perm.Random(c.n, rng), delta.NewForest(trees...)); err != nil {
+			if _, err := inc.AddBlock(cfg.Context(), perm.Random(c.n, rng), delta.NewForest(trees...)); err != nil {
 				return cellRow{err: err}
 			}
 			if d := len(inc.D()); d < 2 {
@@ -342,7 +342,7 @@ func E8AdversaryDepth(cfg Config) *Table {
 			if d > 1 {
 				pre = perm.Random(n, rng)
 			}
-			if _, err := inc.AddBlockCtx(cfg.Context(), pre, delta.NewForest(delta.Butterfly(l))); err != nil {
+			if _, err := inc.AddBlock(cfg.Context(), pre, delta.NewForest(delta.Butterfly(l))); err != nil {
 				return cellRow{err: err}
 			}
 			if len(inc.D()) < 2 {

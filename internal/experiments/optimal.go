@@ -43,7 +43,7 @@ func noteMemo(t *Table, opt core.OptimalOptions) {
 
 // A2Optimality is an ablation: it compares the constructive adversary's
 // surviving set |D| against the brute-force optimum over all 3^n
-// patterns (core.OptimalNoncolliding) on small networks. The ratio
+// patterns (core.OptimalNoncollidingOpt) on small networks. The ratio
 // measures the per-instance slack of the paper's averaging argument —
 // the analysis guarantees polylog decay, but how much does the
 // construction actually leave on the table?

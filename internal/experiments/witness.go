@@ -38,7 +38,7 @@ func E11Witnesses(cfg Config) *Table {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	addRow := func(name string, depth int, ev sortcheck.Evaluator, cert string) bool {
-		frac, err := sortcheck.ZeroOneFractionCtx(cfg.Context(), n, ev, cfg.Workers)
+		frac, err := sortcheck.ZeroOneFraction(cfg.Context(), n, ev, cfg.Workers)
 		if err != nil {
 			t.NoteCanceled(err)
 			return false

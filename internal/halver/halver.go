@@ -29,7 +29,6 @@ import (
 	"shufflenet/internal/obs"
 	"shufflenet/internal/par"
 	"shufflenet/internal/perm"
-	"shufflenet/internal/sortcheck"
 )
 
 // Halver metrics: masks exhausted per Epsilon call (added once per
@@ -75,7 +74,7 @@ const MaxEpsilonWires = 28
 // half, zeros in the upper half) accumulated in vertical bit-plane
 // counters rather than per-mask loops. A perfect halver has ε = 0; a
 // network that does nothing has ε = 1. n must be at most
-// MaxEpsilonWires. EpsilonScalar is the differential-test oracle.
+// MaxEpsilonWires. Epsilon is EpsilonCtx under context.Background().
 func Epsilon(c *network.Network, workers int) float64 {
 	eps, _ := EpsilonCtx(context.Background(), c, workers)
 	return eps
@@ -101,7 +100,7 @@ func EpsilonCtx(ctx context.Context, c *network.Network, workers int) (float64, 
 	var mu sync.Mutex
 	eps := 0.0
 	var scanned int64
-	cerr := par.ForEachChunkCtx(ctx, blocks, workers, func(lo, hi int) {
+	cerr := par.ForEachChunk(ctx, blocks, workers, par.DefaultGrain, func(lo, hi int) {
 		bb := network.NewBitBatch(prog)
 		defer bb.FlushMetrics()
 		local := 0.0
@@ -181,73 +180,6 @@ func planeCount(planes *[5]uint64, j int) int {
 		c |= int(planes[i]>>uint(j)&1) << uint(i)
 	}
 	return c
-}
-
-// EpsilonScalar computes Epsilon by scalar enumeration (one Eval per
-// mask): the differential-test oracle for the bit-sliced path.
-func EpsilonScalar(c *network.Network, workers int) float64 {
-	n := c.Wires()
-	if n > MaxEpsilonWires {
-		panic(fmt.Sprintf("halver.Epsilon: n = %d exceeds %d", n, MaxEpsilonWires))
-	}
-	if n%2 != 0 {
-		panic("halver.Epsilon: odd wire count")
-	}
-	m := n / 2
-	total := 1 << uint(n)
-	w := par.Workers(total, workers)
-	worst := make([]float64, w)
-	par.ForEachChunk(total, w, func(lo, hi int) {
-		slot := lo / ((total + w - 1) / w)
-		if slot >= w {
-			slot = w - 1
-		}
-		local := 0.0
-		for mask := lo; mask < hi; mask++ {
-			in := sortcheck.ZeroOneInput(uint64(mask), n)
-			ones := 0
-			for _, v := range in {
-				ones += v
-			}
-			if ones == 0 || ones == n {
-				continue
-			}
-			out := c.Eval(in)
-			// k largest = the `ones` 1-values; misplaced = ones in the
-			// lower half. Meaningful when ones <= m.
-			onesLow := 0
-			for i := 0; i < m; i++ {
-				onesLow += out[i]
-			}
-			if ones <= m {
-				if r := float64(onesLow) / float64(ones); r > local {
-					local = r
-				}
-			}
-			// k smallest = the zeros; misplaced = zeros in the upper
-			// half. Meaningful when zeros <= m.
-			zeros := n - ones
-			if zeros <= m {
-				zerosHigh := 0
-				for i := m; i < n; i++ {
-					zerosHigh += 1 - out[i]
-				}
-				if r := float64(zerosHigh) / float64(zeros); r > local {
-					local = r
-				}
-			}
-		}
-		if local > worst[slot] {
-			worst[slot] = local
-		}
-	})
-	eps := 0.0
-	for _, v := range worst {
-		if v > eps {
-			eps = v
-		}
-	}
-	return eps
 }
 
 // IsEpsilonHalver reports whether c is an ε-halver for the given ε

@@ -1,11 +1,13 @@
 package halver
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"shufflenet/internal/netbuild"
 	"shufflenet/internal/network"
+	"shufflenet/internal/par"
 	"shufflenet/internal/sortcheck"
 )
 
@@ -141,7 +143,6 @@ func TestGuards(t *testing.T) {
 	}
 	mustPanic("odd n", func() { CrossMatchings(7, 1, rand.New(rand.NewSource(1))) })
 	mustPanic("Epsilon too wide", func() { Epsilon(network.New(MaxEpsilonWires+2), 0) })
-	mustPanic("EpsilonScalar too wide", func() { EpsilonScalar(network.New(MaxEpsilonWires+2), 0) })
 	mustPanic("Epsilon odd width", func() { Epsilon(network.New(9), 0) })
 	mustPanic("Cascade non-pow2", func() { Cascade(12, 1, rand.New(rand.NewSource(1))) })
 }
@@ -156,7 +157,7 @@ func TestEpsilonBitsMatchesScalar(t *testing.T) {
 		for passes := 0; passes <= 4; passes++ {
 			c := CrossMatchings(n, passes, rng)
 			got := Epsilon(c, 0)
-			want := EpsilonScalar(c, 0)
+			want := epsilonScalar(c, 0)
 			if got != want {
 				t.Errorf("CrossMatchings(n=%d, passes=%d): Epsilon %v != scalar %v", n, passes, got, want)
 			}
@@ -165,17 +166,92 @@ func TestEpsilonBitsMatchesScalar(t *testing.T) {
 	for _, n := range []int{4, 8, 16} {
 		c := Cascade(n, 2, rng)
 		got := Epsilon(c, 0)
-		want := EpsilonScalar(c, 0)
+		want := epsilonScalar(c, 0)
 		if got != want {
 			t.Errorf("Cascade(n=%d): Epsilon %v != scalar %v", n, got, want)
 		}
 	}
 	// Workers must not change the result.
 	c := CrossMatchings(12, 3, rng)
-	want := EpsilonScalar(c, 1)
+	want := epsilonScalar(c, 1)
 	for _, w := range []int{1, 2, 4} {
 		if got := Epsilon(c, w); got != want {
 			t.Errorf("workers=%d: Epsilon %v != scalar %v", w, got, want)
 		}
 	}
+}
+
+// epsilonScalar computes Epsilon by scalar enumeration (one Eval per
+// mask): the differential-test oracle for the bit-sliced path. Under a
+// Background context ForEachChunk makes one body call per worker
+// range, which the slot arithmetic relies on.
+func epsilonScalar(c *network.Network, workers int) float64 {
+	n := c.Wires()
+	m := n / 2
+	total := 1 << uint(n)
+	w := par.Workers(total, workers)
+	worst := make([]float64, w)
+	par.ForEachChunk(context.Background(), total, w, par.DefaultGrain, func(lo, hi int) {
+		slot := lo / ((total + w - 1) / w)
+		if slot >= w {
+			slot = w - 1
+		}
+		local := 0.0
+		for mask := lo; mask < hi; mask++ {
+			in := sortcheck.ZeroOneInput(uint64(mask), n)
+			ones := 0
+			for _, v := range in {
+				ones += v
+			}
+			if ones == 0 || ones == n {
+				continue
+			}
+			out := c.Eval(in)
+			// k largest = the `ones` 1-values; misplaced = ones in the
+			// lower half. Meaningful when ones <= m.
+			onesLow := 0
+			for i := 0; i < m; i++ {
+				onesLow += out[i]
+			}
+			if ones <= m {
+				if r := float64(onesLow) / float64(ones); r > local {
+					local = r
+				}
+			}
+			// k smallest = the zeros; misplaced = zeros in the upper
+			// half. Meaningful when zeros <= m.
+			zeros := n - ones
+			if zeros <= m {
+				zerosHigh := 0
+				for i := m; i < n; i++ {
+					zerosHigh += 1 - out[i]
+				}
+				if r := float64(zerosHigh) / float64(zeros); r > local {
+					local = r
+				}
+			}
+		}
+		if local > worst[slot] {
+			worst[slot] = local
+		}
+	})
+	eps := 0.0
+	for _, v := range worst {
+		if v > eps {
+			eps = v
+		}
+	}
+	return eps
+}
+
+// BenchmarkHalverEpsilon/scalar measures the scalar oracle on the same
+// 2^16-input instance as the root package's BenchmarkHalverEpsilon/bits.
+func BenchmarkHalverEpsilon(b *testing.B) {
+	c := CrossMatchings(16, 4, rand.New(rand.NewSource(10)))
+	b.Run("scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			epsilonScalar(c, 0)
+		}
+		b.ReportMetric(float64(1<<16)*float64(b.N)/b.Elapsed().Seconds(), "inputs/s")
+	})
 }

@@ -17,6 +17,7 @@
 package network
 
 import (
+	"context"
 	"fmt"
 
 	"shufflenet/internal/par"
@@ -263,24 +264,20 @@ func (c *Network) Compared(input []int, v, w int) bool {
 	return false
 }
 
-// evalParallelGrain is the smallest level width (comparators per
-// level) EvalParallel splits across goroutines: below it, scheduling
-// costs more than the comparisons do.
-const evalParallelGrain = 2048
-
 // EvalParallel evaluates the network level-synchronously, splitting each
 // level's comparators across workers goroutines (0 = GOMAXPROCS).
 // Distinct comparators in a level touch disjoint wires, so the level is
-// data-parallel. Levels narrower than evalParallelGrain comparators run
-// sequentially — a level holds at most n/2 comparators, so the parallel
-// path only engages for networks of at least 2·evalParallelGrain = 4096
-// wires, and EvalParallel degenerates to a slightly costlier Eval below
+// data-parallel. Levels narrower than par.DefaultGrain comparators run
+// sequentially, since below it scheduling costs more than the
+// comparisons do — a level holds at most n/2 comparators, so the
+// parallel path only engages for networks of at least
+// 2·par.DefaultGrain = 4096 wires, and EvalParallel degenerates to a slightly costlier Eval below
 // that. Benchmarked against Eval in the ablation benches.
 func (c *Network) EvalParallel(input []int, workers int) []int {
 	out := c.checkedCopy(input)
 	for _, lv := range c.levels {
 		lv := lv
-		par.ForEachGrain(len(lv), workers, evalParallelGrain, func(i int) {
+		par.ForEach(context.Background(), len(lv), workers, par.DefaultGrain, func(i int) {
 			cm := lv[i]
 			if out[cm.Min] > out[cm.Max] {
 				out[cm.Min], out[cm.Max] = out[cm.Max], out[cm.Min]

@@ -1,19 +1,17 @@
 // Package par provides the small parallel-execution runtime used by the
 // evaluators and checkers in shufflenet: chunked parallel loops over
-// index ranges, parallel map, and an early-exit parallel search.
+// index ranges and an early-exit parallel search.
 //
 // All functions degrade gracefully to sequential execution for small
 // inputs, so callers can use them unconditionally. Worker counts default
 // to GOMAXPROCS and are capped by the work available.
 //
-// Every loop has a ctx-aware variant (ForEachCtx, ForEachChunkCtx,
-// FindCtx, SumInt64Ctx) that observes cancellation once per chunk —
+// Every loop takes a context and observes cancellation once per chunk —
 // never per item — so the hot inner loops pay nothing: with a
 // non-cancelable context (ctx.Done() == nil, e.g. context.Background())
-// the probe compiles down to a nil check and the execution layout is
-// identical to the non-ctx entry points, which are thin
-// context.Background() wrappers. On cancellation the variants return
-// the context's error; workers abandon un-started chunks but finish the
+// the probe compiles down to a nil check and each worker runs its whole
+// range without re-splitting it. On cancellation the loops return the
+// context's error; workers abandon un-started chunks but finish the
 // chunk they are in, so the residual work after a cancel is bounded by
 // one chunk per worker.
 package par
@@ -27,11 +25,12 @@ import (
 	"shufflenet/internal/obs"
 )
 
-// minParallel is the smallest range worth splitting across goroutines;
-// below this the scheduling overhead dominates. It doubles as the
-// default cancellation-probe stride: a cancelable loop checks its
-// context every minParallel items.
-const minParallel = 2048
+// DefaultGrain is the smallest range worth splitting across goroutines
+// when the per-item cost is small; below it the scheduling overhead
+// dominates. It doubles as the cancellation-probe stride: a cancelable
+// loop checks its context every DefaultGrain items. Find and SumInt64
+// always use it.
+const DefaultGrain = 2048
 
 // Runtime metrics: one or two atomic adds per parallel *invocation*
 // plus one add/sub pair per worker *goroutine* (never per item), so the
@@ -89,35 +88,15 @@ func canceled(done <-chan struct{}) bool {
 // ForEach invokes body(i) for every i in [0, n), splitting the range into
 // contiguous chunks across up to workers goroutines (0 = GOMAXPROCS).
 // body must be safe for concurrent invocation on distinct indices.
-// Ranges smaller than the default grain (2048) run sequentially; use
-// ForEachGrain when the per-item cost justifies a different threshold.
-func ForEach(n, workers int, body func(i int)) {
-	forEachGrain(context.Background(), nil, n, workers, minParallel, body)
-}
-
-// ForEachCtx is ForEach with cancellation: it observes ctx once per
-// chunk of 2048 items and returns ctx.Err() when the run was cut short
-// (some indices unvisited), nil when every index was visited.
-func ForEachCtx(ctx context.Context, n, workers int, body func(i int)) error {
-	return forEachGrain(ctx, ctx.Done(), n, workers, minParallel, body)
-}
-
-// ForEachGrain is ForEach with an explicit grain size: ranges smaller
-// than grain run sequentially, since below it goroutine scheduling
-// costs more than the work. Callers with expensive bodies can pass a
-// small grain (>= 1) to force parallelism on short ranges; callers
-// with trivial bodies should keep it large.
-func ForEachGrain(n, workers, grain int, body func(i int)) {
-	forEachGrain(context.Background(), nil, n, workers, grain, body)
-}
-
-// ForEachGrainCtx is ForEachGrain with cancellation, probed once per
-// grain-sized piece of each worker's range.
-func ForEachGrainCtx(ctx context.Context, n, workers, grain int, body func(i int)) error {
-	return forEachGrain(ctx, ctx.Done(), n, workers, grain, body)
-}
-
-func forEachGrain(ctx context.Context, done <-chan struct{}, n, workers, grain int, body func(i int)) error {
+// Ranges smaller than grain run sequentially, since below it goroutine
+// scheduling costs more than the work: callers with trivial bodies pass
+// DefaultGrain, callers with expensive bodies a small grain (>= 1) to
+// force parallelism on short ranges. Cancellation is probed once per
+// grain-sized piece of each worker's range; ForEach returns ctx.Err()
+// when the run was cut short (some indices unvisited), nil when every
+// index was visited.
+func ForEach(ctx context.Context, n, workers, grain int, body func(i int)) error {
+	done := ctx.Done()
 	if n <= 0 {
 		return nil
 	}
@@ -171,44 +150,22 @@ func forEachGrain(ctx context.Context, done <-chan struct{}, n, workers, grain i
 }
 
 // ForEachChunk invokes body(lo, hi) for a partition of [0, n) into
-// contiguous half-open chunks, one per worker goroutine. Use this
-// instead of ForEach when the body benefits from per-chunk state
-// (e.g. scratch buffers). Ranges smaller than the default grain (2048)
-// run as a single body(0, n) call on the calling goroutine; use
-// ForEachChunkGrain when few-but-heavy chunks justify a lower
-// threshold.
-func ForEachChunk(n, workers int, body func(lo, hi int)) {
-	forEachChunk(context.Background(), nil, n, workers, minParallel, body)
-}
-
-// ForEachChunkGrain is ForEachChunk with an explicit sequential
-// threshold: ranges smaller than grain run as one body(0, n) call.
-// Callers whose chunks are individually expensive (e.g. per-slot
-// Monte-Carlo batches) pass a small grain to keep parallelism on short
-// ranges.
-func ForEachChunkGrain(n, workers, grain int, body func(lo, hi int)) {
-	forEachChunk(context.Background(), nil, n, workers, grain, body)
-}
-
-// ForEachChunkCtx is ForEachChunk with cancellation. With a cancelable
-// context each worker's range is re-split into grain-sized (2048)
-// pieces with a probe before each piece, so body runs O(n/2048) times
-// instead of once per worker; bodies that amortize per-chunk state
-// (scratch buffers, batched metric flushes) amortize it over a piece
-// instead of a worker-range, which costs nothing measurable at that
-// stride. With a non-cancelable context the layout is exactly
-// ForEachChunk's. Returns ctx.Err() when chunks were abandoned.
-func ForEachChunkCtx(ctx context.Context, n, workers int, body func(lo, hi int)) error {
-	return forEachChunk(ctx, ctx.Done(), n, workers, minParallel, body)
-}
-
-// ForEachChunkGrainCtx is ForEachChunkGrain with cancellation, probed
-// once per grain-sized piece.
-func ForEachChunkGrainCtx(ctx context.Context, n, workers, grain int, body func(lo, hi int)) error {
-	return forEachChunk(ctx, ctx.Done(), n, workers, grain, body)
-}
-
-func forEachChunk(ctx context.Context, done <-chan struct{}, n, workers, grain int, body func(lo, hi int)) error {
+// contiguous half-open chunks. Use this instead of ForEach when the
+// body benefits from per-chunk state (e.g. scratch buffers). Ranges
+// smaller than grain run on the calling goroutine; callers whose chunks
+// are individually expensive (e.g. per-slot Monte-Carlo batches) pass a
+// small grain to keep parallelism on short ranges.
+//
+// With a non-cancelable context (ctx.Done() == nil) the layout is one
+// body call per worker range, or a single body(0, n) call below grain.
+// With a cancelable context each range is re-split into grain-sized
+// pieces with a probe before each piece, so body runs O(n/grain) times;
+// bodies that amortize per-chunk state (scratch buffers, batched metric
+// flushes) amortize it over a piece instead of a worker range, which
+// costs nothing measurable at DefaultGrain. Returns ctx.Err() when
+// chunks were abandoned.
+func ForEachChunk(ctx context.Context, n, workers, grain int, body func(lo, hi int)) error {
+	done := ctx.Done()
 	if n <= 0 {
 		return nil
 	}
@@ -267,35 +224,26 @@ func forEachChunk(ctx context.Context, done <-chan struct{}, n, workers, grain i
 // returns the smallest satisfying index found, or -1 if none satisfies
 // pred. Workers abandon chunks that can no longer contain a smaller hit,
 // so Find is effective for needle-in-haystack searches such as locating
-// the first unsorted 0-1 input of a network.
-func Find(n, workers int, pred func(i int) bool) int {
-	i, _ := findCtx(context.Background(), nil, n, workers, pred)
-	return i
-}
-
-// FindCtx is Find with cancellation, probed once per chunk of 2048
-// candidates. On cancellation it returns the smallest hit observed so
-// far (or -1) together with ctx.Err(); the returned index still
-// satisfies pred but is no longer guaranteed minimal, since chunks
-// below it may have been abandoned.
-func FindCtx(ctx context.Context, n, workers int, pred func(i int) bool) (int, error) {
-	return findCtx(ctx, ctx.Done(), n, workers, pred)
-}
-
-func findCtx(ctx context.Context, done <-chan struct{}, n, workers int, pred func(i int) bool) (int, error) {
+// the first unsorted 0-1 input of a network. Cancellation is probed
+// once per DefaultGrain candidates; on cancellation Find returns the
+// smallest hit observed so far (or -1) together with ctx.Err(). That
+// index still satisfies pred but is no longer guaranteed minimal, since
+// chunks below it may have been abandoned.
+func Find(ctx context.Context, n, workers int, pred func(i int) bool) (int, error) {
+	done := ctx.Done()
 	if n <= 0 {
 		return -1, nil
 	}
 	w := Workers(n, workers)
 	metItems.Add(int64(n))
-	if w == 1 || n < minParallel {
+	if w == 1 || n < DefaultGrain {
 		metSequential.Inc()
-		for lo := 0; lo < n; lo += minParallel {
+		for lo := 0; lo < n; lo += DefaultGrain {
 			if canceled(done) {
 				metCanceled.Inc()
 				return -1, ctx.Err()
 			}
-			hi := min(lo+minParallel, n)
+			hi := min(lo+DefaultGrain, n)
 			for i := lo; i < hi; i++ {
 				if pred(i) {
 					return i, nil
@@ -316,11 +264,11 @@ func findCtx(ctx context.Context, done <-chan struct{}, n, workers int, pred fun
 			defer wg.Done()
 			workerEnter()
 			defer workerExit()
-			for ; lo < hi; lo += minParallel {
+			for ; lo < hi; lo += DefaultGrain {
 				if canceled(done) {
 					return
 				}
-				stop := min(lo+minParallel, hi)
+				stop := min(lo+DefaultGrain, hi)
 				for i := lo; i < stop; i++ {
 					if int64(i) >= atomic.LoadInt64(&best) {
 						return // a smaller index already found
@@ -354,33 +302,25 @@ func findCtx(ctx context.Context, done <-chan struct{}, n, workers int, pred fun
 }
 
 // SumInt64 computes sum over i in [0, n) of f(i) in parallel.
-func SumInt64(n, workers int, f func(i int) int64) int64 {
-	s, _ := sumInt64(context.Background(), nil, n, workers, f)
-	return s
-}
-
-// SumInt64Ctx is SumInt64 with cancellation, probed once per chunk of
-// 2048 items. On cancellation it returns the partial sum accumulated
-// so far (an undercount) together with ctx.Err().
-func SumInt64Ctx(ctx context.Context, n, workers int, f func(i int) int64) (int64, error) {
-	return sumInt64(ctx, ctx.Done(), n, workers, f)
-}
-
-func sumInt64(ctx context.Context, done <-chan struct{}, n, workers int, f func(i int) int64) (int64, error) {
+// Cancellation is probed once per DefaultGrain items; on cancellation
+// SumInt64 returns the partial sum accumulated so far (an undercount)
+// together with ctx.Err().
+func SumInt64(ctx context.Context, n, workers int, f func(i int) int64) (int64, error) {
+	done := ctx.Done()
 	if n <= 0 {
 		return 0, nil
 	}
 	w := Workers(n, workers)
 	metItems.Add(int64(n))
-	if w == 1 || n < minParallel {
+	if w == 1 || n < DefaultGrain {
 		metSequential.Inc()
 		var s int64
-		for lo := 0; lo < n; lo += minParallel {
+		for lo := 0; lo < n; lo += DefaultGrain {
 			if canceled(done) {
 				metCanceled.Inc()
 				return s, ctx.Err()
 			}
-			hi := min(lo+minParallel, n)
+			hi := min(lo+DefaultGrain, n)
 			for i := lo; i < hi; i++ {
 				s += f(i)
 			}
@@ -401,11 +341,11 @@ func sumInt64(ctx context.Context, done <-chan struct{}, n, workers int, f func(
 			workerEnter()
 			defer workerExit()
 			var s int64
-			for ; lo < hi; lo += minParallel {
+			for ; lo < hi; lo += DefaultGrain {
 				if canceled(done) {
 					break
 				}
-				stop := min(lo+minParallel, hi)
+				stop := min(lo+DefaultGrain, hi)
 				for i := lo; i < stop; i++ {
 					s += f(i)
 				}
@@ -424,11 +364,4 @@ func sumInt64(ctx context.Context, done <-chan struct{}, n, workers int, f func(
 		return total, ctx.Err()
 	}
 	return total, nil
-}
-
-// Map applies f to every index of dst in parallel, storing the results.
-func Map[T any](dst []T, workers int, f func(i int) T) {
-	ForEach(len(dst), workers, func(i int) {
-		dst[i] = f(i)
-	})
 }

@@ -22,9 +22,9 @@ func TestWorkers(t *testing.T) {
 }
 
 func TestForEachCoversRangeExactlyOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 7, minParallel - 1, minParallel, 3*minParallel + 5} {
+	for _, n := range []int{0, 1, 7, DefaultGrain - 1, DefaultGrain, 3*DefaultGrain + 5} {
 		counts := make([]int32, n)
-		ForEach(n, 0, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		ForEach(context.Background(), n, 0, DefaultGrain, func(i int) { atomic.AddInt32(&counts[i], 1) })
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
@@ -34,10 +34,10 @@ func TestForEachCoversRangeExactlyOnce(t *testing.T) {
 }
 
 func TestForEachWorkerCounts(t *testing.T) {
-	const n = 3 * minParallel
+	const n = 3 * DefaultGrain
 	for _, w := range []int{1, 2, 3, 16, 1000} {
 		var sum int64
-		ForEach(n, w, func(i int) { atomic.AddInt64(&sum, int64(i)) })
+		ForEach(context.Background(), n, w, DefaultGrain, func(i int) { atomic.AddInt64(&sum, int64(i)) })
 		want := int64(n) * int64(n-1) / 2
 		if sum != want {
 			t.Fatalf("workers=%d: sum=%d want %d", w, sum, want)
@@ -49,7 +49,7 @@ func TestForEachChunkPartitions(t *testing.T) {
 	for _, n := range []int{0, 1, 10, 1000} {
 		for _, w := range []int{1, 3, 7} {
 			covered := make([]int32, n)
-			ForEachChunk(n, w, func(lo, hi int) {
+			ForEachChunk(context.Background(), n, w, DefaultGrain, func(lo, hi int) {
 				if lo < 0 || hi > n || lo > hi {
 					t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, n)
 				}
@@ -67,10 +67,10 @@ func TestForEachChunkPartitions(t *testing.T) {
 }
 
 func TestFindSmallestHit(t *testing.T) {
-	const n = 4 * minParallel
-	targets := []int{0, 1, minParallel + 3, n - 1}
+	const n = 4 * DefaultGrain
+	targets := []int{0, 1, DefaultGrain + 3, n - 1}
 	for _, target := range targets {
-		got := Find(n, 8, func(i int) bool { return i >= target })
+		got, _ := Find(context.Background(), n, 8, func(i int) bool { return i >= target })
 		if got != target {
 			t.Errorf("Find returned %d, want %d", got, target)
 		}
@@ -78,24 +78,24 @@ func TestFindSmallestHit(t *testing.T) {
 }
 
 func TestFindNoHit(t *testing.T) {
-	if got := Find(4*minParallel, 8, func(i int) bool { return false }); got != -1 {
+	if got, _ := Find(context.Background(), 4*DefaultGrain, 8, func(i int) bool { return false }); got != -1 {
 		t.Errorf("Find returned %d on no-hit input", got)
 	}
-	if got := Find(0, 8, func(i int) bool { return true }); got != -1 {
+	if got, _ := Find(context.Background(), 0, 8, func(i int) bool { return true }); got != -1 {
 		t.Errorf("Find on empty range returned %d", got)
 	}
 }
 
 func TestFindSequentialSmall(t *testing.T) {
-	if got := Find(10, 1, func(i int) bool { return i == 7 }); got != 7 {
+	if got, _ := Find(context.Background(), 10, 1, func(i int) bool { return i == 7 }); got != 7 {
 		t.Errorf("sequential Find = %d", got)
 	}
 }
 
 func TestSumInt64(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 3 * minParallel} {
+	for _, n := range []int{0, 1, 100, 3 * DefaultGrain} {
 		for _, w := range []int{1, 4} {
-			got := SumInt64(n, w, func(i int) int64 { return int64(i) })
+			got, _ := SumInt64(context.Background(), n, w, func(i int) int64 { return int64(i) })
 			want := int64(n) * int64(n-1) / 2
 			if got != want {
 				t.Fatalf("SumInt64(n=%d,w=%d) = %d, want %d", n, w, got, want)
@@ -104,21 +104,11 @@ func TestSumInt64(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	dst := make([]int, 5000)
-	Map(dst, 4, func(i int) int { return i * 2 })
-	for i, v := range dst {
-		if v != i*2 {
-			t.Fatalf("Map wrong at %d: %d", i, v)
-		}
-	}
-}
-
 func TestForEachGrain(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 3000} {
 		for _, grain := range []int{1, 64, 5000} {
 			var hits = make([]int32, n)
-			ForEachGrain(n, 4, grain, func(i int) {
+			ForEach(context.Background(), n, 4, grain, func(i int) {
 				atomic.AddInt32(&hits[i], 1)
 			})
 			for i, h := range hits {
@@ -136,9 +126,9 @@ func TestForEachGrain(t *testing.T) {
 // historical bug: a 2-element range spawned up to GOMAXPROCS
 // goroutines).
 func TestForEachChunkSmallRangeSequential(t *testing.T) {
-	for _, n := range []int{1, 2, 10, minParallel - 1} {
+	for _, n := range []int{1, 2, 10, DefaultGrain - 1} {
 		var calls [][2]int
-		ForEachChunk(n, 8, func(lo, hi int) {
+		ForEachChunk(context.Background(), n, 8, DefaultGrain, func(lo, hi int) {
 			// No synchronization on purpose: if this ever runs on more
 			// than one goroutine, the race detector flags it.
 			calls = append(calls, [2]int{lo, hi})
@@ -156,7 +146,7 @@ func TestForEachChunkGrainKeepsParallelism(t *testing.T) {
 	const n = 4
 	covered := make([]int32, n)
 	var chunks int32
-	ForEachChunkGrain(n, n, 1, func(lo, hi int) {
+	ForEachChunk(context.Background(), n, n, 1, func(lo, hi int) {
 		atomic.AddInt32(&chunks, 1)
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&covered[i], 1)
@@ -172,35 +162,41 @@ func TestForEachChunkGrainKeepsParallelism(t *testing.T) {
 	}
 }
 
+// TestCtxVariantsMatchPlainOnBackground: every loop returns the same
+// results under a Background context and under a live cancelable one,
+// which re-splits each worker range into probed pieces.
 func TestCtxVariantsMatchPlainOnBackground(t *testing.T) {
-	ctx := context.Background()
-	const n = 3*minParallel + 7
-	var sum int64
-	if err := ForEachCtx(ctx, n, 4, func(i int) { atomic.AddInt64(&sum, int64(i)) }); err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(n) * int64(n-1) / 2; sum != want {
-		t.Fatalf("ForEachCtx sum = %d, want %d", sum, want)
-	}
-	got, err := FindCtx(ctx, n, 4, func(i int) bool { return i >= minParallel })
-	if err != nil || got != minParallel {
-		t.Fatalf("FindCtx = (%d, %v)", got, err)
-	}
-	s, err := SumInt64Ctx(ctx, n, 4, func(i int) int64 { return 1 })
-	if err != nil || s != int64(n) {
-		t.Fatalf("SumInt64Ctx = (%d, %v)", s, err)
-	}
-	covered := make([]int32, n)
-	if err := ForEachChunkCtx(ctx, n, 4, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&covered[i], 1)
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const n = 3*DefaultGrain + 7
+	for _, ctx := range []context.Context{context.Background(), live} {
+		var sum int64
+		if err := ForEach(ctx, n, 4, DefaultGrain, func(i int) { atomic.AddInt64(&sum, int64(i)) }); err != nil {
+			t.Fatal(err)
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range covered {
-		if c != 1 {
-			t.Fatalf("ForEachChunkCtx: index %d covered %d times", i, c)
+		if want := int64(n) * int64(n-1) / 2; sum != want {
+			t.Fatalf("ForEach sum = %d, want %d", sum, want)
+		}
+		got, err := Find(ctx, n, 4, func(i int) bool { return i >= DefaultGrain })
+		if err != nil || got != DefaultGrain {
+			t.Fatalf("Find = (%d, %v)", got, err)
+		}
+		s, err := SumInt64(ctx, n, 4, func(i int) int64 { return 1 })
+		if err != nil || s != int64(n) {
+			t.Fatalf("SumInt64 = (%d, %v)", s, err)
+		}
+		covered := make([]int32, n)
+		if err := ForEachChunk(ctx, n, 4, DefaultGrain, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&covered[i], 1)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range covered {
+			if c != 1 {
+				t.Fatalf("ForEachChunk: index %d covered %d times", i, c)
+			}
 		}
 	}
 }
@@ -210,17 +206,17 @@ func TestCtxVariantsCanceledBeforeStart(t *testing.T) {
 	cancel()
 	var ran int64
 	body := func(i int) { atomic.AddInt64(&ran, 1) }
-	if err := ForEachCtx(ctx, 4*minParallel, 4, body); err != context.Canceled {
-		t.Fatalf("ForEachCtx err = %v", err)
+	if err := ForEach(ctx, 4*DefaultGrain, 4, DefaultGrain, body); err != context.Canceled {
+		t.Fatalf("ForEach err = %v", err)
 	}
-	if err := ForEachChunkCtx(ctx, 4*minParallel, 4, func(lo, hi int) { atomic.AddInt64(&ran, int64(hi-lo)) }); err != context.Canceled {
-		t.Fatalf("ForEachChunkCtx err = %v", err)
+	if err := ForEachChunk(ctx, 4*DefaultGrain, 4, DefaultGrain, func(lo, hi int) { atomic.AddInt64(&ran, int64(hi-lo)) }); err != context.Canceled {
+		t.Fatalf("ForEachChunk err = %v", err)
 	}
-	if i, err := FindCtx(ctx, 4*minParallel, 4, func(i int) bool { atomic.AddInt64(&ran, 1); return false }); err != context.Canceled || i != -1 {
-		t.Fatalf("FindCtx = (%d, %v)", i, err)
+	if i, err := Find(ctx, 4*DefaultGrain, 4, func(i int) bool { atomic.AddInt64(&ran, 1); return false }); err != context.Canceled || i != -1 {
+		t.Fatalf("Find = (%d, %v)", i, err)
 	}
-	if s, err := SumInt64Ctx(ctx, 4*minParallel, 4, func(i int) int64 { atomic.AddInt64(&ran, 1); return 1 }); err != context.Canceled || s != 0 {
-		t.Fatalf("SumInt64Ctx = (%d, %v)", s, err)
+	if s, err := SumInt64(ctx, 4*DefaultGrain, 4, func(i int) int64 { atomic.AddInt64(&ran, 1); return 1 }); err != context.Canceled || s != 0 {
+		t.Fatalf("SumInt64 = (%d, %v)", s, err)
 	}
 	if ran != 0 {
 		t.Fatalf("canceled context still ran %d items", ran)
@@ -239,7 +235,7 @@ func TestForEachCtxCancelPrompt(t *testing.T) {
 	)
 	ctx, cancel := context.WithCancel(context.Background())
 	var processed int64
-	err := ForEachGrainCtx(ctx, n, workers, grain, func(i int) {
+	err := ForEach(ctx, n, workers, grain, func(i int) {
 		if atomic.AddInt64(&processed, 1) == 1 {
 			cancel()
 		}
@@ -256,7 +252,7 @@ func TestForEachCtxCancelPrompt(t *testing.T) {
 }
 
 // TestFindCtxCancelPrompt: same promptness contract for the early-exit
-// search (probe stride is minParallel there).
+// search (probe stride is DefaultGrain there).
 func TestFindCtxCancelPrompt(t *testing.T) {
 	const (
 		workers = 4
@@ -264,16 +260,16 @@ func TestFindCtxCancelPrompt(t *testing.T) {
 	)
 	ctx, cancel := context.WithCancel(context.Background())
 	var processed int64
-	got, err := FindCtx(ctx, n, workers, func(i int) bool {
+	got, err := Find(ctx, n, workers, func(i int) bool {
 		if atomic.AddInt64(&processed, 1) == 1 {
 			cancel()
 		}
 		return false
 	})
 	if err != context.Canceled || got != -1 {
-		t.Fatalf("FindCtx = (%d, %v), want (-1, context.Canceled)", got, err)
+		t.Fatalf("Find = (%d, %v), want (-1, context.Canceled)", got, err)
 	}
-	limit := int64(2 * workers * minParallel)
+	limit := int64(2 * workers * DefaultGrain)
 	if p := atomic.LoadInt64(&processed); p > limit {
 		t.Fatalf("processed %d candidates after cancel, want <= %d (<2 chunks/worker)", p, limit)
 	}
@@ -284,7 +280,7 @@ func TestFindCtxCancelPrompt(t *testing.T) {
 func TestFindCtxCancelKeepsHit(t *testing.T) {
 	const n = 1 << 18
 	ctx, cancel := context.WithCancel(context.Background())
-	got, err := FindCtx(ctx, n, 4, func(i int) bool {
+	got, err := Find(ctx, n, 4, func(i int) bool {
 		if i == 3 {
 			cancel()
 			return true

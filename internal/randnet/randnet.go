@@ -86,7 +86,7 @@ func TruncatedBitonic(n, steps int) *network.Register {
 // perfect matching of the wires with uniformly random comparator
 // directions, so the circuit has depth·n/2 comparators. These are the
 // adversarially unstructured instances of the optimum-search worst
-// case (core.OptimalNoncolliding's cap is calibrated against them):
+// case (core.MaxOptimalWires is calibrated against them):
 // their noncolliding optimum is small and their wire-relabeling
 // automorphism group is almost surely trivial, so every pruning rule
 // has to earn its keep.

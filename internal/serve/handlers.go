@@ -196,6 +196,10 @@ func (s *Server) handleAdversary(ctx context.Context, req *request) (handlerResu
 		return res, errf(http.StatusUnprocessableEntity,
 			"the adversary needs a power-of-two wire count; the network has %d", n)
 	}
+	if req.K < 0 || req.K > core.MaxK {
+		return res, errf(http.StatusUnprocessableEntity,
+			"k = %d is outside [0, %d] (0 selects the paper's k = lg n)", req.K, core.MaxK)
+	}
 	l := req.L
 	if l <= 0 {
 		l = bits.Lg(n)

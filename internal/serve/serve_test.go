@@ -180,6 +180,7 @@ func TestServeFormats(t *testing.T) {
 func TestServeMalformedRequests(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
+	fly8 := netText(t, butterflyRDN(t, 8, 3))
 	cases := []struct {
 		name, path string
 		body       any
@@ -197,6 +198,9 @@ func TestServeMalformedRequests(t *testing.T) {
 		{"too-wide-optimal", "/v1/optimal", map[string]any{"network": "wires 30\n"}, 422},
 		{"non-pow2-adversary", "/v1/adversary", map[string]any{"network": "wires 6\n"}, 422},
 		{"non-rdn-adversary", "/v1/adversary", map[string]any{"network": netText(t, netbuild.OddEvenTransposition(8))}, 422},
+		{"negative-k-adversary", "/v1/adversary", map[string]any{"network": fly8, "k": -1}, 422},
+		{"k-above-max-adversary", "/v1/adversary", map[string]any{"network": fly8, "k": 65}, 422},
+		{"huge-k-adversary", "/v1/adversary", map[string]any{"network": fly8, "k": 1 << 22}, 422},
 	}
 	for _, tc := range cases {
 		resp, raw := post(t, ts, tc.path, tc.body)

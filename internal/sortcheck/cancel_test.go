@@ -10,7 +10,7 @@ import (
 )
 
 // slowEval wraps a network evaluator while hiding its Compile method,
-// forcing the scalar oracle path; after trip evaluations it cancels
+// forcing the scalar fallback path; after trip evaluations it cancels
 // the supplied context — a deterministic mid-scan cancellation.
 type slowEval struct {
 	inner  Evaluator
@@ -63,7 +63,7 @@ func TestZeroOneScalarCtxCancelMidScan(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ev := &slowEval{inner: transposition(n), trip: 4096, cancel: cancel}
-	_, _, err := ZeroOneScalarCtx(ctx, n, ev, 0)
+	_, _, err := ZeroOneCtx(ctx, n, ev, 0)
 	var ce *par.ErrCanceled
 	if !errors.As(err, &ce) {
 		t.Fatalf("mid-scan cancel lost: err = %v after %d evals", err, ev.calls.Load())
@@ -87,7 +87,7 @@ func TestZeroOneScalarCtxKeepsWitnessAcrossCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ev := &slowEval{inner: bad, trip: 2048, cancel: cancel}
-	ok, w, _ := ZeroOneScalarCtx(ctx, n, ev, 0)
+	ok, w, _ := ZeroOneCtx(ctx, n, ev, 0)
 	if ok {
 		t.Fatal("broken network accepted")
 	}
@@ -99,26 +99,9 @@ func TestZeroOneScalarCtxKeepsWitnessAcrossCancel(t *testing.T) {
 func TestZeroOneFractionCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ZeroOneFractionCtx(ctx, 16, transposition(16), 0)
+	_, err := ZeroOneFraction(ctx, 16, transposition(16), 0)
 	var ce *par.ErrCanceled
 	if !errors.As(err, &ce) || ce.Op != "sortcheck.ZeroOneFraction" {
 		t.Fatalf("error = %v, want ErrCanceled{Op: sortcheck.ZeroOneFraction}", err)
-	}
-}
-
-func TestWitnessesCtxPreCanceledKeepsPartial(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ws, err := UnsortedZeroOneWitnessesCtx(ctx, 16, transposition(16).Truncate(2), 8)
-	var ce *par.ErrCanceled
-	if !errors.As(err, &ce) {
-		t.Fatalf("error = %v, want *par.ErrCanceled", err)
-	}
-	// Witnesses collected before the cut (possibly none) stay valid.
-	bad := transposition(16).Truncate(2)
-	for _, m := range ws {
-		if IsSorted(bad.Eval(ZeroOneInput(m, 16))) {
-			t.Fatalf("partial witness %b does not fail", m)
-		}
 	}
 }

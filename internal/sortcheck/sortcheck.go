@@ -13,11 +13,10 @@
 // network.Compilable — both *network.Network and *network.Register do),
 // the exhaustive 0-1 checkers run on the compiled bit-sliced kernel:
 // 64 inputs per uint64 lane-set, two bitwise ops per comparator, no
-// allocation (network.Program.EvalBits). The scalar enumeration is
-// retained as ZeroOneScalar / ZeroOneFractionScalar /
-// UnsortedZeroOneWitnessesScalar, the differential-test oracle; both
-// paths return identical verdicts and witnesses. Opaque evaluators
-// fall back to the scalar path automatically.
+// allocation (network.Program.EvalBits). Opaque evaluators fall back to
+// the unexported scalar enumeration (one Eval per mask), which returns
+// identical verdicts, witnesses and fractions; the differential tests
+// reach it by hiding Compile.
 package sortcheck
 
 import (
@@ -36,7 +35,7 @@ import (
 
 // Checker metrics. Counts are flushed at chunk granularity on the
 // bit-sliced paths (one atomic per worker chunk), never per mask, so
-// the kernel throughput is unaffected. On the scalar oracle paths the
+// the kernel throughput is unaffected. On the scalar fallback paths the
 // mask count is the number of masks *settled* in scan order (exact
 // when the check passes; on failure the masks at and before the
 // witness).
@@ -64,7 +63,7 @@ const MaxZeroOneWires = 32
 
 // compiled returns the bit-slice-capable compiled form of ev when ev
 // exposes one of the expected width, and nil otherwise (opaque
-// evaluators use the scalar oracle path).
+// evaluators use the scalar path).
 func compiled(n int, ev Evaluator) *network.Program {
 	if c, ok := ev.(network.Compilable); ok {
 		if p := c.Compile(); p.Wires() == n {
@@ -104,9 +103,9 @@ type intoEvaluator interface {
 // failsZeroOne returns pred(mask) = "ev does not sort the 0-1 input
 // mask". When ev exposes the EvalInto scratch path the predicate
 // expands the mask into, and evaluates in, a pooled per-worker buffer —
-// zero allocations per mask, which is what keeps the scalar oracle
-// usable as a differential baseline at width 20+ (one Eval per mask
-// costs two allocations and the GC traffic dominates the comparators).
+// zero allocations per mask, which is what keeps the scalar path
+// usable at width 20+ (one Eval per mask costs two allocations and the
+// GC traffic dominates the comparators).
 // Opaque evaluators keep the allocating Eval path.
 func failsZeroOne(n int, ev Evaluator) func(mask int) bool {
 	ie, ok := ev.(intoEvaluator)
@@ -134,7 +133,8 @@ func failsZeroOne(n int, ev Evaluator) func(mask int) bool {
 // and returns ok = true if every output is sorted. On failure, witness
 // is the smallest-mask failing 0-1 input. n must be at most
 // MaxZeroOneWires. Compilable evaluators run on the bit-sliced kernel,
-// 64 masks per block; others on the scalar oracle. Both agree exactly.
+// 64 masks per block; others on the scalar path. Both agree exactly.
+// ZeroOne is ZeroOneCtx under context.Background().
 func ZeroOne(n int, ev Evaluator, workers int) (ok bool, witness []int) {
 	ok, witness, _ = ZeroOneCtx(context.Background(), n, ev, workers)
 	return ok, witness
@@ -160,24 +160,14 @@ func ZeroOneCtx(ctx context.Context, n int, ev Evaluator, workers int) (ok bool,
 		metWitnesses.Inc()
 		return false, ZeroOneInput(mask, n), nil
 	}
-	return ZeroOneScalarCtx(ctx, n, ev, workers)
+	return zeroOneScalar(ctx, n, ev, workers)
 }
 
-// ZeroOneScalar is the scalar-enumeration 0-1 check: one Eval per mask.
-// It is the differential-test oracle for the bit-sliced kernel and the
-// fallback for evaluators that cannot be compiled.
-func ZeroOneScalar(n int, ev Evaluator, workers int) (ok bool, witness []int) {
-	ok, witness, _ = ZeroOneScalarCtx(context.Background(), n, ev, workers)
-	return ok, witness
-}
-
-// ZeroOneScalarCtx is ZeroOneScalar under a context. The per-mask
-// progress counter is only maintained when the context is cancelable,
-// so the Background-wrapped oracle path is byte-identical to before.
-func ZeroOneScalarCtx(ctx context.Context, n int, ev Evaluator, workers int) (ok bool, witness []int, err error) {
-	if n > MaxZeroOneWires {
-		panic(fmt.Sprintf("sortcheck.ZeroOne: n = %d exceeds %d (2^n inputs)", n, MaxZeroOneWires))
-	}
+// zeroOneScalar is the scalar-enumeration 0-1 check, one Eval per mask:
+// ZeroOneCtx's fallback for evaluators that cannot be compiled. The
+// per-mask progress counter is only maintained when the context is
+// cancelable, so a Background run pays nothing for it.
+func zeroOneScalar(ctx context.Context, n int, ev Evaluator, workers int) (ok bool, witness []int, err error) {
 	total := 1 << uint(n)
 	pred := failsZeroOne(n, ev)
 	var tried int64
@@ -188,7 +178,7 @@ func ZeroOneScalarCtx(ctx context.Context, n int, ev Evaluator, workers int) (ok
 			return inner(mask)
 		}
 	}
-	bad, cerr := par.FindCtx(ctx, total, workers, pred)
+	bad, cerr := par.Find(ctx, total, workers, pred)
 	if cerr != nil {
 		return false, nil, &par.ErrCanceled{
 			Op:           "sortcheck.ZeroOneScalar",
@@ -214,7 +204,7 @@ func zeroOneBits(ctx context.Context, n int, p *network.Program, workers int) (f
 	lanes := int64(mathbits.OnesCount64(laneMask))
 	best := int64(blocks)
 	var scanned int64 // blocks settled across all chunks (progress reporting)
-	cerr := par.ForEachChunkCtx(ctx, blocks, workers, func(lo, hi int) {
+	cerr := par.ForEachChunk(ctx, blocks, workers, par.DefaultGrain, func(lo, hi int) {
 		bb := network.NewBitBatch(p)
 		defer bb.FlushMetrics()
 		processed := int64(0)
@@ -258,27 +248,22 @@ func zeroOneBits(ctx context.Context, n int, p *network.Program, workers int) (f
 
 // ZeroOneFraction returns the fraction of the 2^n 0-1 inputs that the
 // network sorts, evaluated exhaustively in parallel (bit-sliced for
-// Compilable evaluators). n must be at most MaxZeroOneWires.
-func ZeroOneFraction(n int, ev Evaluator, workers int) float64 {
-	frac, _ := ZeroOneFractionCtx(context.Background(), n, ev, workers)
-	return frac
-}
-
-// ZeroOneFractionCtx is ZeroOneFraction under a context. On
-// cancellation the returned fraction is meaningless (in-flight chunks
-// are abandoned) and the *par.ErrCanceled reports the masks settled.
-func ZeroOneFractionCtx(ctx context.Context, n int, ev Evaluator, workers int) (float64, error) {
+// Compilable evaluators, scalar otherwise). n must be at most
+// MaxZeroOneWires. On cancellation the returned fraction is
+// meaningless (in-flight chunks are abandoned) and the
+// *par.ErrCanceled reports the masks settled.
+func ZeroOneFraction(ctx context.Context, n int, ev Evaluator, workers int) (float64, error) {
 	if n > MaxZeroOneWires {
 		panic(fmt.Sprintf("sortcheck.ZeroOneFraction: n = %d exceeds %d", n, MaxZeroOneWires))
 	}
 	p := compiled(n, ev)
 	if p == nil {
-		return ZeroOneFractionScalarCtx(ctx, n, ev, workers)
+		return zeroOneFractionScalar(ctx, n, ev, workers)
 	}
 	blocks, laneMask := network.ZeroOneBlocks(n)
 	lanes := mathbits.OnesCount64(laneMask)
 	var good, scanned int64
-	cerr := par.ForEachChunkCtx(ctx, blocks, workers, func(lo, hi int) {
+	cerr := par.ForEachChunk(ctx, blocks, workers, par.DefaultGrain, func(lo, hi int) {
 		bb := network.NewBitBatch(p)
 		defer bb.FlushMetrics()
 		var g int64
@@ -301,23 +286,14 @@ func ZeroOneFractionCtx(ctx context.Context, n int, ev Evaluator, workers int) (
 	return float64(good) / float64(total), nil
 }
 
-// ZeroOneFractionScalar is the scalar-enumeration sorted fraction (the
-// differential-test oracle for ZeroOneFraction).
-func ZeroOneFractionScalar(n int, ev Evaluator, workers int) float64 {
-	frac, _ := ZeroOneFractionScalarCtx(context.Background(), n, ev, workers)
-	return frac
-}
-
-// ZeroOneFractionScalarCtx is ZeroOneFractionScalar under a context.
-func ZeroOneFractionScalarCtx(ctx context.Context, n int, ev Evaluator, workers int) (float64, error) {
-	if n > MaxZeroOneWires {
-		panic(fmt.Sprintf("sortcheck.ZeroOneFraction: n = %d exceeds %d", n, MaxZeroOneWires))
-	}
+// zeroOneFractionScalar is the scalar-enumeration sorted fraction:
+// ZeroOneFraction's fallback for evaluators that cannot be compiled.
+func zeroOneFractionScalar(ctx context.Context, n int, ev Evaluator, workers int) (float64, error) {
 	total := 1 << uint(n)
 	var tried int64
 	countTried := ctx.Done() != nil
 	fails := failsZeroOne(n, ev)
-	good, cerr := par.SumInt64Ctx(ctx, total, workers, func(mask int) int64 {
+	good, cerr := par.SumInt64(ctx, total, workers, func(mask int) int64 {
 		if countTried {
 			atomic.AddInt64(&tried, 1)
 		}
@@ -429,7 +405,7 @@ func SortedFraction(n, trials int, ev Evaluator, seed int64, workers int) float6
 	var good int64
 	// Grain 1: there are only w slot-chunks, each carrying a full share
 	// of the trials, so the small-n sequential fallback must not fire.
-	par.ForEachChunkGrain(w, w, 1, func(lo, hi int) {
+	par.ForEachChunk(context.Background(), w, w, 1, func(lo, hi int) {
 		in := make([]int, n)
 		out := make([]int, n)
 		var g int64
@@ -486,108 +462,6 @@ func MaxDislocation(xs []int) int {
 		}
 	}
 	return maxd
-}
-
-// UnsortedZeroOneWitnesses returns up to limit 0-1 inputs (as masks)
-// that the network fails to sort, scanning masks in increasing order
-// (bit-sliced for Compilable evaluators, 64 masks per step).
-func UnsortedZeroOneWitnesses(n int, ev Evaluator, limit int) []uint64 {
-	out, _ := UnsortedZeroOneWitnessesCtx(context.Background(), n, ev, limit)
-	return out
-}
-
-// witnessProbeStride is how many blocks (64 masks each on the
-// bit-sliced path, single masks on the scalar path) the witness scans
-// settle between context probes. The scan is sequential, so the probe
-// cost is a select every stride iterations — invisible next to the
-// evaluations themselves.
-const witnessProbeStride = 2048
-
-// UnsortedZeroOneWitnessesCtx is UnsortedZeroOneWitnesses under a
-// context. On cancellation the witnesses found so far are returned —
-// they remain valid failing inputs — alongside a *par.ErrCanceled
-// whose MasksChecked records how far the scan got.
-func UnsortedZeroOneWitnessesCtx(ctx context.Context, n int, ev Evaluator, limit int) ([]uint64, error) {
-	if n > MaxZeroOneWires {
-		panic(fmt.Sprintf("sortcheck: n = %d exceeds %d", n, MaxZeroOneWires))
-	}
-	p := compiled(n, ev)
-	if p == nil {
-		return UnsortedZeroOneWitnessesScalarCtx(ctx, n, ev, limit)
-	}
-	done := ctx.Done()
-	var out []uint64
-	blocks, laneMask := network.ZeroOneBlocks(n)
-	lanes := int64(mathbits.OnesCount64(laneMask))
-	bb := network.NewBitBatch(p)
-	defer bb.FlushMetrics()
-	scanned := int64(0)
-	for b := 0; b < blocks && len(out) < limit; b++ {
-		if done != nil && scanned%witnessProbeStride == 0 {
-			select {
-			case <-done:
-				metMasks.Add(scanned * lanes)
-				metWitnesses.Add(int64(len(out)))
-				return out, &par.ErrCanceled{
-					Op:           "sortcheck.UnsortedZeroOneWitnesses",
-					Cause:        ctx.Err(),
-					MasksChecked: scanned * lanes,
-				}
-			default:
-			}
-		}
-		scanned++
-		bad := bb.Run(uint64(b)) & laneMask
-		for bad != 0 && len(out) < limit {
-			j := mathbits.TrailingZeros64(bad)
-			out = append(out, uint64(b)*64+uint64(j))
-			bad &= bad - 1
-		}
-	}
-	metMasks.Add(scanned * lanes)
-	metWitnesses.Add(int64(len(out)))
-	return out, nil
-}
-
-// UnsortedZeroOneWitnessesScalar is the scalar-enumeration witness scan
-// (the differential-test oracle for UnsortedZeroOneWitnesses).
-func UnsortedZeroOneWitnessesScalar(n int, ev Evaluator, limit int) []uint64 {
-	out, _ := UnsortedZeroOneWitnessesScalarCtx(context.Background(), n, ev, limit)
-	return out
-}
-
-// UnsortedZeroOneWitnessesScalarCtx is the ctx-aware scalar witness
-// scan, with the same partial-result contract as the bit-sliced path.
-func UnsortedZeroOneWitnessesScalarCtx(ctx context.Context, n int, ev Evaluator, limit int) ([]uint64, error) {
-	if n > MaxZeroOneWires {
-		panic(fmt.Sprintf("sortcheck: n = %d exceeds %d", n, MaxZeroOneWires))
-	}
-	done := ctx.Done()
-	var out []uint64
-	fails := failsZeroOne(n, ev)
-	total := uint64(1) << uint(n)
-	mask := uint64(0)
-	for ; mask < total && len(out) < limit; mask++ {
-		if done != nil && mask%witnessProbeStride == 0 {
-			select {
-			case <-done:
-				metMasks.Add(int64(mask))
-				metWitnesses.Add(int64(len(out)))
-				return out, &par.ErrCanceled{
-					Op:           "sortcheck.UnsortedZeroOneWitnessesScalar",
-					Cause:        ctx.Err(),
-					MasksChecked: int64(mask),
-				}
-			default:
-			}
-		}
-		if fails(int(mask)) {
-			out = append(out, mask)
-		}
-	}
-	metMasks.Add(int64(mask))
-	metWitnesses.Add(int64(len(out)))
-	return out, nil
 }
 
 func mergeCount(xs, buf []int) int64 {

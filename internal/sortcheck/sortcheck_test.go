@@ -1,6 +1,7 @@
 package sortcheck
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -89,14 +90,14 @@ func TestZeroOneParallelConsistency(t *testing.T) {
 
 func TestZeroOneFraction(t *testing.T) {
 	n := 6
-	if f := ZeroOneFraction(n, transposition(n), 0); f != 1.0 {
+	if f, _ := ZeroOneFraction(context.Background(), n, transposition(n), 0); f != 1.0 {
 		t.Errorf("fraction for sorter = %v", f)
 	}
 	// Depth-0 network sorts exactly the already-sorted 0-1 inputs:
 	// n+1 of 2^n.
 	empty := network.New(n)
 	want := float64(n+1) / 64.0
-	if f := ZeroOneFraction(n, empty, 0); f != want {
+	if f, _ := ZeroOneFraction(context.Background(), n, empty, 0); f != want {
 		t.Errorf("fraction for empty = %v, want %v", f, want)
 	}
 }
@@ -239,26 +240,6 @@ func TestMaxDislocation(t *testing.T) {
 	}
 }
 
-func TestUnsortedZeroOneWitnesses(t *testing.T) {
-	n := 6
-	c := transposition(n).Truncate(2)
-	ws := UnsortedZeroOneWitnesses(n, c, 5)
-	if len(ws) == 0 {
-		t.Fatal("no witnesses for a non-sorter")
-	}
-	if len(ws) > 5 {
-		t.Fatal("limit not honored")
-	}
-	for _, mask := range ws {
-		if IsSorted(c.Eval(ZeroOneInput(mask, n))) {
-			t.Fatalf("mask %b is not a witness", mask)
-		}
-	}
-	if len(UnsortedZeroOneWitnesses(n, transposition(n), 5)) != 0 {
-		t.Fatal("sorter has witnesses")
-	}
-}
-
 func TestGuards(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -270,11 +251,8 @@ func TestGuards(t *testing.T) {
 	}
 	wide := MaxZeroOneWires + 1
 	mustPanic("ZeroOne too wide", func() { ZeroOne(wide, network.New(wide), 0) })
-	mustPanic("ZeroOneScalar too wide", func() { ZeroOneScalar(wide, network.New(wide), 0) })
 	mustPanic("Exhaustive too wide", func() { Exhaustive(10, network.New(10)) })
-	mustPanic("Fraction too wide", func() { ZeroOneFraction(wide, network.New(wide), 0) })
-	mustPanic("FractionScalar too wide", func() { ZeroOneFractionScalar(wide, network.New(wide), 0) })
-	mustPanic("Witnesses too wide", func() { UnsortedZeroOneWitnesses(wide, network.New(wide), 1) })
+	mustPanic("Fraction too wide", func() { ZeroOneFraction(context.Background(), wide, network.New(wide), 0) })
 }
 
 // The register model plugs into the same checkers.

@@ -33,6 +33,7 @@
 package shufflenet
 
 import (
+	"context"
 	"math/rand"
 
 	"shufflenet/internal/core"
@@ -143,7 +144,11 @@ func CompileRegister(r *Register) *Program { return network.CompileRegister(r) }
 // (Theorem 4.1 with the paper's parameter k = lg n) against an iterated
 // reverse delta network, returning the surviving noncolliding set and
 // per-block reports.
-func Adversary(it *IteratedRDN) *Analysis { return core.Theorem41(it, 0) }
+func Adversary(it *IteratedRDN) *Analysis {
+	// A Background run cannot be canceled, so it never errors.
+	an, _ := core.Theorem41Ctx(context.Background(), it, 0)
+	return an
+}
 
 // ExtractCertificate turns an Analysis with |D| >= 2 into a concrete,
 // independently verifiable witness that the network is not a sorting
