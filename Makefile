@@ -11,10 +11,10 @@ BENCH_BASE ?= BENCH_PR9.json
 
 # The benchmarks bench-diff/bench-smoke re-run: the guarded SWAR 0-1
 # kernels, the daemon's end-to-end request legs, the durable
-# optimum-search paths — spill table and checkpoint/resume — and the
-# vertical batch sorting entry points and raw columnar kernels (see
-# cmd/benchjson defaultGuard).
-BENCH_GUARDED = ZeroOneScalarVsBits|HalverEpsilon|GeneratedSort|SortDispatch|BenchmarkServe|MemoSpill|OptimalResume|SortBatch|BatchKernel
+# optimum-search paths — spill table and checkpoint/resume — the
+# optimum search itself, and the vertical batch sorting entry points
+# and raw columnar kernels (see cmd/benchjson defaultGuard).
+BENCH_GUARDED = ZeroOneScalarVsBits|HalverEpsilon|GeneratedSort|SortDispatch|BenchmarkServe|MemoSpill|OptimalResume|OptimalCanonMemo|SortBatch|BatchKernel
 
 build:
 	$(GO) build ./...
@@ -149,7 +149,10 @@ serve-smoke:
 # journal, a second run resumes from it (the whole 81-prefix frontier
 # is already done, so every prefix is skipped and the seeded incumbent
 # carries the result), and cmd/obsreport must parse the journal and
-# render the resume summary.
+# render the resume summary. Last, one forged prefix_done record
+# claiming incumbent 2^64-1 is appended to a copy of the journal:
+# resuming from it must fail, because the seed is no witness on the
+# circuit.
 resume-smoke:
 	rm -f /tmp/resume_smoke.jsonl
 	$(GO) run ./cmd/adversary -optimal -n 16 -blocks 2 -topology random -seed 3 \
@@ -160,6 +163,12 @@ resume-smoke:
 	grep -q '81/81 prefixes skipped' /tmp/resume_smoke_out.txt
 	$(GO) run ./cmd/obsreport /tmp/resume_smoke.jsonl > /tmp/resume_smoke_report.txt
 	grep -q 'resumed from seq' /tmp/resume_smoke_report.txt
+	cp /tmp/resume_smoke.jsonl /tmp/resume_smoke_forged.jsonl
+	echo '{"type":"prefix_done","prefix":0,"incumbent":18446744073709551615,"seq":1000000}' \
+		>> /tmp/resume_smoke_forged.jsonl
+	! $(GO) run ./cmd/adversary -optimal -n 16 -blocks 2 -topology random -seed 3 \
+		-resume /tmp/resume_smoke_forged.jsonl > /tmp/resume_smoke_forged.txt 2>&1
+	grep -q 'not a witness' /tmp/resume_smoke_forged.txt
 	@echo "resume-smoke: ok"
 
 # coord-smoke drives the distributed search end to end: an optcoord
@@ -180,10 +189,12 @@ coord-smoke:
 	@echo "coord-smoke: ok"
 
 # Short fuzz pass over the parsers / compiled-kernel round trip, the
-# Sort dispatcher vs slices.Sort differential, and the batch façades
+# optimum search's canonical keys under wire relabeling, the Sort
+# dispatcher vs slices.Sort differential, and the batch façades
 # (numeric and []string lanes) vs slices.Sort.
 fuzz:
 	$(GO) test ./internal/network/ -run FuzzCompileEval -fuzz FuzzCompileEval -fuzztime 20s
+	$(GO) test ./internal/core/ -run FuzzCanonicalRelabel -fuzz FuzzCanonicalRelabel -fuzztime 20s
 	$(GO) test . -run FuzzSortT -fuzz FuzzSortT -fuzztime 20s
 	$(GO) test . -run FuzzSortBatch -fuzz FuzzSortBatch -fuzztime 20s
 

@@ -89,8 +89,11 @@ func BenchmarkLemma41(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimalNoncolliding measures the exact branch-and-bound
-// search over all 3^n patterns on the A2 butterfly instance at n = 16.
+// BenchmarkOptimalNoncolliding measures one call of the exact optimum
+// search on the A2 butterfly instance at n = 16 as a caller without a
+// table makes it. Each call allocates its private 12.7 MB auto-sized
+// transposition table, and zeroing it takes about half of this leg's
+// profile; the search itself is measured by BenchmarkOptimalCanonMemo.
 func BenchmarkOptimalNoncolliding(b *testing.B) {
 	const n = 16
 	it := delta.NewIterated(n)
@@ -109,6 +112,10 @@ func BenchmarkOptimalNoncolliding(b *testing.B) {
 // The butterfly is the structured case the memo is for; the dense
 // random instance is canonicalization's worst case — its automorphism
 // group is trivial, so keys buy nothing and must at least be cheap.
+// dense11/cold is the search layer under the perfbench search
+// workload, in its shape: seeded n=11 dense circuits, each solved with
+// a fresh auto-sized table (its allocation timed) on one worker. One
+// op solves the whole set, so every op does the same work.
 func BenchmarkOptimalCanonMemo(b *testing.B) {
 	const n = 16
 	it := delta.NewIterated(n)
@@ -138,6 +145,21 @@ func BenchmarkOptimalCanonMemo(b *testing.B) {
 			}
 		})
 	}
+	rng := rand.New(rand.NewSource(11))
+	set := make([]*network.Network, 64)
+	for i := range set {
+		set[i] = randnet.Levels(11, 8, rng)
+	}
+	b.Run("dense11/cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, c := range set {
+				opt := core.OptimalOptions{Workers: 1, Memo: core.NewMemo(core.AutoMemoBytes(11))}
+				if _, _, _, err := core.OptimalNoncollidingOpt(ctx, c, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkE3IteratedSurvival measures Theorem 4.1 across two butterfly

@@ -286,3 +286,38 @@ func TestCLICoordTwoWorkers(t *testing.T) {
 		t.Fatalf("coordinator merged result differs:\n--- coordinator\n%s--- reference\n%s", got, ref)
 	}
 }
+
+// TestCLIResumeRejectsForgedSeed: the journal is bytes the resuming
+// process did not write, and the search returns a seeded incumbent it
+// cannot beat unchanged. A single forged prefix_done record claiming
+// incumbent 2^64-1 must make adversary -resume and optcoord -resume
+// fail before searching, not print the forgery as the exact optimum.
+func TestCLIResumeRejectsForgedSeed(t *testing.T) {
+	dir := t.TempDir()
+	netPath := resumeNet(t, dir, 10, 4, 1)
+	journal := filepath.Join(dir, "run.jsonl")
+	out, err := run(t, "adversary", "-optimal", "-file", netPath, "-workers", "1", "-journal", journal)
+	if err != nil {
+		t.Fatalf("checkpointing run failed: %v\n%s", err, out)
+	}
+	f, err := os.OpenFile(journal, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteString(`{"type":"prefix_done","prefix":0,"incumbent":18446744073709551615,"seq":1000}` + "\n")
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	out, err = run(t, "adversary", "-optimal", "-file", netPath, "-workers", "1", "-resume", journal)
+	if err == nil || !strings.Contains(out, "not a witness") || strings.Contains(out, "optimal noncolliding") {
+		t.Fatalf("adversary -resume accepted the forged seed: %v\n%s", err, out)
+	}
+	out, err = run(t, "optcoord", "-file", netPath, "-addr", "127.0.0.1:0", "-linger", "0s", "-resume", journal)
+	if err == nil || !strings.Contains(out, "not a witness") || strings.Contains(out, "listening on") {
+		t.Fatalf("optcoord -resume accepted the forged seed: %v\n%s", err, out)
+	}
+}

@@ -498,6 +498,11 @@ func runOptimal(ctx context.Context, circ *network.Network, cfg optimalConfig) {
 		if fr.Net != fp {
 			fail(fmt.Sprintf("-resume: journal %s checkpoints network %s, but this run searches %s (different circuit)", cfg.resume, fr.Net, fp))
 		}
+		if fr.Seed != 0 {
+			if err := core.VerifyOptimalWitness(circ, fr.Seed); err != nil {
+				fail(fmt.Sprintf("-resume: journal %s seeds incumbent %d, which is not a witness on this circuit: %v", cfg.resume, fr.Seed, err))
+			}
+		}
 		opt.SkipPrefix = fr.Skip
 		opt.SeedIncumbent = fr.Seed
 		fmt.Printf("resuming from %s: seq %d, %d/%d prefixes skipped\n",

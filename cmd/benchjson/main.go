@@ -70,10 +70,11 @@ type Doc struct {
 // user-facing fast path (PR 6), the daemon's end-to-end request
 // legs — the coalesced probe and warm-memo optimum paths (PR 8) —
 // the durable-search machinery: the spill-backed transposition
-// table and the checkpoint/resume paths of the optimum search
-// (PR 9) — and the vertical batch sorting entry points plus their
-// raw columnar kernels (PR 10).
-const defaultGuard = `Benchmark(ZeroOneScalarVsBits|HalverEpsilon)/(fraction-)?bits$|BenchmarkGeneratedSort/|BenchmarkSortDispatch/|BenchmarkServe|BenchmarkMemoSpill/|BenchmarkOptimalResume/|BenchmarkSortBatch/|BenchmarkBatchKernel/`
+// table and the checkpoint/resume paths of the optimum search —
+// the vertical batch sorting entry points plus their raw columnar
+// kernels, and the optimum search itself: warm, without a table, and
+// cold on the dense circuits of the perfbench search workload.
+const defaultGuard = `Benchmark(ZeroOneScalarVsBits|HalverEpsilon)/(fraction-)?bits$|BenchmarkGeneratedSort/|BenchmarkSortDispatch/|BenchmarkServe|BenchmarkMemoSpill/|BenchmarkOptimalResume/|BenchmarkOptimalCanonMemo/|BenchmarkSortBatch/|BenchmarkBatchKernel/`
 
 func main() {
 	out := flag.String("o", "", "output path (default stdout)")

@@ -108,6 +108,11 @@ func main() {
 		if fr.Net != fp {
 			fail(fmt.Sprintf("-resume: journal %s checkpoints network %s, but -file is %s (different circuit)", *resume, fr.Net, fp))
 		}
+		if fr.Seed != 0 {
+			if err := core.VerifyOptimalWitness(circ, fr.Seed); err != nil {
+				fail(fmt.Sprintf("-resume: journal %s seeds incumbent %d, which is not a witness on this circuit: %v", *resume, fr.Seed, err))
+			}
+		}
 		seed = fr.Seed
 		fmt.Printf("optcoord: resuming from %s: seq %d, %d/%d prefixes already done\n",
 			*resume, fr.LastSeq, len(fr.Done), prefixes)

@@ -12,7 +12,6 @@ import (
 	"shufflenet/internal/core"
 	"shufflenet/internal/network"
 	"shufflenet/internal/obs"
-	"shufflenet/internal/pattern"
 )
 
 // Defaults for the lease protocol. Eight prefixes per lease keeps the
@@ -179,8 +178,7 @@ func (co *Coordinator) finish() {
 		return
 	}
 	co.finished = true
-	size, p, _ := core.DecodeOptimalWitness(co.n, co.incumbent)
-	co.verified = size >= 1 && pattern.Noncolliding(co.net, p, pattern.M(0)) && len(p.Set(pattern.M(0))) == size
+	co.verified = core.VerifyOptimalWitness(co.net, co.incumbent) == nil
 	close(co.done)
 }
 
@@ -356,6 +354,13 @@ func (co *Coordinator) lease(worker string) leaseResp {
 func (co *Coordinator) report(req reportReq) error {
 	if req.Fingerprint != "" && req.Fingerprint != co.fp {
 		return fmt.Errorf("report for network %s, serving %s", req.Fingerprint, co.fp)
+	}
+	// A chunk whose prefixes all collide in their own digits reports 0;
+	// anything else must be a witness, or the merge would adopt it.
+	if req.Packed != 0 {
+		if err := core.VerifyOptimalWitness(co.net, req.Packed); err != nil {
+			return fmt.Errorf("report for chunk [%d, %d): %v", req.Start, req.End, err)
+		}
 	}
 	co.mu.Lock()
 	defer co.mu.Unlock()

@@ -186,6 +186,42 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 }
 
+// A worker report is input from another process: a packed value that
+// is no witness on the served circuit is refused before the merge can
+// adopt it. A coordinator that inherits its whole frontier finishes
+// at once, and a seed that is no witness — here a key digit that
+// encodes no symbol — leaves it unverified rather than crashing it.
+func TestForgedIncumbentRejected(t *testing.T) {
+	circ := testCircuit(t, 3)
+	n := circ.Wires()
+	co, err := New(circ, Options{Chunk: 81, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	lease := co.lease("w")
+	if err := co.report(reportReq{Lease: lease.Lease, Start: lease.Start, End: lease.End, Packed: ^uint64(0)}); err == nil {
+		t.Fatal("forged report accepted")
+	}
+	if packed, done := co.Result(); packed != 0 || done {
+		t.Fatalf("after a refused report: result (%#x, %v), want (0, false)", packed, done)
+	}
+
+	prefixes := core.OptimalPrefixes(n)
+	fr := &Frontier{Net: core.NetworkFingerprint(circ), N: n, Prefixes: prefixes, Done: map[int]bool{}, Seed: 1 << (2 * uint(n))}
+	for p := 0; p < prefixes; p++ {
+		fr.Done[p] = true
+	}
+	co2, err := New(circ, Options{Frontier: fr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co2.Close()
+	if _, done := co2.Result(); !done || co2.Verified() {
+		t.Fatalf("inherited forged seed: done %v, verified %v; want done and unverified", done, co2.Verified())
+	}
+}
+
 func TestFrontierMismatchRejected(t *testing.T) {
 	circ := testCircuit(t, 3)
 	fr := &Frontier{Net: "not-this-network", N: circ.Wires(), Prefixes: core.OptimalPrefixes(circ.Wires()), Done: map[int]bool{}}

@@ -16,7 +16,7 @@ import (
 //     that comparator cones close as early as possible, which is what
 //     lets the incremental simulation witness collisions near the root
 //     of the search tree instead of near its leaves;
-//   - the trigger schedule for that order (the incSim firing groups);
+//   - the trigger schedule for that order (the groups fire runs);
 //   - the residual-state geometry: which rails are still readable at
 //     each search boundary, and at which boundaries two distinct
 //     prefixes can first map to the same residual state;
@@ -29,20 +29,19 @@ import (
 //     residual-state key that quotients the transposition table by
 //     them.
 //
-// The canonizer never aliases mutable search state: incSim holds the
-// per-worker rail symbols and undo trail on top of it.
+// The canonizer holds no mutable search state: the search passes the
+// rail symbols around by value as a railState.
 type canonizer struct {
-	n     int
-	comps []incComp // level-major order; rail indices
+	n int
 	// order[t] is the input wire assigned at search step t; stepOf is
 	// its inverse. The order is the greedy cone-closing heuristic of
 	// assignOrder, identical for every run on the same network.
 	order  []int32
 	stepOf []int32
-	// trigger[t] lists (indices of) the comparators whose outcome
-	// becomes determined when step t's wire is assigned, ascending
-	// (= level-major within the group).
-	trigger [][]int32
+	// trigger[t] lists the comparators whose outcome becomes
+	// determined when step t's wire is assigned, level-major within
+	// the group, as railState shift pairs.
+	trigger [][]railPair
 	// lastTouch[r] is the last step whose trigger group contains a
 	// comparator touching rail r, or -1 if no comparator ever does.
 	lastTouch []int32
@@ -51,6 +50,9 @@ type canonizer struct {
 	// boundary t is exactly the symbols on these rails (dead rails and
 	// unassigned rails cannot influence any completion).
 	liveList [][]int32
+	// liveMask[t] is liveList[t] as a railState mask (both bits of
+	// every live rail).
+	liveMask []railState
 	// probeAt[t] reports whether two prefixes that differ at boundary
 	// t-1 can first coincide at boundary t. States merge only when a
 	// trigger group fires (sorting is lossy) or a rail dies, and a rail
@@ -122,9 +124,9 @@ func newCanonizer(c *network.Network) *canonizer {
 	}
 	cz := &canonizer{n: n}
 
-	// Level-major comparator list and per-comparator cone masks.
-	// coneMask[r] = set of input wires influencing rail r's value after
-	// the comparators scanned so far.
+	// Level-major comparator list (rail indices, min rail first) and
+	// per-comparator cone masks. coneMask[r] = set of input wires
+	// influencing rail r's value after the comparators scanned so far.
 	type compCone struct {
 		cone uint32
 	}
@@ -132,16 +134,17 @@ func newCanonizer(c *network.Network) *canonizer {
 	for r := range coneMask {
 		coneMask[r] = 1 << uint(r)
 	}
+	var comps [][2]int32
 	var cones []compCone
 	for _, lv := range c.Levels() {
 		for _, cm := range lv {
-			cz.comps = append(cz.comps, incComp{a: int32(cm.Min), b: int32(cm.Max)})
+			comps = append(comps, [2]int32{int32(cm.Min), int32(cm.Max)})
 			cone := coneMask[cm.Min] | coneMask[cm.Max]
 			coneMask[cm.Min], coneMask[cm.Max] = cone, cone
 			cones = append(cones, compCone{cone: cone})
 		}
 	}
-	m := len(cz.comps)
+	m := len(comps)
 
 	// Assignment order: greedily complete the comparator with the
 	// fewest unassigned cone wires, preferring (on ties) the one whose
@@ -193,8 +196,8 @@ func newCanonizer(c *network.Network) *canonizer {
 	// Trigger groups under that order: comparator ci fires at the step
 	// assigning the last wire of its cone. Appending level-major keeps
 	// each group level-major, which is what makes firing a group
-	// equivalent to the level-major simulation (see incSim).
-	cz.trigger = make([][]int32, n)
+	// equivalent to the level-major simulation (see fire).
+	cz.trigger = make([][]railPair, n)
 	group := make([]int32, m)
 	for ci := 0; ci < m; ci++ {
 		g := int32(-1)
@@ -207,7 +210,8 @@ func newCanonizer(c *network.Network) *canonizer {
 			}
 		}
 		group[ci] = g
-		cz.trigger[g] = append(cz.trigger[g], int32(ci))
+		a, b := comps[ci][0], comps[ci][1]
+		cz.trigger[g] = append(cz.trigger[g], railPair{a: uint8(2 * a), b: uint8(2 * b)})
 	}
 
 	// Rail liveness per boundary. Rail r's boundary value is read by a
@@ -219,18 +223,20 @@ func newCanonizer(c *network.Network) *canonizer {
 		cz.lastTouch[r] = -1
 	}
 	for ci := 0; ci < m; ci++ {
-		for _, r := range [2]int32{cz.comps[ci].a, cz.comps[ci].b} {
+		for _, r := range comps[ci] {
 			if group[ci] > cz.lastTouch[r] {
 				cz.lastTouch[r] = group[ci]
 			}
 		}
 	}
 	cz.liveList = make([][]int32, n+1)
+	cz.liveMask = make([]railState, n+1)
 	for t := 0; t <= n; t++ {
 		var live []int32
 		for r := 0; r < n; r++ {
 			if int(cz.stepOf[r]) < t && cz.lastTouch[r] >= int32(t) {
 				live = append(live, int32(r))
+				cz.liveMask[t] |= 3 << (2 * uint(r))
 			}
 		}
 		cz.liveList[t] = live
@@ -253,7 +259,7 @@ func newCanonizer(c *network.Network) *canonizer {
 	touched := make([]bool, n)
 	pairs := 0
 	for ci := 0; ci < m; ci++ {
-		a, b := cz.comps[ci].a, cz.comps[ci].b
+		a, b := comps[ci][0], comps[ci][1]
 		if !touched[a] && !touched[b] {
 			cz.partner[a], cz.partner[b] = b, a
 			pairs++
@@ -536,11 +542,11 @@ func (cz *canonizer) findAutos(c *network.Network) {
 // match — the only way the table could return a wrong bound — needs a
 // hash collision, not just a bucket collision. scratch must have
 // capacity n and is clobbered.
-func (cz *canonizer) key(t int, sym []uint8, scratch []uint8) (uint64, uint64) {
+func (cz *canonizer) key(t int, st railState, scratch []uint8) (uint64, uint64) {
 	live := cz.liveList[t]
 	best := scratch[:len(live)]
 	for i, r := range live {
-		best[i] = sym[r]
+		best[i] = st.rank(r)
 	}
 	for ai := range cz.autos {
 		a := &cz.autos[ai]
@@ -549,7 +555,7 @@ func (cz *canonizer) key(t int, sym []uint8, scratch []uint8) (uint64, uint64) {
 		}
 		better := false
 		for i, r := range live {
-			v := sym[a.inv[r]]
+			v := st.rank(a.inv[r])
 			if a.mirror {
 				v = 2 - v
 			}

@@ -52,16 +52,17 @@ func TestCanonizerAutosVerified(t *testing.T) {
 	}
 }
 
-// transportState assigns p to a boundary on a fresh simulator and
-// reports the rail state, or nil if some prefix comparator collides.
-func transportState(cz *canonizer, p []uint8, t int) []uint8 {
-	sim := newIncSim(cz)
+// transportState fires p from the empty state up to a boundary and
+// reports the rail state, or false if some prefix comparator collides.
+func transportState(cz *canonizer, p []uint8, t int) (railState, bool) {
+	var st railState
 	for s := 0; s < t; s++ {
-		if !sim.assign(s, p[cz.order[s]]) {
-			return nil
+		var ok bool
+		if st, ok = cz.fire(st, s, p[cz.order[s]]); !ok {
+			return 0, false
 		}
 	}
-	return sim.sym
+	return st, true
 }
 
 // Canonical keys must be invariant under the discovered symmetries:
@@ -95,12 +96,12 @@ func TestCanonicalKeyInvariantUnderAutos(t *testing.T) {
 					if !a.stab[bt] || !cz.probeAt[bt] {
 						continue
 					}
-					sp := transportState(cz, p, bt)
-					sq := transportState(cz, q, bt)
-					if (sp == nil) != (sq == nil) {
+					sp, okp := transportState(cz, p, bt)
+					sq, okq := transportState(cz, q, bt)
+					if okp != okq {
 						t.Fatalf("circuit %d: collision verdict not transported at boundary %d", ci, bt)
 					}
-					if sp == nil {
+					if !okp {
 						continue
 					}
 					h1p, h2p := cz.key(bt, sp, scratch)
@@ -194,12 +195,12 @@ func FuzzCanonicalRelabel(f *testing.F) {
 				if !a.stab[bt] || !cz.probeAt[bt] {
 					continue
 				}
-				sp := transportState(cz, p, bt)
-				sq := transportState(cz, q, bt)
-				if (sp == nil) != (sq == nil) {
+				sp, okp := transportState(cz, p, bt)
+				sq, okq := transportState(cz, q, bt)
+				if okp != okq {
 					t.Fatalf("collision verdict not transported at boundary %d", bt)
 				}
-				if sp == nil {
+				if !okp {
 					continue
 				}
 				h1p, h2p := cz.key(bt, sp, scratch)
@@ -229,8 +230,8 @@ func TestCanonizerScheduleComplete(t *testing.T) {
 		for _, g := range cz.trigger {
 			fired += len(g)
 		}
-		if fired != len(cz.comps) {
-			t.Fatalf("circuit %d: %d comparators fired, have %d", ci, fired, len(cz.comps))
+		if fired != c.Size() {
+			t.Fatalf("circuit %d: %d comparators fired, have %d", ci, fired, c.Size())
 		}
 		// The butterfly block is deep enough that a cone-closing order
 		// must fire something before the last wire.

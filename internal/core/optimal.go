@@ -15,7 +15,7 @@ import (
 // MaxOptimalWires bounds the optimum search. The cost model is not
 // 3^n leaf enumeration: the branch-and-bound explores only prefixes
 // that are noncolliding so far and not provably unable to beat the
-// incumbent, with collision pruning (incSim), a direct-pair capacity
+// incumbent, with collision pruning (fire), a direct-pair capacity
 // bound, canonical-state memoization, and sibling dominance cutting
 // the rest (see canon.go and memo.go). The cap is set by two things:
 // the witness encoding — size plus a 2-bit-per-wire pattern packed
@@ -163,6 +163,41 @@ func DecodeOptimalWitness(n int, packed uint64) (int, pattern.Pattern, []int) {
 	return size, p, p.Set(pattern.M(0))
 }
 
+// VerifyOptimalWitness checks that packed is a witness the optimum
+// search on c could have produced: every 2-bit digit of its key
+// encodes a symbol, its size field is between 1 and c.Wires(), its
+// pattern has exactly size M's, and that pattern is noncolliding on c.
+// Every non-zero value the search returns, journals or merges passes.
+// A value read back from outside the process — a resume journal's
+// seed incumbent, a shard worker's report — is checked here before it
+// can become a result: a search seeded with a forged incumbent would
+// return the forgery unchanged.
+func VerifyOptimalWitness(c *network.Network, packed uint64) error {
+	n := c.Wires()
+	if n > MaxOptimalWires {
+		return fmt.Errorf("core: packed witness on %d wires exceeds the %d-wire cap", n, MaxOptimalWires)
+	}
+	keyBits := uint(2 * n)
+	keyMask := uint64(1)<<keyBits - 1
+	size := packed >> keyBits
+	if size < 1 || size > uint64(n) {
+		return fmt.Errorf("core: packed witness %#x claims a %d-wire set on %d wires", packed, size, n)
+	}
+	for key := (packed & keyMask) ^ keyMask; key != 0; key >>= 2 {
+		if key&3 == 3 {
+			return fmt.Errorf("core: packed witness %#x has a key digit that encodes no symbol", packed)
+		}
+	}
+	_, p, set := DecodeOptimalWitness(n, packed)
+	if uint64(len(set)) != size {
+		return fmt.Errorf("core: packed witness %#x claims %d M's, its pattern %v has %d", packed, size, p, len(set))
+	}
+	if !pattern.Noncolliding(c, p, pattern.M(0)) {
+		return fmt.Errorf("core: packed witness %#x: pattern %v collides on the circuit", packed, p)
+	}
+	return nil
+}
+
 // OptimalNoncollidingOpt finds, over all 3^n patterns with symbols
 // {S_0, M_0, L_0}, a largest noncolliding [M_0]-set in the circuit —
 // the best any adversary of the paper's form could possibly achieve on
@@ -174,7 +209,7 @@ func DecodeOptimalWitness(n int, packed uint64) (int, pattern.Pattern, []int) {
 // The search is branch-and-bound: patterns are enumerated wire by wire
 // in the canonizer's cone-closing order (M, then S, then L at each
 // wire — M first so large sets are found early and the incumbent bound
-// bites), and an incremental simulation (incSim) fires each comparator
+// bites), and an incremental simulation (fire) runs each comparator
 // as soon as its cone of influence is fully assigned. A collision
 // witnessed at a node condemns every completion of its prefix, a
 // residual state already known to the transposition table bounds the
@@ -289,13 +324,10 @@ func OptimalNoncollidingPacked(ctx context.Context, c *network.Network, opt Opti
 	}
 
 	worker := func() {
-		sim := newIncSim(cz)
 		ranks := make([]uint8, n) // by wire
 		scratch := make([]uint8, n)
 		witLex := make([]uint8, n)
 		witFor := ^uint64(0)
-		domM := make([][]uint8, n)
-		domS := make([][]uint8, n)
 		var st memoStats
 		var nodes, domCuts int64
 		var nodesFlushed int64
@@ -369,15 +401,16 @@ func OptimalNoncollidingPacked(ctx context.Context, c *network.Network, opt Opti
 			return cap - 1
 		}
 
-		// dfs explores the subtree at boundary t and returns a true
-		// upper bound on the size of any noncolliding leaf in it:
+		// dfs explores the subtree at boundary t, whose rail symbols
+		// are rs, and returns a true upper bound on the size of any
+		// noncolliding leaf in it:
 		// leaves return their exact size, cut nodes return the bound
 		// that justified the cut, and interior nodes return the max of
 		// their children's bounds (capped by their own entry bound).
 		// Truth of the returned bound is the invariant that makes memo
 		// entries sound wherever they are probed.
-		var dfs func(t, mCount, cap int) int
-		dfs = func(t, mCount, cap int) int {
+		var dfs func(t, mCount, cap int, rs railState) int
+		dfs = func(t, mCount, cap int, rs railState) int {
 			nodes++
 			ub := n - t
 			if cap < ub {
@@ -435,7 +468,7 @@ func OptimalNoncollidingPacked(ctx context.Context, c *network.Network, opt Opti
 			useMemo := mm != nil && cz.probeAt[t] && n-t >= memoMinRemain
 			var h1, h2 uint64
 			if useMemo {
-				h1, h2 = cz.key(t, sim.sym, scratch)
+				h1, h2 = cz.key(t, rs, scratch)
 				if mub, ok := mm.probe(h1, h2, t, &st); ok && int(mub) < ub {
 					ub = int(mub)
 					bound = mCount + ub
@@ -449,76 +482,46 @@ func OptimalNoncollidingPacked(ctx context.Context, c *network.Network, opt Opti
 			}
 
 			w := int(cz.order[t])
-			mark := sim.mark()
 			B := 0
 			dom := len(cz.trigger[t]) > 0 && n-t >= domMinRemain && !cz.mOnly[t]
-			live := cz.liveList[t+1]
+			live := cz.liveMask[t+1]
+			// The explored M and S siblings' states, kept (have*) for
+			// the sibling-dominance cuts when dom is set.
+			var snapM, snapS railState
 			haveM, haveS := false, false
-			if dom {
-				if domM[t] == nil {
-					domM[t] = make([]uint8, n)
-					domS[t] = make([]uint8, n)
-				}
-			}
-			// dominated reports that the just-assigned sibling's
-			// residual state is pointwise dominated by snap: equal
-			// everywhere except rails where the new state has M where
-			// the sibling had a non-M. Demoting those M's maps every
-			// valid completion of the new state to a valid completion
-			// of the sibling's with the same added M's, so the subtree
-			// cannot contribute anything the explored sibling did not
-			// already account for.
-			dominated := func(snap []uint8) bool {
-				for i, r := range live {
-					if v := sim.sym[r]; v != snap[i] && v != rankM {
-						return false
-					}
-				}
-				return true
-			}
-			snapshot := func(buf []uint8) {
-				for i, r := range live {
-					buf[i] = sim.sym[r]
-				}
-			}
 
 			ranks[w] = rankM
-			if sim.assign(t, rankM) {
+			if next, ok := cz.fire(rs, t, rankM); ok {
 				if dom {
-					snapshot(domM[t])
-					haveM = true
+					snapM, haveM = next, true
 				}
-				if b := dfs(t+1, mCount+1, capAfter(t, w, rankM, cap)); b > B {
+				if b := dfs(t+1, mCount+1, capAfter(t, w, rankM, cap), next); b > B {
 					B = b
 				}
 			}
-			sim.undo(mark)
 			if !stopped && !cz.mOnly[t] {
 				ranks[w] = rankS
-				if sim.assign(t, rankS) {
-					if haveM && dominated(domM[t]) {
+				if next, ok := cz.fire(rs, t, rankS); ok {
+					if haveM && dominated(next, snapM, live) {
 						domCuts++
 					} else {
 						if dom {
-							snapshot(domS[t])
-							haveS = true
+							snapS, haveS = next, true
 						}
-						if b := dfs(t+1, mCount, capAfter(t, w, rankS, cap)); b > B {
+						if b := dfs(t+1, mCount, capAfter(t, w, rankS, cap), next); b > B {
 							B = b
 						}
 					}
 				}
-				sim.undo(mark)
 				if !stopped {
 					ranks[w] = rankL
-					if sim.assign(t, rankL) {
-						if (haveM && dominated(domM[t])) || (haveS && dominated(domS[t])) {
+					if next, ok := cz.fire(rs, t, rankL); ok {
+						if (haveM && dominated(next, snapM, live)) || (haveS && dominated(next, snapS, live)) {
 							domCuts++
-						} else if b := dfs(t+1, mCount, capAfter(t, w, rankL, cap)); b > B {
+						} else if b := dfs(t+1, mCount, capAfter(t, w, rankL, cap), next); b > B {
 							B = b
 						}
 					}
-					sim.undo(mark)
 				}
 			}
 			if B < bound {
@@ -547,7 +550,7 @@ func OptimalNoncollidingPacked(ctx context.Context, c *network.Network, opt Opti
 			}
 
 			// Assign the prefix digits (most significant digit = step 0).
-			sim.undo(0)
+			var rs railState
 			mCount, cap := 0, cz.capInit
 			live := true
 			for t, rest, div := 0, p, prefixes/3; t < digits; t++ {
@@ -562,7 +565,8 @@ func OptimalNoncollidingPacked(ctx context.Context, c *network.Network, opt Opti
 					mCount++
 				}
 				cap = capAfter(t, w, rank, cap)
-				if !sim.assign(t, rank) {
+				var ok bool
+				if rs, ok = cz.fire(rs, t, rank); !ok {
 					live = false // the prefix itself collides: subtree dead
 					break
 				}
@@ -571,7 +575,7 @@ func OptimalNoncollidingPacked(ctx context.Context, c *network.Network, opt Opti
 				onDone(p)
 				continue
 			}
-			dfs(digits, mCount, cap)
+			dfs(digits, mCount, cap, rs)
 			if stopped {
 				return
 			}

@@ -11,6 +11,7 @@ import (
 	"shufflenet/internal/par"
 	"shufflenet/internal/pattern"
 	"shufflenet/internal/perm"
+	"shufflenet/internal/randnet"
 )
 
 // bruteOptimalNoncolliding is the pre-branch-and-bound implementation,
@@ -169,87 +170,179 @@ func asErrCanceled(err error, out **par.ErrCanceled) bool {
 	return ok
 }
 
-// The incremental simulator must agree with the from-scratch
-// level-major simulation on every circuit and pattern: assigning all
-// wires succeeds iff the pattern's [M_0]-set is noncolliding, and on
-// success the final rail symbols equal pattern.Eval's output.
+// The incremental simulation must agree with the from-scratch
+// level-major simulation on every circuit and every pattern: firing
+// all wires succeeds iff the pattern's [M_0]-set is noncolliding, and
+// on success the final rail symbols equal pattern.Eval's output.
+// Exhaustive over all 3^n patterns of the small test circuits.
 func TestIncSimDifferentialNoncolliding(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	for _, c := range testCircuits(16, rng) {
+	for _, c := range testCircuits(8, rng) {
 		n := c.Wires()
 		cz := newCanonizer(c)
-		sim := newIncSim(cz)
-		for trial := 0; trial < 200; trial++ {
-			p := make(pattern.Pattern, n)
-			ranks := make([]uint8, n)
-			for w := range p {
-				r := uint8(rng.Intn(3))
-				ranks[w] = r
-				p[w] = rankSymbols[r]
+		ranks := make([]uint8, n)
+		p := make(pattern.Pattern, n)
+		total := 1
+		for i := 0; i < n; i++ {
+			total *= 3
+		}
+		for idx := 0; idx < total; idx++ {
+			for w, rest := 0, idx; w < n; w, rest = w+1, rest/3 {
+				ranks[w] = uint8(rest % 3)
+				p[w] = rankSymbols[ranks[w]]
 			}
-			sim.undo(0)
+			var st railState
 			ok := true
 			for t := 0; t < n && ok; t++ {
-				ok = sim.assign(t, ranks[cz.order[t]])
+				st, ok = cz.fire(st, t, ranks[cz.order[t]])
 			}
 			want := pattern.Noncolliding(c, p, pattern.M(0))
 			if ok != want {
-				t.Fatalf("n=%d pattern %v: incSim says %v, Noncolliding says %v", n, p, ok, want)
+				t.Fatalf("n=%d pattern %v: fire says %v, Noncolliding says %v", n, p, ok, want)
 			}
 			if !ok {
 				continue
 			}
 			out := pattern.Eval(c, p)
 			for r := 0; r < n; r++ {
-				if rankSymbols[sim.sym[r]] != out[r] {
-					t.Fatalf("n=%d pattern %v: rail %d holds %v, Eval says %v",
-						n, p, r, rankSymbols[sim.sym[r]], out[r])
+				if got := rankSymbols[st.rank(int32(r))]; got != out[r] {
+					t.Fatalf("n=%d pattern %v: rail %d holds %v, Eval says %v", n, p, r, got, out[r])
 				}
 			}
 		}
 	}
 }
 
-// Undo must restore the simulation exactly: after a random sequence of
-// assigns and rollbacks, re-extending a prefix behaves as if freshly
-// assigned on a new simulator.
-func TestIncSimUndoRestores(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	c := delta.Random(4, 0.8, rng).ToNetwork()
-	n := c.Wires()
-	cz := newCanonizer(c)
-	sim := newIncSim(cz)
-	for trial := 0; trial < 100; trial++ {
-		// Build a random prefix with detours: at each step, try a
-		// random rank, maybe undo it and commit a different one.
-		sim.undo(0)
-		ranks := make([]uint8, 0, n)
-		live := true
-		for t := 0; t < n && live; t++ {
-			if detour := uint8(rng.Intn(3)); rng.Intn(2) == 0 {
-				mark := sim.mark()
-				sim.assign(t, detour)
-				sim.undo(mark)
+// dominatedLoop is the per-rail sibling-dominance test the packed mask
+// in dominated replaced, kept as its reference: every live rail of the
+// new state equals the snapshot or holds M.
+func dominatedLoop(next, snap []uint8, live []int32) bool {
+	for _, r := range live {
+		if v := next[r]; v != snap[r] && v != rankM {
+			return false
+		}
+	}
+	return true
+}
+
+func packRanks(sym []uint8) railState {
+	var st railState
+	for r, v := range sym {
+		st |= railState(v) << (2 * uint(r))
+	}
+	return st
+}
+
+// The packed dominance test must agree with the per-rail loop:
+// exhaustively over every pair of 4-rail states and every live set,
+// and on random near-equal pairs over all 32 rails (the top rail's
+// bits are the word's top bits). The canonizer's live masks must be
+// its live lists.
+func TestIncSimDominanceMask(t *testing.T) {
+	check := func(next, snap []uint8, live []int32) bool {
+		var mask railState
+		for _, r := range live {
+			mask |= 3 << (2 * uint(r))
+		}
+		want := dominatedLoop(next, snap, live)
+		if got := dominated(packRanks(next), packRanks(snap), mask); got != want {
+			t.Fatalf("next %v snap %v live %v: mask says %v, loop says %v", next, snap, live, got, want)
+		}
+		return want
+	}
+	next, snap := make([]uint8, 4), make([]uint8, 4)
+	for a := 0; a < 81; a++ {
+		for b := 0; b < 81; b++ {
+			for r, x, y := 0, a, b; r < 4; r, x, y = r+1, x/3, y/3 {
+				next[r], snap[r] = uint8(x%3), uint8(y%3)
 			}
-			r := uint8(rng.Intn(3))
-			ranks = append(ranks, r)
-			live = sim.assign(t, r)
-		}
-		// Replay the committed ranks on a fresh simulator: same verdict,
-		// same state.
-		fresh := newIncSim(cz)
-		freshLive := true
-		for t := 0; t < len(ranks) && freshLive; t++ {
-			freshLive = fresh.assign(t, ranks[t])
-		}
-		if live != freshLive {
-			t.Fatalf("trial %d: detoured sim says %v, fresh says %v", trial, live, freshLive)
-		}
-		if live {
-			for r := 0; r < n; r++ {
-				if sim.sym[r] != fresh.sym[r] {
-					t.Fatalf("trial %d: rail %d differs after undo", trial, r)
+			for set := 0; set < 16; set++ {
+				var live []int32
+				for r := int32(0); r < 4; r++ {
+					if set>>r&1 != 0 {
+						live = append(live, r)
+					}
 				}
+				check(next, snap, live)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(45))
+	next, snap = make([]uint8, 32), make([]uint8, 32)
+	hits := 0
+	for trial := 0; trial < 20000; trial++ {
+		var live []int32
+		for r := range snap {
+			snap[r] = uint8(rng.Intn(3))
+			next[r] = snap[r]
+			if rng.Intn(8) == 0 {
+				next[r] = uint8(rng.Intn(3))
+			}
+			if rng.Intn(2) == 0 {
+				live = append(live, int32(r))
+			}
+		}
+		if check(next, snap, live) {
+			hits++
+		}
+	}
+	if hits == 0 || hits == 20000 {
+		t.Fatalf("random pairs exercised one outcome only (%d/20000 dominated)", hits)
+	}
+
+	for ci, c := range testCircuits(16, rand.New(rand.NewSource(46))) {
+		cz := newCanonizer(c)
+		for bt, live := range cz.liveList {
+			var mask railState
+			for _, r := range live {
+				mask |= 3 << (2 * uint(r))
+			}
+			if cz.liveMask[bt] != mask {
+				t.Fatalf("circuit %d boundary %d: liveMask %#x, live list %v", ci, bt, cz.liveMask[bt], live)
+			}
+		}
+	}
+}
+
+// The search tree is pinned: on fixed circuits, a one-worker search
+// (private table, and no table) must visit exactly the recorded number
+// of nodes, make exactly the recorded dominance cuts and return the
+// recorded packed witness. Any change to the assignment order, the
+// simulation, the pruning rules or the canonical keys (through memo
+// hits) moves these counts; a speedup of the same search does not.
+func TestOptimalSearchTreePinned(t *testing.T) {
+	fly, _ := delta.NewIterated(16).AddBlock(nil, delta.Butterfly(4)).ToNetwork()
+	rng := rand.New(rand.NewSource(1))
+	it := delta.NewIterated(16).AddBlock(nil, delta.Random(4, 0.3, rng))
+	it.AddBlock(perm.Random(16, rng), delta.Random(4, 0.3, rng))
+	iter, _ := it.ToNetwork()
+	type count struct{ nodes, cuts int64 }
+	for _, tc := range []struct {
+		name         string
+		c            *network.Network
+		packed       uint64
+		memo, noMemo count
+	}{
+		{"dense11", randnet.Levels(11, 8, rand.New(rand.NewSource(1))), 0xffa66a, count{11133, 0}, count{27820, 0}},
+		{"dense14", randnet.Levels(14, 8, rand.New(rand.NewSource(2))), 0x4fbbaa6a, count{48442, 0}, count{155552, 0}},
+		{"butterfly16", fly, 0x6edeaedd5, count{352, 0}, count{33296, 0}},
+		{"iterated16", iter, 0x8ffdd7a79, count{9362, 1226}, count{53653, 5257}},
+	} {
+		for _, noMemo := range []bool{false, true} {
+			want := tc.memo
+			if noMemo {
+				want = tc.noMemo
+			}
+			n0, c0 := metOptimalNodes.Value(), metOptimalDomCuts.Value()
+			packed, err := OptimalNoncollidingPacked(context.Background(), tc.c, OptimalOptions{Workers: 1, NoMemo: noMemo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := count{metOptimalNodes.Value() - n0, metOptimalDomCuts.Value() - c0}
+			if packed != tc.packed || got != want {
+				t.Errorf("%s (noMemo=%v): packed %#x, %d nodes, %d cuts; pinned %#x, %d nodes, %d cuts",
+					tc.name, noMemo, packed, got.nodes, got.cuts, tc.packed, want.nodes, want.cuts)
 			}
 		}
 	}

@@ -149,3 +149,38 @@ func TestDecodeOptimalWitnessRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// VerifyOptimalWitness accepts what the search returns and rejects
+// every way a packed value read back from outside can fail to be a
+// witness: no size, a size beyond n, a key digit that encodes no
+// symbol, a size its pattern's M's contradict, and a colliding pattern.
+func TestVerifyOptimalWitness(t *testing.T) {
+	circ := randnet.Levels(10, 6, rand.New(rand.NewSource(5)))
+	n := circ.Wires()
+	keyBits := uint(2 * n)
+	keyMask := uint64(1)<<keyBits - 1
+	packed, err := OptimalNoncollidingPacked(context.Background(), circ, OptimalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyOptimalWitness(circ, packed); err != nil {
+		t.Fatalf("search result rejected: %v", err)
+	}
+	size := packed >> keyBits
+	for _, bad := range []struct {
+		name   string
+		packed uint64
+	}{
+		{"zero", 0},
+		{"all ones", ^uint64(0)},
+		{"size 0 with a key", packed & keyMask},
+		{"size beyond n", uint64(n+1)<<keyBits | packed&keyMask},
+		{"digit 3", 1 << keyBits},
+		{"size contradicts pattern", (size+1)<<keyBits | packed&keyMask},
+		{"colliding all-M", uint64(n)<<keyBits | keyMask},
+	} {
+		if err := VerifyOptimalWitness(circ, bad.packed); err == nil {
+			t.Errorf("%s (%#x) accepted", bad.name, bad.packed)
+		}
+	}
+}
