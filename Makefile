@@ -100,16 +100,17 @@ bench-smoke:
 # race detector: the exhaustive 0-1 verification of every committed
 # batch kernel (both the pure-Go and, where the CPU supports it, the
 # AVX-512 implementations), the differential tests against slices.Sort
-# (the []string abbreviated-key paths included), the float64
-# bit-multiset check, the shape-panic contract, and the fuzz seed
-# corpus. The SIMD kernels and the pooled transpose scratch are the
+# (the []string abbreviated-key paths included), the NaN prescan of
+# every float kind (float64, float32 and a named float type), the
+# float64 bit-multiset check, the shape-panic contract, and the fuzz
+# seed corpus. The SIMD kernels and the pooled transpose scratch are the
 # assembly/unsafe surface; -race plus the go/simd subtest split is the
 # cheapest way to keep both honest in CI. The simd subtests skip when
 # sortkernels.BatchSIMDAvailable() is false, so the last line reports
 # how many ran: a runner without AVX-512 tests only the Go kernels.
 batch-smoke:
 	$(GO) test -race -count=1 -timeout 5m -v \
-		-run 'TestBatch|TestSortBatch|TestSortStrings|TestSortDispatchZeroAlloc|FuzzSortBatch' . \
+		-run 'TestBatch|TestSortBatch|TestSortStrings|TestSortDispatchZeroAlloc|TestSortFloat64NaN|FuzzSortBatch' . \
 		> /tmp/batch_smoke.out || { cat /tmp/batch_smoke.out; exit 1; }
 	@echo "batch-smoke: ok; AVX-512 kernels ran in $$(grep -c -- '--- PASS: .*/simd' /tmp/batch_smoke.out) simd subtests," \
 		"$$(grep -c -- '--- SKIP: .*/simd' /tmp/batch_smoke.out) skipped for lack of AVX-512"

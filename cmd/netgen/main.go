@@ -10,10 +10,10 @@
 //
 // The -preset form regenerates the committed sortkernels/ package:
 // one kernel per width 2..16 from the curated depth-optimal networks
-// (netbuild.BestKnown), for every element family and every emission
-// mode — the per-slice scalar kernels plus the batch kernels (pure-Go
-// columnar/row-major, and the AVX-512 columnar kernels with their
-// transpose helpers on amd64). `make netgen-check` regenerates into a
+// (netbuild.BestKnown), for both kernel families and every emission
+// mode — the per-slice scalar kernels plus the batch kernels (generic
+// pure-Go columnar/row-major, and the AVX-512 columnar kernels with
+// their transpose helpers on amd64). `make netgen-check` regenerates into a
 // scratch directory and fails on any drift between the committed
 // files and what the generator emits.
 //
@@ -102,14 +102,17 @@ var sortkernelsDoc = []string{
 	"widths 2..16, generated from the curated depth-optimal networks in",
 	"internal/netbuild. Each kernel keeps the whole slice in locals and",
 	"applies a fixed compare-exchange schedule, level by level, with no",
-	"data-dependent branches on the integer families — the comparator",
+	"data-dependent branches at integer element types — the comparator",
 	"count is the depth-optimal network's size, and the level grouping",
-	"leaves independent exchanges adjacent for the CPU to overlap.",
+	"leaves independent exchanges adjacent for the CPU to overlap. One",
+	"kernel family is generic over cmp.Ordered (Sort<N>Ordered, behind",
+	"Ordered), the other over a less function (Sort<N>Func, behind Func).",
 	"",
-	"The batch entry points (Batch<Kind>, BatchFlat<Kind>) sort many",
-	"same-width slices per call: column-major and row-major pure-Go",
-	"kernels for every width, plus AVX-512 columnar kernels and layout",
-	"transposes on amd64, selected at init when the CPU supports them.",
+	"The batch entry points (Batch, BatchFlat) sort many same-width",
+	"slices per call: generic column-major and row-major pure-Go kernels",
+	"for every width, plus AVX-512 columnar kernels for int, uint64 and",
+	"float64 and layout transposes on amd64, selected at init when the",
+	"CPU supports them.",
 	"",
 	"Regenerate with `make netgen`; `make netgen-check` fails the build",
 	"if the committed files drift from what cmd/netgen emits.",

@@ -47,9 +47,9 @@ func TestRunModes(t *testing.T) {
 		mode       string
 		want, stop []string
 	}{
-		{"scalar", []string{"kern.go", "kernels_int.go"}, []string{"batch.go"}},
-		{"batch", []string{"batch.go", "batch_int.go", "batch_amd64.s"}, []string{"kern.go", "kernels_int.go"}},
-		{"all", []string{"kern.go", "kernels_int.go", "batch.go", "batch_amd64.go"}, nil},
+		{"scalar", []string{"kern.go", "kernels_ordered.go"}, []string{"batch.go"}},
+		{"batch", []string{"batch.go", "batch_ordered.go", "batch_amd64.s"}, []string{"kern.go", "kernels_ordered.go"}},
+		{"all", []string{"kern.go", "kernels_ordered.go", "batch.go", "batch_amd64.go"}, nil},
 	} {
 		t.Run(tc.mode, func(t *testing.T) {
 			dir := t.TempDir()

@@ -3,7 +3,7 @@ package netgen
 // AVX-512 batch kernel emission (ModeBatch, amd64): "batch_amd64.s"
 // plus its Go shim "batch_amd64.go".
 //
-// Every element family here is a 64-bit scalar, so one zmm register
+// Every element type here is a 64-bit scalar, so one zmm register
 // holds the same column of eight consecutive rows and one comparator
 // of the schedule becomes a single min/max register pair (integers:
 // VPMINSQ/VPMAXSQ, VPMINUQ/VPMAXUQ) or a compare+two-blends triple
@@ -60,25 +60,49 @@ func (a *asmBuf) comment(format string, args ...any) {
 	fmt.Fprintf(&a.b, "\t// "+format+"\n", args...)
 }
 
-// simdColsName is the asm symbol of one width's columnar kernel.
-func simdColsName(n int, kind Kind) string {
-	return fmt.Sprintf("simdCols%d%s", n, kind)
+// simdElem is an element type the AVX-512 kernels cover: the only
+// per-type code of the generated package.
+type simdElem struct {
+	name   string // kernel name suffix, as in simdCols<N><name>
+	goType string
 }
 
-// genBatchAmd64 emits batch_amd64.s and batch_amd64.go for the
-// concrete batch families, covering the widths in simdWidths.
-func genBatchAmd64(opts Options, concrete []Kind, kernels []kernel) (asmSrc, goSrc []byte, err error) {
+// simdElems lists the element types with AVX-512 kernels, in emission
+// order. The generic batch entry points pick them by exact type.
+var simdElems = []simdElem{{"Int", "int"}, {"Uint64", "uint64"}, {"Float64", "float64"}}
+
+// simdColsName is the asm symbol of one width's columnar kernel.
+func simdColsName(n int, e simdElem) string {
+	return fmt.Sprintf("simdCols%d%s", n, e.name)
+}
+
+// simdWidths lists the kernel widths that get AVX-512 columnar kernels
+// and transpose helpers: every element is a 64-bit scalar, eight lanes
+// per zmm register, and the two-block transpose tops out at 16 columns.
+func simdWidths(kernels []kernel) []int {
+	var out []int
+	for _, k := range kernels {
+		if k.n <= 16 {
+			out = append(out, k.n)
+		}
+	}
+	return out
+}
+
+// genBatchAmd64 emits batch_amd64.s and batch_amd64.go for every
+// element type in simdElems, covering the widths in simdWidths.
+func genBatchAmd64(opts Options, kernels []kernel) (asmSrc, goSrc []byte, err error) {
 	widths := simdWidths(kernels)
 	var a asmBuf
 	a.raw("// Code generated by %q; DO NOT EDIT.\n\n", opts.Command)
 	a.raw("#include \"textflag.h\"\n")
-	for _, kind := range concrete {
+	for _, e := range simdElems {
 		for _, k := range kernels {
 			if k.n > 16 {
 				continue
 			}
 			a.raw("\n")
-			emitSIMDColsKernel(&a, kind, k)
+			emitSIMDColsKernel(&a, e, k)
 		}
 	}
 	for _, n := range widths {
@@ -90,7 +114,7 @@ func genBatchAmd64(opts Options, concrete []Kind, kernels []kernel) (asmSrc, goS
 	a.raw("\n")
 	emitCPUFuncs(&a)
 
-	goSrc, err = genBatchAmd64Go(opts, concrete, widths)
+	goSrc, err = genBatchAmd64Go(opts, widths)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -99,9 +123,9 @@ func genBatchAmd64(opts Options, concrete []Kind, kernels []kernel) (asmSrc, goS
 
 // emitSIMDColsKernel emits one columnar AVX-512 kernel: eight rows per
 // iteration, whole schedule in registers, k-masked tail.
-func emitSIMDColsKernel(a *asmBuf, kind Kind, k kernel) {
-	name := simdColsName(k.n, kind)
-	a.raw("// func %s(base *%s, m int)\n", name, kind.elem())
+func emitSIMDColsKernel(a *asmBuf, e simdElem, k kernel) {
+	name := simdColsName(k.n, e)
+	a.raw("// func %s(base *%s, m int)\n", name, e.goType)
 	a.raw("// Column-major batch sort, %d columns of length m at base; depth %d,\n// size %d. Eight rows per iteration; m mod 8 under a k-mask.\n", k.n, k.depth, k.size)
 	a.raw("TEXT ·%s(SB), NOSPLIT, $0-16\n", name)
 	a.ins("MOVQ base+0(FP), SI")
@@ -153,21 +177,21 @@ func emitSIMDColsKernel(a *asmBuf, kind Kind, k kernel) {
 			lo, hi := p[0], p[1]
 			rl, rh := cur[lo], cur[hi]
 			t := z.get()
-			switch kind {
-			case KindInt:
+			switch e.goType {
+			case "int":
 				a.ins("VPMINSQ Z%d, Z%d, Z%d", rl, rh, t)
 				a.ins("VPMAXSQ Z%d, Z%d, Z%d", rl, rh, rh)
-			case KindUint64:
+			case "uint64":
 				a.ins("VPMINUQ Z%d, Z%d, Z%d", rl, rh, t)
 				a.ins("VPMAXUQ Z%d, Z%d, Z%d", rl, rh, rh)
-			case KindFloat64:
+			case "float64":
 				// k = lo < hi; min = k ? lo : hi; max = k ? hi : lo.
 				// Exact bit blends: the ±0 multiset is preserved.
 				a.ins("VCMPPD $0x11, Z%d, Z%d, K2", rh, rl)
 				a.ins("VBLENDMPD Z%d, Z%d, K2, Z%d", rl, rh, t)
 				a.ins("VBLENDMPD Z%d, Z%d, K2, Z%d", rh, rl, rh)
 			default:
-				panic("netgen: no SIMD kernel for kind " + kind.String())
+				panic("netgen: no SIMD kernel for element type " + e.goType)
 			}
 			z.put(rl)
 			cur[lo] = t
@@ -434,16 +458,16 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 // genBatchAmd64Go emits batch_amd64.go: the //go:noescape declarations
 // matching the asm, typed wrappers, CPU feature detection, and the
 // init that plugs everything into the dispatch tables.
-func genBatchAmd64Go(opts Options, concrete []Kind, widths []int) ([]byte, error) {
+func genBatchAmd64Go(opts Options, widths []int) ([]byte, error) {
 	var b strings.Builder
 	header(opts, &b)
 	b.WriteString("// AVX-512 hooks of the batch kernels: feature detection and the\n// typed shims that init plugs into the dispatch tables of batch.go.\n")
 	fmt.Fprintf(&b, "package %s\n\n", opts.Package)
 	b.WriteString("import \"unsafe\"\n\n")
 
-	for _, kind := range concrete {
+	for _, e := range simdElems {
 		for _, n := range widths {
-			fmt.Fprintf(&b, "//go:noescape\nfunc %s(base *%s, m int)\n\n", simdColsName(n, kind), kind.elem())
+			fmt.Fprintf(&b, "//go:noescape\nfunc %s(base *%s, m int)\n\n", simdColsName(n, e), e.goType)
 		}
 	}
 	for _, n := range widths {
@@ -452,9 +476,9 @@ func genBatchAmd64Go(opts Options, concrete []Kind, widths []int) ([]byte, error
 	}
 	b.WriteString("func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)\n\nfunc xgetbv0() (eax, edx uint32)\n\n")
 
-	for _, kind := range concrete {
+	for _, e := range simdElems {
 		for _, n := range widths {
-			fmt.Fprintf(&b, "func simdBatchCols%d%s(data []%s, m int) { %s(&data[0], m) }\n\n", n, kind, kind.elem(), simdColsName(n, kind))
+			fmt.Fprintf(&b, "func simdBatchCols%d%s(data []%s, m int) { %s(&data[0], m) }\n\n", n, e.name, e.goType, simdColsName(n, e))
 		}
 	}
 
@@ -488,9 +512,9 @@ func init() {
 	batchSIMDAvail = true
 	batchSIMDOn = true
 `)
-	for _, kind := range concrete {
+	for _, e := range simdElems {
 		for _, n := range widths {
-			fmt.Fprintf(&b, "\tsimdCols%sKernels[%d] = simdBatchCols%d%s\n", kind, n, n, kind)
+			fmt.Fprintf(&b, "\tsimdCols%sKernels[%d] = simdBatchCols%d%s\n", e.name, n, n, e.name)
 		}
 	}
 	for _, n := range widths {

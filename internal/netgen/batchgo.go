@@ -1,79 +1,62 @@
 package netgen
 
-// Pure-Go batch kernel emission (ModeBatch): for every width and
-// element family, two fused kernels that sort many small slices per
-// call —
+// Pure-Go batch kernel emission (ModeBatch): for every width, two
+// fused kernels, generic over cmp.Ordered, that sort many small slices
+// per call —
 //
-//   - batchCols<N><Kind>(data, m): column-major ("vertical") layout,
+//   - batchCols<N>Ordered(data, m): column-major ("vertical") layout,
 //     column w at data[w*m:(w+1)*m], logical row r = {data[w*m+r]}w.
 //     One loop over rows; the whole comparator schedule runs on locals
 //     per row, so the comparator cost is amortized over the batch with
-//     no per-slice dispatch and no data-dependent branches on the
-//     integer families.
-//   - batchFlat<N><Kind>(data, m): row-major layout, row r contiguous
+//     no per-slice dispatch and no data-dependent branches.
+//   - batchFlat<N>Ordered(data, m): row-major layout, row r contiguous
 //     at data[r*n:(r+1)*n]. Same fused schedule, one slice-header bound
 //     check per row instead of per call.
 //
-// On amd64 the columnar layout additionally gets AVX-512 kernels (see
-// batchasm.go); these Go versions are the portable fallback and the
-// differential oracle for them.
+// On amd64 the columnar layout additionally gets AVX-512 kernels for
+// int, uint64 and float64 (see batchasm.go); these Go versions are the
+// portable fallback, the kernels of every other element type, and the
+// differential oracle for the assembly.
 
 import (
 	"fmt"
 	"strings"
 )
 
-// batchKinds lists the element families that get batch kernels: the
-// Func family is excluded (a per-element comparison callback defeats
-// the point of a fused batch pass).
-var batchKinds = []Kind{KindInt, KindUint64, KindFloat64, KindOrdered}
+// batchFile is the generated file holding the pure-Go batch kernels.
+const batchFile = "batch_ordered.go"
 
-// batchFile returns the generated file holding one family's batch
-// kernels.
-func (k Kind) batchFile() string {
-	return "batch_" + strings.ToLower(k.String()) + ".go"
-}
-
-// genBatchKindFile emits every batch kernel of one family.
-func genBatchKindFile(opts Options, kind Kind, kernels []kernel) ([]byte, error) {
+// genBatchKernelFile emits every pure-Go batch kernel.
+func genBatchKernelFile(opts Options, kernels []kernel) ([]byte, error) {
 	var b strings.Builder
 	header(opts, &b)
-	fmt.Fprintf(&b, "package %s\n\n", opts.Package)
-	if kind == KindOrdered {
-		b.WriteString("import \"cmp\"\n\n")
-	}
+	fmt.Fprintf(&b, "package %s\n\nimport \"cmp\"\n\n", opts.Package)
 	for i, k := range kernels {
 		if i > 0 {
 			b.WriteString("\n")
 		}
-		genBatchColsKernel(&b, kind, k)
+		genBatchColsKernel(&b, k)
 		b.WriteString("\n")
-		genBatchFlatKernel(&b, kind, k)
+		genBatchFlatKernel(&b, k)
 	}
-	return gofmt(b.String(), kind.batchFile())
+	return gofmt(b.String(), batchFile)
 }
 
 // batchExchange emits one compare-exchange on the locals v<lo>, v<hi>.
 //
-// The integer families use the min/max builtins (conditional moves).
-// Float64 uses them too: builtin min/max on floats is branchless on
-// amd64 and keeps the bit multiset on ±0 (min prefers -0, max +0) —
-// but it would turn one NaN into two, so the batch float kernels
-// require NaN-free input (the shufflenet façade prescans). The Ordered
-// family keeps the compare-and-swap `if`: one comparison per exchange,
-// correct for every ordered type.
-func batchExchange(b *strings.Builder, kind Kind, lo, hi int) {
-	switch kind {
-	case KindInt, KindUint64, KindFloat64:
-		fmt.Fprintf(b, "\t\tv%d, v%d = min(v%d, v%d), max(v%d, v%d)\n", lo, hi, lo, hi, lo, hi)
-	default: // ordered
-		fmt.Fprintf(b, "\t\tif v%d < v%d {\n\t\t\tv%d, v%d = v%d, v%d\n\t\t}\n", hi, lo, lo, hi, hi, lo)
-	}
+// The min/max builtins compile to conditional moves at integer element
+// types and to branch-free min/max at float64, and keep the float bit
+// multiset on ±0 (min prefers -0, max +0). They would turn one NaN into
+// two, so the batch kernels require NaN-free input (the shufflenet
+// façades prescan), and at string types they compare twice per
+// exchange.
+func batchExchange(b *strings.Builder, lo, hi int) {
+	fmt.Fprintf(b, "\t\tv%d, v%d = min(v%d, v%d), max(v%d, v%d)\n", lo, hi, lo, hi, lo, hi)
 }
 
 // genBatchColsKernel emits the column-major fused kernel of one width.
-func genBatchColsKernel(b *strings.Builder, kind Kind, k kernel) {
-	name := fmt.Sprintf("batchCols%d%s", k.n, kind)
+func genBatchColsKernel(b *strings.Builder, k kernel) {
+	name := fmt.Sprintf("batchCols%dOrdered", k.n)
 	fmt.Fprintf(b, "// %s sorts each of the m rows of a %d-column\n", name, k.n)
 	fmt.Fprintf(b, "// column-major batch: column w is data[w*m:(w+1)*m], row r is the\n")
 	fmt.Fprintf(b, "// %d values {data[w*m+r]}. Depth %d, size %d", k.n, k.depth, k.size)
@@ -81,15 +64,7 @@ func genBatchColsKernel(b *strings.Builder, kind Kind, k kernel) {
 		fmt.Fprintf(b, ", %s", k.note)
 	}
 	b.WriteString(".\n")
-	if kind == KindFloat64 {
-		b.WriteString("// Input must be NaN-free (callers prescan); ±0 bit patterns are\n// preserved as a multiset.\n")
-	}
-	switch kind {
-	case KindOrdered:
-		fmt.Fprintf(b, "func %s[T cmp.Ordered](data []T, m int) {\n", name)
-	default:
-		fmt.Fprintf(b, "func %s(data []%s, m int) {\n", name, kind.elem())
-	}
+	fmt.Fprintf(b, "func %s[T cmp.Ordered](data []T, m int) {\n", name)
 	for w := 0; w < k.n; w++ {
 		fmt.Fprintf(b, "\tc%d := data[%d*m : %d*m]\n", w, w, w+1)
 	}
@@ -115,7 +90,7 @@ func genBatchColsKernel(b *strings.Builder, kind Kind, k kernel) {
 		}
 		fmt.Fprintf(b, "\n\t\t// level %d\n", li+1)
 		for _, p := range lv {
-			batchExchange(b, kind, p[0], p[1])
+			batchExchange(b, p[0], p[1])
 		}
 	}
 	b.WriteString("\n\t\t")
@@ -136,19 +111,11 @@ func genBatchColsKernel(b *strings.Builder, kind Kind, k kernel) {
 }
 
 // genBatchFlatKernel emits the row-major fused kernel of one width.
-func genBatchFlatKernel(b *strings.Builder, kind Kind, k kernel) {
-	name := fmt.Sprintf("batchFlat%d%s", k.n, kind)
+func genBatchFlatKernel(b *strings.Builder, k kernel) {
+	name := fmt.Sprintf("batchFlat%dOrdered", k.n)
 	fmt.Fprintf(b, "// %s sorts each of the m contiguous width-%d rows of a\n", name, k.n)
 	fmt.Fprintf(b, "// row-major batch in place: row r is data[r*%d:(r+1)*%d].\n", k.n, k.n)
-	if kind == KindFloat64 {
-		b.WriteString("// Input must be NaN-free (callers prescan).\n")
-	}
-	switch kind {
-	case KindOrdered:
-		fmt.Fprintf(b, "func %s[T cmp.Ordered](data []T, m int) {\n", name)
-	default:
-		fmt.Fprintf(b, "func %s(data []%s, m int) {\n", name, kind.elem())
-	}
+	fmt.Fprintf(b, "func %s[T cmp.Ordered](data []T, m int) {\n", name)
 	fmt.Fprintf(b, "\tfor r := 0; r < m; r++ {\n")
 	fmt.Fprintf(b, "\t\ts := data[r*%d : r*%d+%d : r*%d+%d]\n", k.n, k.n, k.n, k.n, k.n)
 	b.WriteString("\t\t")
@@ -172,7 +139,7 @@ func genBatchFlatKernel(b *strings.Builder, kind Kind, k kernel) {
 		}
 		fmt.Fprintf(b, "\n\t\t// level %d\n", li+1)
 		for _, p := range lv {
-			batchExchange(b, kind, p[0], p[1])
+			batchExchange(b, p[0], p[1])
 		}
 	}
 	b.WriteString("\n\t\t")

@@ -1,92 +1,36 @@
 package netgen
 
 // Batch meta-file emission (ModeBatch): "batch.go" carries the public
-// batch API of the generated package — shape validation, dispatch
-// tables over the pure-Go kernels, the SIMD hook tables that
+// batch API of the generated package — shape validation, the generic
+// entry points over the pure-Go kernels, the SIMD hook tables that
 // batch_amd64.go fills in at init when AVX-512 is available, the
-// pooled transpose scratch behind the row-major entry points, and the
-// SetBatchSIMD test/bench toggle.
+// per-type dispatch onto them, the pooled transpose scratch behind the
+// row-major SIMD path, and the SetBatchSIMD test/bench toggle.
 
 import (
 	"fmt"
 	"strings"
 )
 
-// concreteBatchKinds filters kinds down to the non-generic batch
-// families, in emission order.
-func concreteBatchKinds(kinds []Kind) []Kind {
-	var out []Kind
-	for _, k := range batchKinds {
-		if k == KindOrdered {
-			continue
-		}
-		for _, want := range kinds {
-			if k == want {
-				out = append(out, k)
-				break
-			}
-		}
-	}
-	return out
-}
-
-func hasKind(kinds []Kind, want Kind) bool {
-	for _, k := range kinds {
-		if k == want {
-			return true
-		}
-	}
-	return false
-}
-
-// simdWidths lists the kernel widths that get AVX-512 columnar kernels
-// and transpose helpers: every element is a 64-bit scalar, eight lanes
-// per zmm register, and the two-block transpose tops out at 16 columns.
-func simdWidths(kernels []kernel) []int {
-	var out []int
-	for _, k := range kernels {
-		if k.n <= 16 {
-			out = append(out, k.n)
-		}
-	}
-	return out
-}
-
 // genBatchMetaFile emits "batch.go".
-func genBatchMetaFile(opts Options, kinds []Kind, kernels []kernel) ([]byte, error) {
-	concrete := concreteBatchKinds(kinds)
-	ordered := hasKind(kinds, KindOrdered)
-	simd := len(concrete) > 0 && len(simdWidths(kernels)) > 0
+func genBatchMetaFile(opts Options, kernels []kernel) ([]byte, error) {
+	simd := len(simdWidths(kernels)) > 0
 
 	var b strings.Builder
 	header(opts, &b)
 	b.WriteString("// Batch entry points: sort many same-width slices per call.\n")
 	b.WriteString("//\n")
-	b.WriteString("// Batch<Kind> takes the column-major (\"vertical\") layout — data holds\n")
-	b.WriteString("// n columns of length m, column w at data[w*m:(w+1)*m], and logical\n")
-	b.WriteString("// row r is the n values {data[w*m+r]}. Every row is sorted in place.\n")
-	b.WriteString("// BatchFlat<Kind> takes the row-major layout — m contiguous rows of\n")
-	b.WriteString("// width n. Both report whether a kernel of that width was available;\n")
-	b.WriteString("// on false the data is untouched.\n")
+	b.WriteString("// Batch takes the column-major (\"vertical\") layout — data holds n\n")
+	b.WriteString("// columns of length m, column w at data[w*m:(w+1)*m], and logical row\n")
+	b.WriteString("// r is the n values {data[w*m+r]}. Every row is sorted in place.\n")
+	b.WriteString("// BatchFlat takes the row-major layout — m contiguous rows of width\n")
+	b.WriteString("// n. Both report whether a kernel of that width was available; on\n")
+	b.WriteString("// false the data is untouched.\n")
 	fmt.Fprintf(&b, "package %s\n\n", opts.Package)
-
-	var imports []string
-	if ordered {
-		imports = append(imports, "cmp")
-	}
 	if simd {
-		imports = append(imports, "sync", "unsafe")
-	}
-	switch len(imports) {
-	case 0:
-	case 1:
-		fmt.Fprintf(&b, "import %q\n\n", imports[0])
-	default:
-		b.WriteString("import (\n")
-		for _, im := range imports {
-			fmt.Fprintf(&b, "\t%q\n", im)
-		}
-		b.WriteString(")\n\n")
+		b.WriteString("import (\n\t\"cmp\"\n\t\"sync\"\n\t\"unsafe\"\n)\n\n")
+	} else {
+		b.WriteString("import \"cmp\"\n\n")
 	}
 
 	minW, maxW := kernels[0].n, kernels[len(kernels)-1].n
@@ -164,7 +108,71 @@ func batchFlatDims(lenData, width, maxWidth int) (m int, trivial, ok bool) {
 `)
 
 	if simd {
-		b.WriteString(`// batchTransTo and batchTransFrom hold the AVX-512 transpose helpers
+		genBatchSIMDDispatch(&b)
+	}
+
+	b.WriteString(`// Batch sorts, in place, every row of the column-major batch: data
+// holds len(data)/m columns of length m, column w at
+// data[w*m:(w+1)*m]. It reports whether a kernel of that width was
+// available; on false the data is untouched. int, uint64 and float64
+// batches run the AVX-512 kernels when they are enabled; every other
+// element type, and those three without AVX-512, run the generic Go
+// kernels. Input must be NaN-free (the shufflenet façades prescan):
+// the kernels' min and max would turn one NaN into two. ±0 bit
+// patterns are preserved as a multiset.
+func Batch[T cmp.Ordered](data []T, m int) bool {
+	n, trivial, ok := batchDims(len(data), m, BatchMaxWidth)
+	if !ok {
+		return false
+	}
+	if trivial {
+		return true
+	}
+`)
+	if simd {
+		b.WriteString("\tif batchSIMDOn && simdCols(data, n, m) {\n\t\treturn true\n\t}\n")
+	}
+	b.WriteString("\tswitch n {\n")
+	for _, k := range kernels {
+		fmt.Fprintf(&b, "\tcase %d:\n\t\tbatchCols%dOrdered(data, m)\n", k.n, k.n)
+	}
+	b.WriteString(`	default:
+		return false
+	}
+	return true
+}
+
+// BatchFlat sorts, in place, every row of the row-major batch: data
+// holds len(data)/width contiguous rows of the given width. It reports
+// whether a kernel of that width was available; on false the data is
+// untouched. Kernels and input contract as for Batch; the AVX-512 path
+// transposes through pooled scratch.
+func BatchFlat[T cmp.Ordered](data []T, width int) bool {
+	m, trivial, ok := batchFlatDims(len(data), width, BatchMaxWidth)
+	if !ok {
+		return false
+	}
+	if trivial {
+		return true
+	}
+`)
+	if simd {
+		b.WriteString("\tif batchSIMDOn && simdFlat(data, width, m) {\n\t\treturn true\n\t}\n")
+	}
+	b.WriteString("\tswitch width {\n")
+	for _, k := range kernels {
+		fmt.Fprintf(&b, "\tcase %d:\n\t\tbatchFlat%dOrdered(data, m)\n", k.n, k.n)
+	}
+	b.WriteString("\tdefault:\n\t\treturn false\n\t}\n\treturn true\n}\n")
+
+	return gofmt(b.String(), "batch.go")
+}
+
+// genBatchSIMDDispatch emits the AVX-512 hooks of batch.go: the
+// transpose and kernel tables the amd64 init fills in, and the
+// per-type dispatch from the generic entry points onto them.
+func genBatchSIMDDispatch(b *strings.Builder) {
+	b.WriteString(`// batchTransTo and batchTransFrom hold the AVX-512 transpose helpers
 // between the row-major and column-major layouts (filled in by the
 // amd64 init; element type is any 64-bit scalar, hence the untyped
 // pointers). batchTransTo[n] gathers m rows of width n into columns;
@@ -174,92 +182,69 @@ var (
 	batchTransFrom [BatchMaxWidth + 1]func(dst, src unsafe.Pointer, m int)
 )
 
+// The AVX-512 columnar kernels of each element type, filled in by the
+// amd64 init, and the column-major scratch of BatchFlat's AVX-512 path.
+var (
 `)
+	for _, e := range simdElems {
+		fmt.Fprintf(b, "\tsimdCols%sKernels [BatchMaxWidth + 1]func(data []%s, m int)\n", e.name, e.goType)
 	}
-
-	for _, kind := range concrete {
-		elem := kind.elem()
-		// Go dispatch tables.
-		fmt.Fprintf(&b, "var batchCols%sKernels = [BatchMaxWidth + 1]func(data []%s, m int){\n", kind, elem)
-		for _, k := range kernels {
-			fmt.Fprintf(&b, "\t%d: batchCols%d%s,\n", k.n, k.n, kind)
-		}
-		b.WriteString("}\n\n")
-		fmt.Fprintf(&b, "var batchFlat%sKernels = [BatchMaxWidth + 1]func(data []%s, m int){\n", kind, elem)
-		for _, k := range kernels {
-			fmt.Fprintf(&b, "\t%d: batchFlat%d%s,\n", k.n, k.n, kind)
-		}
-		b.WriteString("}\n\n")
-		if simd {
-			fmt.Fprintf(&b, "// simdCols%sKernels is filled in by the amd64 init when AVX-512 is\n// available.\nvar simdCols%sKernels [BatchMaxWidth + 1]func(data []%s, m int)\n\n", kind, kind, elem)
-			fmt.Fprintf(&b, "var batchScratch%s = sync.Pool{New: func() any { return new([]%s) }}\n\n", kind, elem)
-		}
-
-		// Batch<Kind> (column-major).
-		fmt.Fprintf(&b, "// Batch%s sorts, in place, every row of the column-major batch:\n", kind)
-		fmt.Fprintf(&b, "// data holds len(data)/m columns of length m, column w at\n// data[w*m:(w+1)*m]. It reports whether a kernel of that width was\n// available; on false the data is untouched.\n")
-		if kind == KindFloat64 {
-			b.WriteString("// Input must be NaN-free (shufflenet.SortBatch prescans); ±0 bit\n// patterns are preserved as a multiset.\n")
-		}
-		fmt.Fprintf(&b, "func Batch%s(data []%s, m int) bool {\n", kind, elem)
-		b.WriteString("\tn, trivial, ok := batchDims(len(data), m, BatchMaxWidth)\n\tif !ok {\n\t\treturn false\n\t}\n\tif trivial {\n\t\treturn true\n\t}\n")
-		if simd {
-			fmt.Fprintf(&b, "\tif batchSIMDOn {\n\t\tif k := simdCols%sKernels[n]; k != nil {\n\t\t\tk(data, m)\n\t\t\treturn true\n\t\t}\n\t}\n", kind)
-		}
-		fmt.Fprintf(&b, "\tif k := batchCols%sKernels[n]; k != nil {\n\t\tk(data, m)\n\t\treturn true\n\t}\n\treturn false\n}\n\n", kind)
-
-		// BatchFlat<Kind> (row-major).
-		fmt.Fprintf(&b, "// BatchFlat%s sorts, in place, every row of the row-major batch:\n", kind)
-		fmt.Fprintf(&b, "// data holds len(data)/width contiguous rows of the given width. It\n// reports whether a kernel of that width was available; on false the\n// data is untouched.\n")
-		if kind == KindFloat64 {
-			b.WriteString("// Input must be NaN-free (shufflenet.SortBatchFlat prescans).\n")
-		}
-		fmt.Fprintf(&b, "func BatchFlat%s(data []%s, width int) bool {\n", kind, elem)
-		b.WriteString("\tm, trivial, ok := batchFlatDims(len(data), width, BatchMaxWidth)\n\tif !ok {\n\t\treturn false\n\t}\n\tif trivial {\n\t\treturn true\n\t}\n")
-		if simd {
-			fmt.Fprintf(&b, `	if batchSIMDOn {
-		if k := simdCols%sKernels[width]; k != nil && batchTransTo[width] != nil {
-			sp := batchScratch%s.Get().(*[]%s)
-			s := *sp
-			if cap(s) < len(data) {
-				s = make([]%s, len(data))
-			}
-			s = s[:len(data)]
-			batchTransTo[width](unsafe.Pointer(&s[0]), unsafe.Pointer(&data[0]), m)
-			k(s, m)
-			batchTransFrom[width](unsafe.Pointer(&data[0]), unsafe.Pointer(&s[0]), m)
-			*sp = s
-			batchScratch%s.Put(sp)
-			return true
-		}
+	for _, e := range simdElems {
+		fmt.Fprintf(b, "\tbatchScratch%s = sync.Pool{New: func() any { return new([]%s) }}\n", e.name, e.goType)
 	}
-`, kind, kind, elem, elem, kind)
-		}
-		fmt.Fprintf(&b, "\tif k := batchFlat%sKernels[width]; k != nil {\n\t\tk(data, m)\n\t\treturn true\n\t}\n\treturn false\n}\n\n", kind)
+	b.WriteString(`)
 
-		// Accessors.
-		fmt.Fprintf(&b, "// Batch%sKernel returns the width-n column-major batch kernel that a\n// Batch%s call would run right now (AVX-512 when enabled), or nil when\n// none exists. Hot loops can hoist the lookup.\n", kind, kind)
-		fmt.Fprintf(&b, "func Batch%sKernel(n int) func(data []%s, m int) {\n\tif n < BatchMinWidth || n > BatchMaxWidth {\n\t\treturn nil\n\t}\n", kind, elem)
-		if simd {
-			fmt.Fprintf(&b, "\tif batchSIMDOn {\n\t\tif k := simdCols%sKernels[n]; k != nil {\n\t\t\treturn k\n\t\t}\n\t}\n", kind)
-		}
-		fmt.Fprintf(&b, "\treturn batchCols%sKernels[n]\n}\n\n", kind)
-		fmt.Fprintf(&b, "// BatchFlat%sKernel returns the portable width-n row-major batch\n// kernel, or nil when none exists. (The SIMD row-major path needs\n// transpose scratch and lives only behind BatchFlat%s.)\n", kind, kind)
-		fmt.Fprintf(&b, "func BatchFlat%sKernel(n int) func(data []%s, m int) {\n\tif n < BatchMinWidth || n > BatchMaxWidth {\n\t\treturn nil\n\t}\n\treturn batchFlat%sKernels[n]\n}\n\n", kind, elem, kind)
+// simdCols runs the width-n AVX-512 columnar kernel on data when its
+// element type has one, and reports whether it did.
+func simdCols[T cmp.Ordered](data []T, n, m int) bool {
+	switch s := any(data).(type) {
+`)
+	for _, e := range simdElems {
+		fmt.Fprintf(b, "\tcase []%s:\n\t\tif k := simdCols%sKernels[n]; k != nil {\n\t\t\tk(s, m)\n\t\t\treturn true\n\t\t}\n", e.goType, e.name)
 	}
+	b.WriteString(`	}
+	return false
+}
 
-	if ordered {
-		b.WriteString("// BatchOrdered sorts, in place, every row of the column-major batch\n// of any ordered element type (pure Go; the SIMD kernels cover the\n// concrete 64-bit families). Same contract as BatchInt.\nfunc BatchOrdered[T cmp.Ordered](data []T, m int) bool {\n\tn, trivial, ok := batchDims(len(data), m, BatchMaxWidth)\n\tif !ok {\n\t\treturn false\n\t}\n\tif trivial {\n\t\treturn true\n\t}\n\tswitch n {\n")
-		for _, k := range kernels {
-			fmt.Fprintf(&b, "\tcase %d:\n\t\tbatchCols%dOrdered(data, m)\n", k.n, k.n)
-		}
-		b.WriteString("\tdefault:\n\t\treturn false\n\t}\n\treturn true\n}\n\n")
-		b.WriteString("// BatchFlatOrdered sorts, in place, every row of the row-major batch\n// of any ordered element type. Same contract as BatchFlatInt.\nfunc BatchFlatOrdered[T cmp.Ordered](data []T, width int) bool {\n\tm, trivial, ok := batchFlatDims(len(data), width, BatchMaxWidth)\n\tif !ok {\n\t\treturn false\n\t}\n\tif trivial {\n\t\treturn true\n\t}\n\tswitch width {\n")
-		for _, k := range kernels {
-			fmt.Fprintf(&b, "\tcase %d:\n\t\tbatchFlat%dOrdered(data, m)\n", k.n, k.n)
-		}
-		b.WriteString("\tdefault:\n\t\treturn false\n\t}\n\treturn true\n}\n")
+// simdFlat sorts the m row-major rows of data with the width-wide
+// AVX-512 kernel when its element type has one, and reports whether it
+// did.
+func simdFlat[T cmp.Ordered](data []T, width, m int) bool {
+	if batchTransTo[width] == nil {
+		return false
 	}
+	switch s := any(data).(type) {
+`)
+	for _, e := range simdElems {
+		fmt.Fprintf(b, "\tcase []%s:\n\t\tif k := simdCols%sKernels[width]; k != nil {\n\t\t\tsimdTransposed(s, width, m, k, &batchScratch%s)\n\t\t\treturn true\n\t\t}\n", e.goType, e.name, e.name)
+	}
+	b.WriteString(`	}
+	return false
+}
 
-	return gofmt(b.String(), "batch.go")
+// simdTransposed transposes the m rows of data into pooled
+// column-major scratch, sorts the columns with k, and transposes them
+// back.
+func simdTransposed[E `)
+	for i, e := range simdElems {
+		if i > 0 {
+			b.WriteString(" | ")
+		}
+		b.WriteString(e.goType)
+	}
+	b.WriteString(`](data []E, width, m int, k func(data []E, m int), pool *sync.Pool) {
+	sp := pool.Get().(*[]E)
+	s := *sp
+	if cap(s) < len(data) {
+		s = make([]E, len(data))
+	}
+	s = s[:len(data)]
+	batchTransTo[width](unsafe.Pointer(&s[0]), unsafe.Pointer(&data[0]), m)
+	k(s, m)
+	batchTransFrom[width](unsafe.Pointer(&data[0]), unsafe.Pointer(&s[0]), m)
+	*sp = s
+	pool.Put(sp)
+}
+
+`)
 }

@@ -1,7 +1,8 @@
 // Package netgen compiles network.Program values into standalone,
-// branchless Go sorting kernels: one function per width and element
-// kind, with the compare-exchanges grouped by level so that
-// independent swaps sit adjacent for instruction-level parallelism.
+// branchless Go sorting kernels: one function per width and kernel
+// family, generic over the element type, with the compare-exchanges
+// grouped by level so that independent swaps sit adjacent for
+// instruction-level parallelism.
 //
 // The emitted package has no dependency on this repository — it is the
 // product surface of the lab: the Program IR, which PR 1 introduced as
@@ -20,55 +21,29 @@ import (
 	"shufflenet/internal/network"
 )
 
-// Kind selects the element type of an emitted kernel family.
+// Kind selects an emitted kernel family: how the kernels compare.
 type Kind int
 
 const (
-	// KindInt emits func SortNInt(s []int) kernels.
-	KindInt Kind = iota
-	// KindUint64 emits func SortNUint64(s []uint64) kernels.
-	KindUint64
-	// KindFloat64 emits func SortNFloat64(s []float64) kernels.
-	KindFloat64
 	// KindOrdered emits generic func SortNOrdered[T cmp.Ordered](s []T)
-	// kernels.
-	KindOrdered
+	// kernels, comparing with <.
+	KindOrdered Kind = iota
 	// KindFunc emits generic func SortNFunc[T any](s []T, less
 	// func(T, T) bool) kernels.
 	KindFunc
 )
 
 // AllKinds lists every kernel family, in emission order.
-var AllKinds = []Kind{KindInt, KindUint64, KindFloat64, KindOrdered, KindFunc}
+var AllKinds = []Kind{KindOrdered, KindFunc}
 
 func (k Kind) String() string {
 	switch k {
-	case KindInt:
-		return "Int"
-	case KindUint64:
-		return "Uint64"
-	case KindFloat64:
-		return "Float64"
 	case KindOrdered:
 		return "Ordered"
 	case KindFunc:
 		return "Func"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// elem returns the element type expression of the kernel family, with
-// "T" standing for the type parameter of the generic families.
-func (k Kind) elem() string {
-	switch k {
-	case KindInt:
-		return "int"
-	case KindUint64:
-		return "uint64"
-	case KindFloat64:
-		return "float64"
-	}
-	return "T"
 }
 
 // file returns the generated file that holds this family's kernels.
@@ -81,14 +56,14 @@ type Mode int
 
 const (
 	// ModeScalar emits the per-slice Sort<N><Kind> kernels plus the
-	// "<package>.go" meta file (dispatch tables, schedules as data).
+	// "<package>.go" meta file (dispatchers, schedules as data).
 	ModeScalar Mode = iota
 	// ModeBatch emits the batch kernels that sort many same-width
-	// slices per call: pure-Go columnar and row-major kernels for the
-	// Int, Uint64, Float64 and Ordered families ("batch_<kind>.go"),
-	// the batch dispatch surface ("batch.go"), and — for widths up to
-	// 16 — AVX-512 columnar kernels with layout-transpose helpers
-	// ("batch_amd64.s", "batch_amd64.go").
+	// slices per call: generic pure-Go columnar and row-major kernels
+	// of the Ordered family ("batch_ordered.go"), the batch dispatch
+	// surface ("batch.go"), and — for widths up to 16 — AVX-512
+	// columnar kernels for int, uint64 and float64 with
+	// layout-transpose helpers ("batch_amd64.s", "batch_amd64.go").
 	ModeBatch
 )
 
@@ -144,7 +119,7 @@ type kernel struct {
 // least 2 wires) into a generated package: a map of file name to
 // gofmt-formatted contents. Alongside the per-family kernel files it
 // emits "<package>.go" with the package documentation, the runtime
-// dispatch tables, and the comparator schedules as data (Levels,
+// dispatchers, and the comparator schedules as data (Levels,
 // OutputPerm, Depth, Size, Widths) so that tests can re-verify every
 // committed kernel exhaustively.
 func Generate(opts Options, progs []*network.Program) (map[string][]byte, error) {
@@ -212,24 +187,20 @@ func Generate(opts Options, progs []*network.Program) (map[string][]byte, error)
 			if opts.Package == "batch" {
 				return nil, fmt.Errorf("netgen: batch mode cannot target a package named %q (meta file collision)", opts.Package)
 			}
-			bkinds := filterBatchKinds(kinds)
-			if len(bkinds) == 0 {
-				return nil, fmt.Errorf("netgen: batch mode needs one of the Int, Uint64, Float64 or Ordered families")
+			if !hasKind(kinds, KindOrdered) {
+				return nil, fmt.Errorf("netgen: batch mode needs the Ordered family")
 			}
-			for _, k := range bkinds {
-				src, err := genBatchKindFile(opts, k, kernels)
-				if err != nil {
-					return nil, err
-				}
-				files[k.batchFile()] = src
-			}
-			src, err := genBatchMetaFile(opts, bkinds, kernels)
+			src, err := genBatchKernelFile(opts, kernels)
 			if err != nil {
 				return nil, err
 			}
+			files[batchFile] = src
+			if src, err = genBatchMetaFile(opts, kernels); err != nil {
+				return nil, err
+			}
 			files["batch.go"] = src
-			if concrete := concreteBatchKinds(bkinds); len(concrete) > 0 && len(simdWidths(kernels)) > 0 {
-				asmSrc, goSrc, err := genBatchAmd64(opts, concrete, kernels)
+			if len(simdWidths(kernels)) > 0 {
+				asmSrc, goSrc, err := genBatchAmd64(opts, kernels)
 				if err != nil {
 					return nil, err
 				}
@@ -243,16 +214,13 @@ func Generate(opts Options, progs []*network.Program) (map[string][]byte, error)
 	return files, nil
 }
 
-// filterBatchKinds intersects the requested kinds with the batch
-// families, preserving batch emission order.
-func filterBatchKinds(kinds []Kind) []Kind {
-	var out []Kind
-	for _, k := range batchKinds {
-		if hasKind(kinds, k) {
-			out = append(out, k)
+func hasKind(kinds []Kind, want Kind) bool {
+	for _, k := range kinds {
+		if k == want {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 func header(opts Options, b *strings.Builder) {
@@ -285,13 +253,11 @@ func genKindFile(opts Options, kind Kind, kernels []kernel) ([]byte, error) {
 // through the output permutation when the source program has one
 // (register-model networks).
 //
-// Exchange idiom per family: the integer families use the min/max
-// builtins, which the compiler lowers to conditional moves — no
-// branches, no data-dependent control flow. The float64, Ordered and
-// Func families use a compare-and-swap `if` instead: builtin min/max
-// on floats would turn one NaN into two (losing data), and on strings
-// it would compare twice; the `if` always preserves the input multiset
-// and costs one comparison.
+// Both families exchange with a compare-and-swap `if`: one comparison
+// per exchange, and the input multiset survives every input, NaN
+// included (builtin min/max would turn one NaN into two). At integer
+// element types the compiler lowers the `if` to conditional moves, so
+// the kernel has no data-dependent branches; at float64 it branches.
 func genKernel(b *strings.Builder, kind Kind, k kernel) {
 	name := fmt.Sprintf("Sort%d%s", k.n, kind)
 	doc := fmt.Sprintf("// %s sorts s[:%d] in place with a sorting-network kernel:\n// depth %d, size %d", name, k.n, k.depth, k.size)
@@ -300,7 +266,7 @@ func genKernel(b *strings.Builder, kind Kind, k kernel) {
 	}
 	doc += "."
 	switch kind {
-	case KindFloat64:
+	case KindOrdered:
 		doc += "\n// Ordering follows <, so inputs containing NaN come out in\n// unspecified order (the input multiset is always preserved)."
 	case KindFunc:
 		doc += "\n// less must be a strict weak ordering; the sort is not stable."
@@ -311,8 +277,6 @@ func genKernel(b *strings.Builder, kind Kind, k kernel) {
 		fmt.Fprintf(b, "func %s[T cmp.Ordered](s []T) {\n", name)
 	case KindFunc:
 		fmt.Fprintf(b, "func %s[T any](s []T, less func(a, b T) bool) {\n", name)
-	default:
-		fmt.Fprintf(b, "func %s(s []%s) {\n", name, kind.elem())
 	}
 	fmt.Fprintf(b, "\t_ = s[%d]\n", k.n-1)
 	// load
@@ -340,12 +304,10 @@ func genKernel(b *strings.Builder, kind Kind, k kernel) {
 		for _, p := range lv {
 			lo, hi := p[0], p[1]
 			switch kind {
-			case KindInt, KindUint64:
-				fmt.Fprintf(b, "\tv%d, v%d = min(v%d, v%d), max(v%d, v%d)\n", lo, hi, lo, hi, lo, hi)
+			case KindOrdered:
+				fmt.Fprintf(b, "\tif v%d < v%d {\n\t\tv%d, v%d = v%d, v%d\n\t}\n", hi, lo, lo, hi, hi, lo)
 			case KindFunc:
 				fmt.Fprintf(b, "\tif less(v%d, v%d) {\n\t\tv%d, v%d = v%d, v%d\n\t}\n", hi, lo, lo, hi, hi, lo)
-			default: // float64, ordered
-				fmt.Fprintf(b, "\tif v%d < v%d {\n\t\tv%d, v%d = v%d, v%d\n\t}\n", hi, lo, lo, hi, hi, lo)
 			}
 		}
 	}
@@ -386,13 +348,7 @@ func genMetaFile(opts Options, kinds []Kind, kernels []kernel) ([]byte, error) {
 		}
 	}
 	fmt.Fprintf(&b, "package %s\n\n", opts.Package)
-	hasOrdered := false
-	for _, k := range kinds {
-		if k == KindOrdered {
-			hasOrdered = true
-		}
-	}
-	if hasOrdered {
+	if hasKind(kinds, KindOrdered) {
 		b.WriteString("import \"cmp\"\n\n")
 	}
 	minW, maxW := kernels[0].n, kernels[len(kernels)-1].n
@@ -407,36 +363,22 @@ func genMetaFile(opts Options, kinds []Kind, kernels []kernel) ([]byte, error) {
 	}
 	b.WriteString("}\n}\n\n")
 
-	// concrete dispatch tables + dispatchers
+	// Dispatchers: a switch on the width calls each kernel directly,
+	// so a caller's stack array passed as s stays on the stack.
 	for _, kind := range kinds {
 		switch kind {
-		case KindInt, KindUint64, KindFloat64:
-			lower := strings.ToLower(kind.String())
-			fmt.Fprintf(&b, "var %sKernels = [MaxWidth + 1]func(s []%s){\n", lower, kind.elem())
-			for _, k := range kernels {
-				fmt.Fprintf(&b, "\t%d: Sort%d%s,\n", k.n, k.n, kind)
-			}
-			b.WriteString("}\n\n")
-			fmt.Fprintf(&b, "// %s sorts s in place with the generated kernel matching len(s)\n", kind)
-			fmt.Fprintf(&b, "// and reports whether one was available; slices shorter than 2 are\n// trivially sorted. When it returns false, s is untouched.\n")
-			fmt.Fprintf(&b, "func %s(s []%s) bool {\n", kind, kind.elem())
-			b.WriteString("\tif len(s) < 2 {\n\t\treturn true\n\t}\n")
-			fmt.Fprintf(&b, "\tif len(s) <= MaxWidth {\n\t\tif k := %sKernels[len(s)]; k != nil {\n\t\t\tk(s)\n\t\t\treturn true\n\t\t}\n\t}\n\treturn false\n}\n\n", lower)
-			fmt.Fprintf(&b, "// %sKernel returns the width-n %s kernel, or nil when none exists.\n// Hot loops that sort many same-width slices can hoist the lookup\n// (and %s's length checks) out of the loop.\n", kind, kind.elem(), kind)
-			fmt.Fprintf(&b, "func %sKernel(n int) func(s []%s) {\n\tif n < MinWidth || n > MaxWidth {\n\t\treturn nil\n\t}\n\treturn %sKernels[n]\n}\n\n", kind, kind.elem(), lower)
 		case KindOrdered:
-			b.WriteString("// Ordered sorts s in place with the generated generic kernel\n// matching len(s) and reports whether one was available; slices\n// shorter than 2 are trivially sorted. When it returns false, s is\n// untouched.\nfunc Ordered[T cmp.Ordered](s []T) bool {\n\tswitch len(s) {\n\tcase 0, 1:\n\t\treturn true\n")
+			b.WriteString("// Ordered sorts s in place with the generated generic kernel\n// matching len(s) and reports whether one was available; slices\n// shorter than 2 are trivially sorted. When it returns false, s is\n// untouched. Inputs containing NaN come out in unspecified order.\nfunc Ordered[T cmp.Ordered](s []T) bool {\n\tswitch len(s) {\n\tcase 0, 1:\n")
 			for _, k := range kernels {
 				fmt.Fprintf(&b, "\tcase %d:\n\t\tSort%dOrdered(s)\n", k.n, k.n)
 			}
-			b.WriteString("\t}\n\treturn false\n}\n\n")
 		case KindFunc:
-			b.WriteString("// Func sorts s in place by less with the generated generic kernel\n// matching len(s) and reports whether one was available; slices\n// shorter than 2 are trivially sorted. When it returns false, s is\n// untouched. The sort is not stable.\nfunc Func[T any](s []T, less func(a, b T) bool) bool {\n\tswitch len(s) {\n\tcase 0, 1:\n\t\treturn true\n")
+			b.WriteString("// Func sorts s in place by less with the generated generic kernel\n// matching len(s) and reports whether one was available; slices\n// shorter than 2 are trivially sorted. When it returns false, s is\n// untouched. The sort is not stable.\nfunc Func[T any](s []T, less func(a, b T) bool) bool {\n\tswitch len(s) {\n\tcase 0, 1:\n")
 			for _, k := range kernels {
 				fmt.Fprintf(&b, "\tcase %d:\n\t\tSort%dFunc(s, less)\n", k.n, k.n)
 			}
-			b.WriteString("\t}\n\treturn false\n}\n\n")
 		}
+		b.WriteString("\tdefault:\n\t\treturn false\n\t}\n\treturn true\n}\n\n")
 	}
 
 	// schedules as data

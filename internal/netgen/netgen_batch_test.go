@@ -6,6 +6,7 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -19,8 +20,8 @@ func TestGenerateBatchFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"kern.go", "kernels_int.go", "kernels_uint64.go", "kernels_float64.go", "kernels_ordered.go", "kernels_func.go",
-		"batch.go", "batch_int.go", "batch_uint64.go", "batch_float64.go", "batch_ordered.go", "batch_amd64.go", "batch_amd64.s",
+		"kern.go", "kernels_ordered.go", "kernels_func.go",
+		"batch.go", "batch_ordered.go", "batch_amd64.go", "batch_amd64.s",
 	}
 	if len(files) != len(want) {
 		t.Fatalf("got %d files, want %d", len(files), len(want))
@@ -50,18 +51,18 @@ func TestGenerateBatchFiles(t *testing.T) {
 		}
 	}
 
-	ints := string(files["batch_int.go"])
-	for _, fn := range []string{"func batchCols2Int(data []int, m int)", "func batchFlat7Int(data []int, m int)"} {
-		if !strings.Contains(ints, fn) {
-			t.Errorf("batch_int.go: missing %q", fn)
+	ordered := string(files["batch_ordered.go"])
+	for _, fn := range []string{"func batchCols2Ordered[T cmp.Ordered](data []T, m int)", "func batchFlat7Ordered[T cmp.Ordered](data []T, m int)"} {
+		if !strings.Contains(ordered, fn) {
+			t.Errorf("batch_ordered.go: missing %q", fn)
 		}
 	}
 	meta := string(files["batch.go"])
 	for _, frag := range []string{
 		"BatchMinWidth = 2", "BatchMaxWidth = 7",
-		"func BatchInt(data []int, m int) bool",
-		"func BatchFlatFloat64(data []float64, width int) bool",
-		"func BatchOrdered[T cmp.Ordered](data []T, m int) bool",
+		"func Batch[T cmp.Ordered](data []T, m int) bool",
+		"func BatchFlat[T cmp.Ordered](data []T, width int) bool",
+		"case []int:", "case []uint64:", "case []float64:",
 		"func SetBatchSIMD(on bool) (prev bool)",
 	} {
 		if !strings.Contains(meta, frag) {
@@ -105,8 +106,8 @@ func TestGenerateBatchOnlyMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 7 {
-		t.Fatalf("got %d files, want 7", len(files))
+	if len(files) != 4 {
+		t.Fatalf("got %d files, want 4", len(files))
 	}
 	if _, ok := files["kern.go"]; ok {
 		t.Error("batch-only mode emitted the scalar meta file")
@@ -125,8 +126,11 @@ func TestGenerateBatchWideWidths(t *testing.T) {
 	if _, ok := files["batch_amd64.s"]; ok {
 		t.Error("emitted AVX-512 kernels for widths beyond 16")
 	}
-	if !strings.Contains(string(files["batch_int.go"]), "func batchCols20Int(data []int, m int)") {
-		t.Error("batch_int.go: missing the pure-Go width-20 kernel")
+	if !strings.Contains(string(files["batch_ordered.go"]), "func batchCols20Ordered[T cmp.Ordered](data []T, m int)") {
+		t.Error("batch_ordered.go: missing the pure-Go width-20 kernel")
+	}
+	if strings.Contains(string(files["batch.go"]), "simdCols") {
+		t.Error("batch.go: dispatches to AVX-512 kernels that were not emitted")
 	}
 
 	progs = []*network.Program{netbuild.BestKnown(4).Compile(), netbuild.MergeExchange(20).Compile()}
@@ -161,17 +165,22 @@ func TestGenerateBatchErrors(t *testing.T) {
 }
 
 // TestBatchScheduleMirrorsScalar pins that both emission modes compile
-// the same program into the same comparator schedule: every (min, max)
-// exchange line of the scalar kernel appears in the columnar batch
-// kernel with the locals renamed, in the same order.
+// the same program into the same comparator schedule: the scalar
+// kernel's compare-and-swap exchanges and the columnar batch kernel's
+// min/max exchanges name the same (min, max) local pairs, in the same
+// order.
 func TestBatchScheduleMirrorsScalar(t *testing.T) {
 	files, err := Generate(Options{Package: "kern", Command: "cmd", Modes: AllModes}, testPrograms(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	extract := func(src, fn string) []string {
+	scalarOp := regexp.MustCompile(`^if v(\d+) < v(\d+) \{$`)
+	batchOp := regexp.MustCompile(`^v(\d+), v(\d+) = min\(`)
+	// extract lists fn's exchanges as "lo,hi" pairs; swap says the
+	// pattern captures hi before lo.
+	extract := func(src, fn string, op *regexp.Regexp, swap bool) []string {
 		body := string(src)
-		i := strings.Index(body, "func "+fn)
+		i := strings.Index(body, "func "+fn+"[")
 		if i < 0 {
 			t.Fatalf("missing func %s", fn)
 		}
@@ -181,16 +190,19 @@ func TestBatchScheduleMirrorsScalar(t *testing.T) {
 		}
 		var ops []string
 		for _, line := range strings.Split(body, "\n") {
-			line = strings.TrimSpace(line)
-			if strings.Contains(line, "= min(") {
-				ops = append(ops, line)
+			if m := op.FindStringSubmatch(strings.TrimSpace(line)); m != nil {
+				lo, hi := m[1], m[2]
+				if swap {
+					lo, hi = hi, lo
+				}
+				ops = append(ops, lo+","+hi)
 			}
 		}
 		return ops
 	}
 	for _, n := range []int{2, 4, 7} {
-		scalar := extract(string(files["kernels_int.go"]), fmt.Sprintf("Sort%dInt", n))
-		batch := extract(string(files["batch_int.go"]), fmt.Sprintf("batchCols%dInt", n))
+		scalar := extract(string(files["kernels_ordered.go"]), fmt.Sprintf("Sort%dOrdered", n), scalarOp, true)
+		batch := extract(string(files["batch_ordered.go"]), fmt.Sprintf("batchCols%dOrdered", n), batchOp, false)
 		if len(scalar) == 0 || len(scalar) != len(batch) {
 			t.Fatalf("n=%d: %d scalar exchanges vs %d batch exchanges", n, len(scalar), len(batch))
 		}

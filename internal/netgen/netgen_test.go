@@ -29,7 +29,7 @@ func TestGenerateEmitsAllFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"kern.go", "kernels_int.go", "kernels_uint64.go", "kernels_float64.go", "kernels_ordered.go", "kernels_func.go"}
+	want := []string{"kern.go", "kernels_ordered.go", "kernels_func.go"}
 	if len(files) != len(want) {
 		t.Fatalf("got %d files, want %d", len(files), len(want))
 	}
@@ -55,14 +55,14 @@ func TestGenerateEmitsAllFamilies(t *testing.T) {
 			t.Errorf("%s: parse error: %v", name, err)
 		}
 	}
-	ints := string(files["kernels_int.go"])
-	for _, fn := range []string{"func Sort2Int(s []int)", "func Sort4Int(s []int)", "func Sort7Int(s []int)"} {
-		if !strings.Contains(ints, fn) {
-			t.Errorf("kernels_int.go: missing %q", fn)
+	ordered := string(files["kernels_ordered.go"])
+	for _, fn := range []string{"func Sort2Ordered[T cmp.Ordered](s []T)", "func Sort4Ordered[T cmp.Ordered](s []T)", "func Sort7Ordered[T cmp.Ordered](s []T)"} {
+		if !strings.Contains(ordered, fn) {
+			t.Errorf("kernels_ordered.go: missing %q", fn)
 		}
 	}
 	meta := string(files["kern.go"])
-	for _, frag := range []string{"MaxWidth = 7", "MinWidth = 2", "func Int(s []int) bool", "func Ordered[T cmp.Ordered](s []T) bool", "func Func[T any](s []T, less func(a, b T) bool) bool", "func Levels(n int)", "func Depth(n int)"} {
+	for _, frag := range []string{"MaxWidth = 7", "MinWidth = 2", "func Ordered[T cmp.Ordered](s []T) bool", "func Func[T any](s []T, less func(a, b T) bool) bool", "\t\treturn false\n\t}\n\treturn true\n}", "func Levels(n int)", "func Depth(n int)"} {
 		if !strings.Contains(meta, frag) {
 			t.Errorf("kern.go: missing %q", frag)
 		}

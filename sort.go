@@ -3,6 +3,7 @@ package shufflenet
 import (
 	"cmp"
 	"slices"
+	"unsafe"
 
 	"shufflenet/sortkernels"
 )
@@ -11,57 +12,69 @@ import (
 // sortkernels.MaxWidth (16) it dispatches to a generated
 // sorting-network kernel — the curated depth-optimal comparator
 // schedule for that width, fully unrolled with every element held in a
-// local, so the int, uint64 and float64 element types take concrete
-// fast paths whose compare-exchanges compile to conditional moves
-// rather than branches. A []string is sorted on abbreviated keys: each
-// string becomes a uint64 (its first 7 bytes above its position), the
-// uint64 kernel sorts the keys, and strings whose keys tie are sorted
-// again the same way on their next 7 bytes. Other ordered types, named
-// string types included, take the generic kernels. Longer slices fall
-// back to slices.Sort.
+// local and generic over the element type; at integer types its
+// compare-exchanges compile to conditional moves rather than branches.
+// A []string is sorted on abbreviated keys: each string becomes a
+// uint64 (its first 7 bytes above its position), the kernel sorts the
+// keys, and strings whose keys tie are sorted again the same way on
+// their next 7 bytes. Every other ordered type, named string types
+// included, takes the generic kernel directly. Longer slices fall back
+// to slices.Sort.
 //
 // Semantics match slices.Sort exactly, NaNs included: a comparator
 // network cannot order elements an incomparable NaN sits between, so
-// the float64 fast path first scans for NaN (a handful of self-compares)
-// and hands any hit to slices.Sort, which places NaNs first.
+// at float element types Sort first scans for NaN (a handful of
+// self-compares) and hands any hit to slices.Sort, which places NaNs
+// first.
 func Sort[T cmp.Ordered](s []T) {
 	if len(s) <= sortkernels.MaxWidth {
-		switch v := any(s).(type) {
-		case []int:
-			if sortkernels.Int(v) {
-				return
-			}
-		case []uint64:
-			if sortkernels.Uint64(v) {
-				return
-			}
-		case []float64:
-			if hasNaN(v) {
-				break
-			}
-			if sortkernels.Float64(v) {
-				return
-			}
-		case []string:
+		if v, ok := any(s).([]string); ok {
 			sortStrings(v)
 			return
-		default:
-			if sortkernels.Ordered(s) {
-				return
-			}
+		}
+		if !hasNaN(s) && sortkernels.Ordered(s) {
+			return
 		}
 	}
 	slices.Sort(s)
 }
 
 // hasNaN reports whether s contains a NaN (the only value with v != v).
-func hasNaN(s []float64) bool {
+// At non-float element types it is constant false and costs nothing.
+func hasNaN[T cmp.Ordered](s []T) bool {
+	if !isFloat[T]() {
+		return false
+	}
 	for _, v := range s {
 		if v != v {
 			return true
 		}
 	}
 	return false
+}
+
+// isFloat reports whether T is a float kind. It stores a NaN's bits in
+// a T of 4 or 8 bytes, the sizes of the float kinds, and compares it
+// with itself: only a float compare finds a value unequal to itself.
+// At every other kind the compiler folds the compare, so hasNaN's scan
+// compiles away instead of running as an empty loop (reflect would
+// cost a few ns on every call). Where a string header is 8 bytes
+// (32-bit platforms) it must not receive those bits, so such Ts count
+// as floats and scan.
+func isFloat[T cmp.Ordered]() bool {
+	var x T
+	switch unsafe.Sizeof(x) {
+	case 4:
+		*(*uint32)(unsafe.Pointer(&x)) = 0x7fc00000
+	case 8:
+		if unsafe.Sizeof(x) == unsafe.Sizeof("") {
+			return true
+		}
+		*(*uint64)(unsafe.Pointer(&x)) = 0x7ff8000000000000
+	default:
+		return false
+	}
+	return x != x
 }
 
 // SortFunc sorts s in place by the strict weak ordering less,

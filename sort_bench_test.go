@@ -13,6 +13,7 @@ package shufflenet_test
 // compared implementations.
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -43,14 +44,14 @@ func benchSort[T any](b *testing.B, n int, fill func(*rand.Rand) T, f func([]T))
 
 var sortWidths = []int{2, 3, 4, 6, 8, 10, 12, 14, 16}
 
-// BenchmarkGeneratedSort: the generated kernels against slices.Sort
-// and against interpreting the identical network via Program.EvalInto,
-// on random []int across the kernel widths; uint64 and float64 at the
-// spot widths 8 and 16. The /baseline variant copies without sorting —
-// at small widths the harness copy dominates raw ns/op, so the honest
-// per-sort cost (and the ratio recorded in EXPERIMENTS.md) is
-// net of it. The kernel lookup is hoisted out of the loop via
-// sortkernels.IntKernel, as a width-aware hot caller would write it;
+// BenchmarkGeneratedSort: the generated generic kernels against
+// slices.Sort and against interpreting the identical network via
+// Program.EvalInto, on random []int across the kernel widths; uint64
+// and float64 at the spot widths 8 and 16. The /baseline variant copies
+// without sorting — at small widths the harness copy dominates raw
+// ns/op, so the honest per-sort cost (and the ratio recorded in
+// EXPERIMENTS.md) is net of it. The kernel lookup is hoisted out of the
+// loop via kernelOf, as a width-aware hot caller would write it;
 // per-call dispatch cost is BenchmarkSortDispatch's subject.
 func BenchmarkGeneratedSort(b *testing.B) {
 	intf := func(rng *rand.Rand) int { return int(rng.Int63()) }
@@ -60,7 +61,7 @@ func BenchmarkGeneratedSort(b *testing.B) {
 			benchSort(b, n, intf, func(s []int) {})
 		})
 		b.Run("int-n"+strconv.Itoa(n)+"/kernel", func(b *testing.B) {
-			benchSort(b, n, intf, sortkernels.IntKernel(n))
+			benchSort(b, n, intf, kernelOf[int](n))
 		})
 		b.Run("int-n"+strconv.Itoa(n)+"/stdlib", func(b *testing.B) {
 			benchSort(b, n, intf, slices.Sort[[]int])
@@ -71,13 +72,13 @@ func BenchmarkGeneratedSort(b *testing.B) {
 	}
 	for _, n := range []int{8, 16} {
 		b.Run("uint64-n"+strconv.Itoa(n)+"/kernel", func(b *testing.B) {
-			benchSort(b, n, (*rand.Rand).Uint64, sortkernels.Uint64Kernel(n))
+			benchSort(b, n, (*rand.Rand).Uint64, kernelOf[uint64](n))
 		})
 		b.Run("uint64-n"+strconv.Itoa(n)+"/stdlib", func(b *testing.B) {
 			benchSort(b, n, (*rand.Rand).Uint64, slices.Sort[[]uint64])
 		})
 		b.Run("float64-n"+strconv.Itoa(n)+"/kernel", func(b *testing.B) {
-			benchSort(b, n, (*rand.Rand).Float64, sortkernels.Float64Kernel(n))
+			benchSort(b, n, (*rand.Rand).Float64, kernelOf[float64](n))
 		})
 		b.Run("float64-n"+strconv.Itoa(n)+"/stdlib", func(b *testing.B) {
 			benchSort(b, n, (*rand.Rand).Float64, slices.Sort[[]float64])
@@ -85,12 +86,27 @@ func BenchmarkGeneratedSort(b *testing.B) {
 	}
 }
 
+// kernelOf returns the generic width-n kernel at element type T.
+func kernelOf[T cmp.Ordered](n int) func([]T) {
+	return [...]func([]T){
+		2: sortkernels.Sort2Ordered[T], 3: sortkernels.Sort3Ordered[T],
+		4: sortkernels.Sort4Ordered[T], 5: sortkernels.Sort5Ordered[T],
+		6: sortkernels.Sort6Ordered[T], 7: sortkernels.Sort7Ordered[T],
+		8: sortkernels.Sort8Ordered[T], 9: sortkernels.Sort9Ordered[T],
+		10: sortkernels.Sort10Ordered[T], 11: sortkernels.Sort11Ordered[T],
+		12: sortkernels.Sort12Ordered[T], 13: sortkernels.Sort13Ordered[T],
+		14: sortkernels.Sort14Ordered[T], 15: sortkernels.Sort15Ordered[T],
+		16: sortkernels.Sort16Ordered[T],
+	}[n]
+}
+
 // BenchmarkSortDispatch: the public shufflenet.Sort entry point —
 // kernel dispatch overhead included — against slices.Sort, through the
 // kernel range (8, 16) and past it into the fallback (24, 32, 64),
 // plus []string (the abbreviated-key path) at width 8, and at widths 8
 // and 16 on strings that share their first 8 bytes, so every key
-// prefix in a row ties.
+// prefix in a row ties. The func legs time SortFunc against
+// slices.SortFunc on a 16-byte struct ordered by its first field.
 func BenchmarkSortDispatch(b *testing.B) {
 	intf := func(rng *rand.Rand) int { return int(rng.Int63()) }
 	for _, n := range []int{8, 16, 24, 32, 64} {
@@ -115,6 +131,29 @@ func BenchmarkSortDispatch(b *testing.B) {
 			benchSort(b, n, benchPrefixString, slices.Sort[[]string])
 		})
 	}
+	for _, n := range []int{8, 16} {
+		b.Run("func-n"+strconv.Itoa(n)+"/sort", func(b *testing.B) {
+			benchSort(b, n, benchKeyed, func(s []keyed) {
+				shufflenet.SortFunc(s, func(a, b keyed) bool { return a.key < b.key })
+			})
+		})
+		b.Run("func-n"+strconv.Itoa(n)+"/stdlib", func(b *testing.B) {
+			benchSort(b, n, benchKeyed, func(s []keyed) {
+				slices.SortFunc(s, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+			})
+		})
+	}
+}
+
+// keyed is the func legs' element: a key and a payload.
+type keyed struct {
+	key     uint64
+	payload int
+}
+
+func benchKeyed(rng *rand.Rand) keyed {
+	k := rng.Uint64()
+	return keyed{k, int(k >> 33)}
 }
 
 // benchString draws a random lowercase string of 4..15 bytes.

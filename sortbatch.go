@@ -18,19 +18,19 @@ const batchMinRows = 8
 // place: data holds n = len(data)/m columns of length m, column w at
 // data[w*m:(w+1)*m], and row r is the n values {data[w*m+r]}. This is
 // the fastest batch layout — each comparator of the width-n network
-// becomes one min/max pass across all rows at once (AVX-512 on
-// supporting amd64 CPUs, branchless Go elsewhere), with no transpose
-// and no allocation.
+// becomes one min/max pass across all rows at once (AVX-512 for int,
+// uint64 and float64 on supporting amd64 CPUs, generic Go otherwise),
+// with no transpose and no allocation.
 //
 // A []string batch is sorted on abbreviated uint64 keys (see Sort):
-// the columnar uint64 kernels sort the keys, each row's strings are
+// the columnar batch kernels sort the keys, each row's strings are
 // permuted to match, and runs whose keys tie are sorted again on their
 // next 7 bytes.
 //
 // len(data) must be a multiple of m (it panics otherwise: a malformed
 // shape cannot be sorted meaningfully). Widths above
-// sortkernels.BatchMaxWidth (16) and float64 batches containing NaN
-// are handled row by row with Sort semantics.
+// sortkernels.BatchMaxWidth (16) and float batches containing NaN are
+// handled row by row with Sort semantics.
 func SortBatchCols[T cmp.Ordered](data []T, m int) {
 	if m <= 0 {
 		if len(data) != 0 || m < 0 {
@@ -45,29 +45,12 @@ func SortBatchCols[T cmp.Ordered](data []T, m int) {
 	if n < 2 {
 		return
 	}
-	switch s := any(data).(type) {
-	case []int:
-		if sortkernels.BatchInt(s, m) {
-			return
-		}
-	case []uint64:
-		if sortkernels.BatchUint64(s, m) {
-			return
-		}
-	case []float64:
-		if hasNaN(s) {
-			break
-		}
-		if sortkernels.BatchFloat64(s, m) {
-			return
-		}
-	case []string:
-		if n <= sortkernels.BatchMaxWidth {
+	if n <= sortkernels.BatchMaxWidth {
+		if s, ok := any(data).([]string); ok {
 			sortStringBatch(s, n, m, 1, m)
 			return
 		}
-	default:
-		if sortkernels.BatchOrdered(data, m) {
+		if !hasNaN(data) && sortkernels.Batch(data, m) {
 			return
 		}
 	}
@@ -93,7 +76,7 @@ func SortBatchCols[T cmp.Ordered](data []T, m int) {
 // column-major into pooled scratch, so no transpose is needed);
 // otherwise it sorts row by row.
 //
-// len(data) must be a multiple of width (it panics otherwise). Float64
+// len(data) must be a multiple of width (it panics otherwise). Float
 // batches containing NaN fall back to per-row Sort semantics.
 func SortBatchFlat[T cmp.Ordered](data []T, width int) {
 	if width <= 0 {
@@ -110,29 +93,12 @@ func SortBatchFlat[T cmp.Ordered](data []T, width int) {
 		return
 	}
 	if width <= sortkernels.BatchMaxWidth && m >= batchMinRows {
-		switch s := any(data).(type) {
-		case []int:
-			if sortkernels.BatchFlatInt(s, width) {
-				return
-			}
-		case []uint64:
-			if sortkernels.BatchFlatUint64(s, width) {
-				return
-			}
-		case []float64:
-			if hasNaN(s) {
-				break
-			}
-			if sortkernels.BatchFlatFloat64(s, width) {
-				return
-			}
-		case []string:
+		if s, ok := any(data).([]string); ok {
 			sortStringBatch(s, width, m, width, 1)
 			return
-		default:
-			if sortkernels.BatchFlatOrdered(data, width) {
-				return
-			}
+		}
+		if !hasNaN(data) && sortkernels.BatchFlat(data, width) {
+			return
 		}
 	}
 	for r := 0; r < m; r++ {
@@ -140,15 +106,17 @@ func SortBatchFlat[T cmp.Ordered](data []T, width int) {
 	}
 }
 
-// Pooled row-major gather buffers for SortBatch's concrete fast paths.
+// Pooled row-major gather buffers for SortBatch's gathered element
+// types.
 var (
 	batchIntPool     = sync.Pool{New: func() any { return new([]int) }}
 	batchUint64Pool  = sync.Pool{New: func() any { return new([]uint64) }}
 	batchFloat64Pool = sync.Pool{New: func() any { return new([]float64) }}
 )
 
-// sortBatchGathered runs the gather → batch kernel → scatter cycle for
-// one concrete element type.
+// sortBatchGathered runs the gather → SortBatchFlat → scatter cycle
+// for one gathered element type. SortBatchFlat's NaN prescan covers
+// the gathered rows.
 func sortBatchGathered[T cmp.Ordered](batch [][]T, width int, pool *sync.Pool) {
 	sp := pool.Get().(*[]T)
 	s := *sp
@@ -169,11 +137,11 @@ func sortBatchGathered[T cmp.Ordered](batch [][]T, width int, pool *sync.Pool) {
 
 // SortBatch sorts every slice of batch in place. When the slices share
 // one kernel width (2..16) and the batch is big enough to amortize the
-// gather, the concrete int, uint64 and float64 element types are
-// copied through a pooled row-major buffer and sorted by the columnar
-// batch kernels in one pass. Everything else — ragged batches, long or
-// tiny slices, other element types, float64 batches containing NaN —
-// is sorted slice by slice with Sort, so []string rows take Sort's
+// gather, the int, uint64 and float64 element types, whose batch
+// kernels have AVX-512 forms, are copied through a pooled row-major
+// buffer and sorted by SortBatchFlat in one pass. Everything else —
+// ragged batches, long or tiny slices, other element types — is sorted
+// slice by slice with Sort, so []string rows take Sort's
 // abbreviated-key path one row at a time. Either way the result equals
 // calling Sort on every slice.
 func SortBatch[T cmp.Ordered](batch [][]T) {
@@ -195,17 +163,8 @@ func SortBatch[T cmp.Ordered](batch [][]T) {
 				sortBatchGathered(b, width, &batchUint64Pool)
 				return
 			case [][]float64:
-				nan := false
-				for _, row := range b {
-					if hasNaN(row) {
-						nan = true
-						break
-					}
-				}
-				if !nan {
-					sortBatchGathered(b, width, &batchFloat64Pool)
-					return
-				}
+				sortBatchGathered(b, width, &batchFloat64Pool)
+				return
 			}
 		}
 	}

@@ -227,10 +227,11 @@ func benchBatch2D[T cmp.Ordered](b *testing.B, n, m int, fill func(*rand.Rand) T
 	}
 }
 
-// BenchmarkBatchKernel: the raw columnar kernels with the SIMD switch
-// pinned each way — the comparator schedule is branchless and
-// data-independent, so re-sorting sorted data costs the same and no
-// per-op copy is needed; these numbers are pure kernel cost.
+// BenchmarkBatchKernel: the columnar kernels, through
+// sortkernels.Batch, with the SIMD switch pinned each way — the
+// comparator schedule is branchless and data-independent, so
+// re-sorting sorted data costs the same and no per-op copy is needed;
+// these numbers are kernel cost plus one shape check.
 func BenchmarkBatchKernel(b *testing.B) {
 	const m = 1024
 	rng := rand.New(rand.NewSource(42))
@@ -249,7 +250,7 @@ func BenchmarkBatchKernel(b *testing.B) {
 			b.Run(fmt.Sprintf("cols-%s/int-n%d-m%d", impl.name, n, m), func(b *testing.B) {
 				prev := sortkernels.SetBatchSIMD(impl.simd)
 				defer sortkernels.SetBatchSIMD(prev)
-				k := sortkernels.BatchIntKernel(n)
+				k := sortkernels.Batch[int]
 				b.ReportAllocs()
 				b.SetBytes(int64(n * m * 8))
 				for i := 0; i < b.N; i++ {
@@ -264,7 +265,7 @@ func BenchmarkBatchKernel(b *testing.B) {
 		b.Run(fmt.Sprintf("cols-%s/float64-n8-m%d", impl.name, m), func(b *testing.B) {
 			prev := sortkernels.SetBatchSIMD(impl.simd)
 			defer sortkernels.SetBatchSIMD(prev)
-			k := sortkernels.BatchFloat64Kernel(8)
+			k := sortkernels.Batch[float64]
 			b.ReportAllocs()
 			b.SetBytes(int64(8 * m * 8))
 			for i := 0; i < b.N; i++ {

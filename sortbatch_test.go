@@ -38,9 +38,10 @@ func eachBatchImpl(t *testing.T, fn func(t *testing.T)) {
 // TestBatchKernelsSortAllZeroOneInputs is the exhaustive 0-1
 // verification of every committed batch kernel: for each width n, one
 // batch holding all 2^n bit rows, sorted in a single call, for both
-// layouts, every element family, and every implementation. By the 0-1
-// principle a width-n kernel that sorts all 2^n such rows sorts
-// everything.
+// layouts and every implementation, at the three element types with
+// AVX-512 kernels and at int32, which only the generic Go kernels
+// serve. By the 0-1 principle a width-n kernel that sorts all 2^n such
+// rows sorts everything.
 func TestBatchKernelsSortAllZeroOneInputs(t *testing.T) {
 	eachBatchImpl(t, func(t *testing.T) {
 		for _, n := range sortkernels.BatchWidths() {
@@ -63,19 +64,19 @@ func TestBatchKernelsSortAllZeroOneInputs(t *testing.T) {
 			cols := make([]int, n*rows)
 			colsU := make([]uint64, n*rows)
 			colsF := make([]float64, n*rows)
-			colsS := make([]string, n*rows)
+			cols32 := make([]int32, n*rows)
 			for r := 0; r < rows; r++ {
 				for w := 0; w < n; w++ {
 					b := bit(r, w)
 					i := w*rows + r
-					cols[i], colsU[i], colsF[i], colsS[i] = b, uint64(b), float64(b), fmt.Sprint(b)
+					cols[i], colsU[i], colsF[i], cols32[i] = b, uint64(b), float64(b), int32(b)
 				}
 			}
 			for name, ok := range map[string]bool{
-				"int":     sortkernels.BatchInt(cols, rows),
-				"uint64":  sortkernels.BatchUint64(colsU, rows),
-				"float64": sortkernels.BatchFloat64(colsF, rows),
-				"ordered": sortkernels.BatchOrdered(colsS, rows),
+				"int":     sortkernels.Batch(cols, rows),
+				"uint64":  sortkernels.Batch(colsU, rows),
+				"float64": sortkernels.Batch(colsF, rows),
+				"int32":   sortkernels.Batch(cols32, rows),
 			} {
 				if !ok {
 					t.Fatalf("n=%d: Batch %s kernel missing", n, name)
@@ -85,26 +86,26 @@ func TestBatchKernelsSortAllZeroOneInputs(t *testing.T) {
 				checkRow("cols/int", r, func(w int) int { return cols[w*rows+r] })
 				checkRow("cols/uint64", r, func(w int) int { return int(colsU[w*rows+r]) })
 				checkRow("cols/float64", r, func(w int) int { return int(colsF[w*rows+r]) })
-				checkRow("cols/ordered", r, func(w int) int { return int(colsS[w*rows+r][0] - '0') })
+				checkRow("cols/int32", r, func(w int) int { return int(cols32[w*rows+r]) })
 			}
 
 			// Row-major: element (row r, slot w) at data[r*n+w].
 			flat := make([]int, n*rows)
 			flatU := make([]uint64, n*rows)
 			flatF := make([]float64, n*rows)
-			flatS := make([]string, n*rows)
+			flat32 := make([]int32, n*rows)
 			for r := 0; r < rows; r++ {
 				for w := 0; w < n; w++ {
 					b := bit(r, w)
 					i := r*n + w
-					flat[i], flatU[i], flatF[i], flatS[i] = b, uint64(b), float64(b), fmt.Sprint(b)
+					flat[i], flatU[i], flatF[i], flat32[i] = b, uint64(b), float64(b), int32(b)
 				}
 			}
 			for name, ok := range map[string]bool{
-				"int":     sortkernels.BatchFlatInt(flat, n),
-				"uint64":  sortkernels.BatchFlatUint64(flatU, n),
-				"float64": sortkernels.BatchFlatFloat64(flatF, n),
-				"ordered": sortkernels.BatchFlatOrdered(flatS, n),
+				"int":     sortkernels.BatchFlat(flat, n),
+				"uint64":  sortkernels.BatchFlat(flatU, n),
+				"float64": sortkernels.BatchFlat(flatF, n),
+				"int32":   sortkernels.BatchFlat(flat32, n),
 			} {
 				if !ok {
 					t.Fatalf("n=%d: BatchFlat %s kernel missing", n, name)
@@ -114,7 +115,7 @@ func TestBatchKernelsSortAllZeroOneInputs(t *testing.T) {
 				checkRow("flat/int", r, func(w int) int { return flat[r*n+w] })
 				checkRow("flat/uint64", r, func(w int) int { return int(flatU[r*n+w]) })
 				checkRow("flat/float64", r, func(w int) int { return int(flatF[r*n+w]) })
-				checkRow("flat/ordered", r, func(w int) int { return int(flatS[r*n+w][0] - '0') })
+				checkRow("flat/int32", r, func(w int) int { return int(flat32[r*n+w]) })
 			}
 		}
 	})
@@ -166,7 +167,7 @@ func TestBatchKernelsMatchSlicesSort(t *testing.T) {
 					slices.Sort(wantI[r])
 					slices.Sort(wantF[r])
 				}
-				if !sortkernels.BatchUint64(cols, m) || !sortkernels.BatchInt(colsI, m) || !sortkernels.BatchFloat64(colsF, m) {
+				if !sortkernels.Batch(cols, m) || !sortkernels.Batch(colsI, m) || !sortkernels.Batch(colsF, m) {
 					t.Fatalf("n=%d m=%d: batch kernel missing", n, m)
 				}
 				flat := make([]uint64, len(vals))
@@ -175,7 +176,7 @@ func TestBatchKernelsMatchSlicesSort(t *testing.T) {
 						flat[r*n+w] = vals[w*m+r]
 					}
 				}
-				if !sortkernels.BatchFlatUint64(flat, n) {
+				if !sortkernels.BatchFlat(flat, n) {
 					t.Fatalf("n=%d m=%d: flat batch kernel missing", n, m)
 				}
 				for r := 0; r < m; r++ {
@@ -223,7 +224,7 @@ func TestBatchFloat64PreservesBitMultiset(t *testing.T) {
 					slices.Sort(row)
 					wantBits[r] = row
 				}
-				if !sortkernels.BatchFloat64(data, m) {
+				if !sortkernels.Batch(data, m) {
 					t.Fatalf("n=%d: no float64 batch kernel", n)
 				}
 				for r := 0; r < m; r++ {
@@ -252,13 +253,13 @@ func TestBatchRejectsBadShapes(t *testing.T) {
 		name string
 		ok   bool
 	}{
-		{"non-multiple", sortkernels.BatchInt(data, 2)},
-		{"negative", sortkernels.BatchInt(data, -1)},
-		{"zero rows", sortkernels.BatchInt(data, 0)},
-		{"flat non-multiple", sortkernels.BatchFlatInt(data, 2)},
-		{"flat zero width", sortkernels.BatchFlatInt(data, 0)},
-		{"too wide", sortkernels.BatchInt(make([]int, sortkernels.BatchMaxWidth+1), 1)},
-		{"flat too wide", sortkernels.BatchFlatInt(make([]int, sortkernels.BatchMaxWidth+1), sortkernels.BatchMaxWidth+1)},
+		{"non-multiple", sortkernels.Batch(data, 2)},
+		{"negative", sortkernels.Batch(data, -1)},
+		{"zero rows", sortkernels.Batch(data, 0)},
+		{"flat non-multiple", sortkernels.BatchFlat(data, 2)},
+		{"flat zero width", sortkernels.BatchFlat(data, 0)},
+		{"too wide", sortkernels.Batch(make([]int, sortkernels.BatchMaxWidth+1), 1)},
+		{"flat too wide", sortkernels.BatchFlat(make([]int, sortkernels.BatchMaxWidth+1), sortkernels.BatchMaxWidth+1)},
 	} {
 		if tc.ok {
 			t.Errorf("%s: accepted", tc.name)
@@ -271,11 +272,11 @@ func TestBatchRejectsBadShapes(t *testing.T) {
 		name string
 		ok   bool
 	}{
-		{"empty", sortkernels.BatchInt(nil, 0)},
-		{"empty rows", sortkernels.BatchInt(nil, 7)},
-		{"width 1", sortkernels.BatchInt([]int{2, 1}, 2)},
-		{"flat empty", sortkernels.BatchFlatInt(nil, 3)},
-		{"flat width 1", sortkernels.BatchFlatInt([]int{2, 1}, 1)},
+		{"empty", sortkernels.Batch([]int(nil), 0)},
+		{"empty rows", sortkernels.Batch([]int(nil), 7)},
+		{"width 1", sortkernels.Batch([]int{2, 1}, 2)},
+		{"flat empty", sortkernels.BatchFlat([]int(nil), 3)},
+		{"flat width 1", sortkernels.BatchFlat([]int{2, 1}, 1)},
 	} {
 		if !tc.ok {
 			t.Errorf("%s: rejected", tc.name)
@@ -300,6 +301,42 @@ func checkBatchEqual[T cmp.Ordered](t *testing.T, name string, got, want [][]T) 
 		for i := range want[r] {
 			if cmp.Compare(got[r][i], want[r][i]) != 0 {
 				t.Fatalf("%s: row %d slot %d = %v, want %v", name, r, i, got[r][i], want[r][i])
+			}
+		}
+	}
+}
+
+// checkBatchFacades sorts the width-uniform rows with SortBatch, and
+// laid out row-major and column-major with SortBatchFlat and
+// SortBatchCols, and checks each result against slices.Sort's.
+func checkBatchFacades[T cmp.Ordered](t *testing.T, name string, rows [][]T) {
+	t.Helper()
+	if len(rows) == 0 {
+		return
+	}
+	m, w := len(rows), len(rows[0])
+	want := sortBatchWant(rows)
+	got := make([][]T, m)
+	flat := make([]T, 0, w*m)
+	cols := make([]T, w*m)
+	for r, row := range rows {
+		got[r] = slices.Clone(row)
+		flat = append(flat, row...)
+		for j, v := range row {
+			cols[j*m+r] = v
+		}
+	}
+	SortBatch(got)
+	checkBatchEqual(t, name+" batch", got, want)
+	SortBatchFlat(flat, w)
+	SortBatchCols(cols, m)
+	for r := range want {
+		for j := range want[r] {
+			if cmp.Compare(flat[r*w+j], want[r][j]) != 0 {
+				t.Fatalf("%s flat: row %d slot %d = %v, want %v", name, r, j, flat[r*w+j], want[r][j])
+			}
+			if cmp.Compare(cols[j*m+r], want[r][j]) != 0 {
+				t.Fatalf("%s cols: row %d slot %d = %v, want %v", name, r, j, cols[j*m+r], want[r][j])
 			}
 		}
 	}
@@ -393,7 +430,7 @@ func TestSortBatchColsAndFlat(t *testing.T) {
 			}
 		}
 
-		// Generic element type through the Ordered batch kernels.
+		// Strings through the abbreviated-key batch path.
 		words := []string{"pear", "fig", "apple", "yuzu", "kiwi", "date", "plum", "lime"}
 		m := 37
 		colsS := make([]string, 4*m)
@@ -440,10 +477,17 @@ func TestSortBatchPanicsOnBadShape(t *testing.T) {
 	SortBatchFlat([]int{5, 1}, 1) // width-1 rows
 }
 
+// Named element types: the generic kernels serve them like their
+// underlying types.
+type (
+	namedInt   int
+	namedFloat float64
+)
+
 // TestSortDispatchZeroAlloc pins the dispatch paths as allocation-free:
-// Sort's kernel lookup is a width-indexed table load, the columnar
-// batch entry point runs fully in place, and the string paths sort
-// their abbreviated keys without allocating.
+// Sort's kernel lookup is a switch on the width, for every element
+// kind, the columnar batch entry point runs fully in place, and the
+// string paths sort their abbreviated keys without allocating.
 func TestSortDispatchZeroAlloc(t *testing.T) {
 	s := []int{5, 2, 7, 1, 8, 3, 6, 4}
 	if n := testing.AllocsPerRun(100, func() { Sort(s) }); n != 0 {
@@ -452,6 +496,14 @@ func TestSortDispatchZeroAlloc(t *testing.T) {
 	f := []float64{5, 2, 7, 1, 8, 3, 6, 4}
 	if n := testing.AllocsPerRun(100, func() { Sort(f) }); n != 0 {
 		t.Errorf("Sort float64: %v allocs per run, want 0", n)
+	}
+	i32 := []int32{5, 2, 7, 1, 8, 3, 6, 4}
+	if n := testing.AllocsPerRun(100, func() { Sort(i32) }); n != 0 {
+		t.Errorf("Sort int32: %v allocs per run, want 0", n)
+	}
+	ni := []namedInt{5, 2, 7, 1, 8, 3, 6, 4}
+	if n := testing.AllocsPerRun(100, func() { Sort(ni) }); n != 0 {
+		t.Errorf("Sort namedInt: %v allocs per run, want 0", n)
 	}
 	cols := make([]int, 8*128)
 	if n := testing.AllocsPerRun(100, func() { SortBatchCols(cols, 128) }); n != 0 {
@@ -465,10 +517,10 @@ func TestSortDispatchZeroAlloc(t *testing.T) {
 		t.Errorf("SortBatchFlat: %v allocs per run, want < 1", n)
 	}
 
-	// Strings: Sort keeps its key array on the stack (calling the
-	// uint64 kernels through sortkernels' function table would move it
-	// to the heap); SortBatchCols and SortBatchFlat take their keys
-	// from a pool, and SortBatch sorts each row with Sort.
+	// Strings: Sort keeps its key array on the stack (sortkernels.Ordered
+	// calls each width's kernel directly; an indirect call would move
+	// the array to the heap); SortBatchCols and SortBatchFlat take their
+	// keys from a pool, and SortBatch sorts each row with Sort.
 	words := []string{"pear", "fig", "apple", "yuzu", "kiwifruit", "date", "plum", "lime"}
 	ss := slices.Clone(words)
 	if n := testing.AllocsPerRun(100, func() { Sort(ss) }); n != 0 {
@@ -496,9 +548,11 @@ func TestSortDispatchZeroAlloc(t *testing.T) {
 // FuzzSortBatch cross-checks the batch façades against slices.Sort on
 // fuzzer-chosen shapes and values, including ragged batches and NaN
 // payloads (compared under cmp.Compare, which treats NaNs as equal).
-// Its string lane cuts windows of the fuzz bytes that start at one of
-// four offsets, so their 7-byte key prefixes collide and runs of tied
-// keys are sorted again on later bytes.
+// Its NaN lane reads every value as a float64, a float32 (its low 32
+// bits) and a named float64 type, through all three façades. Its
+// string lane cuts windows of the fuzz bytes that start at one of four
+// offsets, so their 7-byte key prefixes collide and runs of tied keys
+// are sorted again on later bytes.
 func FuzzSortBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(4), false)
 	f.Add([]byte{0xff, 0x00, 0x80, 0x7f}, uint8(2), true)
@@ -517,6 +571,16 @@ func FuzzSortBatch(f *testing.F) {
 		prefix = append(prefix, 0, 6, 0, 7, 0, 8, 1, 8, 0, 9, 1, 9, 1, 11, 2, 7)
 	}
 	f.Add(prefix, uint8(6), true)
+	// NaN-lane seed: 8 rows of width 8, enough for the batch kernels,
+	// that read as [3 NaN 1 2 NaN 0 5 4] at float64 and at float32.
+	var nanRows []byte
+	for r := 0; r < 8; r++ {
+		for _, v := range []float64{3, math.NaN(), 1, 2, math.NaN(), 0, 5, 4} {
+			bits := math.Float64bits(v)&^0xffffffff | uint64(math.Float32bits(float32(v)))
+			nanRows = binary.LittleEndian.AppendUint64(nanRows, bits)
+		}
+	}
+	f.Add(nanRows, uint8(8), false)
 	f.Fuzz(func(t *testing.T, data []byte, width uint8, ragged bool) {
 		if len(data) > 8*512 {
 			data = data[:8*512]
@@ -543,11 +607,22 @@ func FuzzSortBatch(f *testing.F) {
 		if ragged && len(vals) > 0 {
 			batch = append(batch, slices.Clone(vals[:len(vals)%max(w, 1)]))
 		}
-		want, fwant := sortBatchWant(batch), sortBatchWant(fbatch)
+		f32 := make([][]float32, len(fbatch))
+		named := make([][]namedFloat, len(fbatch))
+		for r, row := range fbatch {
+			f32[r] = make([]float32, w)
+			named[r] = make([]namedFloat, w)
+			for j, v := range row {
+				f32[r][j] = math.Float32frombits(uint32(math.Float64bits(v)))
+				named[r][j] = namedFloat(v)
+			}
+		}
+		checkBatchFacades(t, "float64", fbatch)
+		checkBatchFacades(t, "float32", f32)
+		checkBatchFacades(t, "namedFloat", named)
+		want := sortBatchWant(batch)
 		SortBatch(batch)
-		SortBatch(fbatch)
 		checkBatchEqual(t, "uint64", batch, want)
-		checkBatchEqual(t, "float64", fbatch, fwant)
 
 		// Column-major façade over the same rows.
 		if w > 0 {

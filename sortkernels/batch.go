@@ -2,12 +2,12 @@
 
 // Batch entry points: sort many same-width slices per call.
 //
-// Batch<Kind> takes the column-major ("vertical") layout — data holds
-// n columns of length m, column w at data[w*m:(w+1)*m], and logical
-// row r is the n values {data[w*m+r]}. Every row is sorted in place.
-// BatchFlat<Kind> takes the row-major layout — m contiguous rows of
-// width n. Both report whether a kernel of that width was available;
-// on false the data is untouched.
+// Batch takes the column-major ("vertical") layout — data holds n
+// columns of length m, column w at data[w*m:(w+1)*m], and logical row
+// r is the n values {data[w*m+r]}. Every row is sorted in place.
+// BatchFlat takes the row-major layout — m contiguous rows of width
+// n. Both report whether a kernel of that width was available; on
+// false the data is untouched.
 package sortkernels
 
 import (
@@ -97,309 +97,94 @@ var (
 	batchTransFrom [BatchMaxWidth + 1]func(dst, src unsafe.Pointer, m int)
 )
 
-var batchColsIntKernels = [BatchMaxWidth + 1]func(data []int, m int){
-	2:  batchCols2Int,
-	3:  batchCols3Int,
-	4:  batchCols4Int,
-	5:  batchCols5Int,
-	6:  batchCols6Int,
-	7:  batchCols7Int,
-	8:  batchCols8Int,
-	9:  batchCols9Int,
-	10: batchCols10Int,
-	11: batchCols11Int,
-	12: batchCols12Int,
-	13: batchCols13Int,
-	14: batchCols14Int,
-	15: batchCols15Int,
-	16: batchCols16Int,
-}
+// The AVX-512 columnar kernels of each element type, filled in by the
+// amd64 init, and the column-major scratch of BatchFlat's AVX-512 path.
+var (
+	simdColsIntKernels     [BatchMaxWidth + 1]func(data []int, m int)
+	simdColsUint64Kernels  [BatchMaxWidth + 1]func(data []uint64, m int)
+	simdColsFloat64Kernels [BatchMaxWidth + 1]func(data []float64, m int)
+	batchScratchInt        = sync.Pool{New: func() any { return new([]int) }}
+	batchScratchUint64     = sync.Pool{New: func() any { return new([]uint64) }}
+	batchScratchFloat64    = sync.Pool{New: func() any { return new([]float64) }}
+)
 
-var batchFlatIntKernels = [BatchMaxWidth + 1]func(data []int, m int){
-	2:  batchFlat2Int,
-	3:  batchFlat3Int,
-	4:  batchFlat4Int,
-	5:  batchFlat5Int,
-	6:  batchFlat6Int,
-	7:  batchFlat7Int,
-	8:  batchFlat8Int,
-	9:  batchFlat9Int,
-	10: batchFlat10Int,
-	11: batchFlat11Int,
-	12: batchFlat12Int,
-	13: batchFlat13Int,
-	14: batchFlat14Int,
-	15: batchFlat15Int,
-	16: batchFlat16Int,
-}
-
-// simdColsIntKernels is filled in by the amd64 init when AVX-512 is
-// available.
-var simdColsIntKernels [BatchMaxWidth + 1]func(data []int, m int)
-
-var batchScratchInt = sync.Pool{New: func() any { return new([]int) }}
-
-// BatchInt sorts, in place, every row of the column-major batch:
-// data holds len(data)/m columns of length m, column w at
-// data[w*m:(w+1)*m]. It reports whether a kernel of that width was
-// available; on false the data is untouched.
-func BatchInt(data []int, m int) bool {
-	n, trivial, ok := batchDims(len(data), m, BatchMaxWidth)
-	if !ok {
-		return false
-	}
-	if trivial {
-		return true
-	}
-	if batchSIMDOn {
+// simdCols runs the width-n AVX-512 columnar kernel on data when its
+// element type has one, and reports whether it did.
+func simdCols[T cmp.Ordered](data []T, n, m int) bool {
+	switch s := any(data).(type) {
+	case []int:
 		if k := simdColsIntKernels[n]; k != nil {
-			k(data, m)
-			return true
-		}
-	}
-	if k := batchColsIntKernels[n]; k != nil {
-		k(data, m)
-		return true
-	}
-	return false
-}
-
-// BatchFlatInt sorts, in place, every row of the row-major batch:
-// data holds len(data)/width contiguous rows of the given width. It
-// reports whether a kernel of that width was available; on false the
-// data is untouched.
-func BatchFlatInt(data []int, width int) bool {
-	m, trivial, ok := batchFlatDims(len(data), width, BatchMaxWidth)
-	if !ok {
-		return false
-	}
-	if trivial {
-		return true
-	}
-	if batchSIMDOn {
-		if k := simdColsIntKernels[width]; k != nil && batchTransTo[width] != nil {
-			sp := batchScratchInt.Get().(*[]int)
-			s := *sp
-			if cap(s) < len(data) {
-				s = make([]int, len(data))
-			}
-			s = s[:len(data)]
-			batchTransTo[width](unsafe.Pointer(&s[0]), unsafe.Pointer(&data[0]), m)
 			k(s, m)
-			batchTransFrom[width](unsafe.Pointer(&data[0]), unsafe.Pointer(&s[0]), m)
-			*sp = s
-			batchScratchInt.Put(sp)
 			return true
 		}
-	}
-	if k := batchFlatIntKernels[width]; k != nil {
-		k(data, m)
-		return true
-	}
-	return false
-}
-
-// BatchIntKernel returns the width-n column-major batch kernel that a
-// BatchInt call would run right now (AVX-512 when enabled), or nil when
-// none exists. Hot loops can hoist the lookup.
-func BatchIntKernel(n int) func(data []int, m int) {
-	if n < BatchMinWidth || n > BatchMaxWidth {
-		return nil
-	}
-	if batchSIMDOn {
-		if k := simdColsIntKernels[n]; k != nil {
-			return k
-		}
-	}
-	return batchColsIntKernels[n]
-}
-
-// BatchFlatIntKernel returns the portable width-n row-major batch
-// kernel, or nil when none exists. (The SIMD row-major path needs
-// transpose scratch and lives only behind BatchFlatInt.)
-func BatchFlatIntKernel(n int) func(data []int, m int) {
-	if n < BatchMinWidth || n > BatchMaxWidth {
-		return nil
-	}
-	return batchFlatIntKernels[n]
-}
-
-var batchColsUint64Kernels = [BatchMaxWidth + 1]func(data []uint64, m int){
-	2:  batchCols2Uint64,
-	3:  batchCols3Uint64,
-	4:  batchCols4Uint64,
-	5:  batchCols5Uint64,
-	6:  batchCols6Uint64,
-	7:  batchCols7Uint64,
-	8:  batchCols8Uint64,
-	9:  batchCols9Uint64,
-	10: batchCols10Uint64,
-	11: batchCols11Uint64,
-	12: batchCols12Uint64,
-	13: batchCols13Uint64,
-	14: batchCols14Uint64,
-	15: batchCols15Uint64,
-	16: batchCols16Uint64,
-}
-
-var batchFlatUint64Kernels = [BatchMaxWidth + 1]func(data []uint64, m int){
-	2:  batchFlat2Uint64,
-	3:  batchFlat3Uint64,
-	4:  batchFlat4Uint64,
-	5:  batchFlat5Uint64,
-	6:  batchFlat6Uint64,
-	7:  batchFlat7Uint64,
-	8:  batchFlat8Uint64,
-	9:  batchFlat9Uint64,
-	10: batchFlat10Uint64,
-	11: batchFlat11Uint64,
-	12: batchFlat12Uint64,
-	13: batchFlat13Uint64,
-	14: batchFlat14Uint64,
-	15: batchFlat15Uint64,
-	16: batchFlat16Uint64,
-}
-
-// simdColsUint64Kernels is filled in by the amd64 init when AVX-512 is
-// available.
-var simdColsUint64Kernels [BatchMaxWidth + 1]func(data []uint64, m int)
-
-var batchScratchUint64 = sync.Pool{New: func() any { return new([]uint64) }}
-
-// BatchUint64 sorts, in place, every row of the column-major batch:
-// data holds len(data)/m columns of length m, column w at
-// data[w*m:(w+1)*m]. It reports whether a kernel of that width was
-// available; on false the data is untouched.
-func BatchUint64(data []uint64, m int) bool {
-	n, trivial, ok := batchDims(len(data), m, BatchMaxWidth)
-	if !ok {
-		return false
-	}
-	if trivial {
-		return true
-	}
-	if batchSIMDOn {
+	case []uint64:
 		if k := simdColsUint64Kernels[n]; k != nil {
-			k(data, m)
-			return true
-		}
-	}
-	if k := batchColsUint64Kernels[n]; k != nil {
-		k(data, m)
-		return true
-	}
-	return false
-}
-
-// BatchFlatUint64 sorts, in place, every row of the row-major batch:
-// data holds len(data)/width contiguous rows of the given width. It
-// reports whether a kernel of that width was available; on false the
-// data is untouched.
-func BatchFlatUint64(data []uint64, width int) bool {
-	m, trivial, ok := batchFlatDims(len(data), width, BatchMaxWidth)
-	if !ok {
-		return false
-	}
-	if trivial {
-		return true
-	}
-	if batchSIMDOn {
-		if k := simdColsUint64Kernels[width]; k != nil && batchTransTo[width] != nil {
-			sp := batchScratchUint64.Get().(*[]uint64)
-			s := *sp
-			if cap(s) < len(data) {
-				s = make([]uint64, len(data))
-			}
-			s = s[:len(data)]
-			batchTransTo[width](unsafe.Pointer(&s[0]), unsafe.Pointer(&data[0]), m)
 			k(s, m)
-			batchTransFrom[width](unsafe.Pointer(&data[0]), unsafe.Pointer(&s[0]), m)
-			*sp = s
-			batchScratchUint64.Put(sp)
 			return true
 		}
-	}
-	if k := batchFlatUint64Kernels[width]; k != nil {
-		k(data, m)
-		return true
+	case []float64:
+		if k := simdColsFloat64Kernels[n]; k != nil {
+			k(s, m)
+			return true
+		}
 	}
 	return false
 }
 
-// BatchUint64Kernel returns the width-n column-major batch kernel that a
-// BatchUint64 call would run right now (AVX-512 when enabled), or nil when
-// none exists. Hot loops can hoist the lookup.
-func BatchUint64Kernel(n int) func(data []uint64, m int) {
-	if n < BatchMinWidth || n > BatchMaxWidth {
-		return nil
+// simdFlat sorts the m row-major rows of data with the width-wide
+// AVX-512 kernel when its element type has one, and reports whether it
+// did.
+func simdFlat[T cmp.Ordered](data []T, width, m int) bool {
+	if batchTransTo[width] == nil {
+		return false
 	}
-	if batchSIMDOn {
-		if k := simdColsUint64Kernels[n]; k != nil {
-			return k
+	switch s := any(data).(type) {
+	case []int:
+		if k := simdColsIntKernels[width]; k != nil {
+			simdTransposed(s, width, m, k, &batchScratchInt)
+			return true
+		}
+	case []uint64:
+		if k := simdColsUint64Kernels[width]; k != nil {
+			simdTransposed(s, width, m, k, &batchScratchUint64)
+			return true
+		}
+	case []float64:
+		if k := simdColsFloat64Kernels[width]; k != nil {
+			simdTransposed(s, width, m, k, &batchScratchFloat64)
+			return true
 		}
 	}
-	return batchColsUint64Kernels[n]
+	return false
 }
 
-// BatchFlatUint64Kernel returns the portable width-n row-major batch
-// kernel, or nil when none exists. (The SIMD row-major path needs
-// transpose scratch and lives only behind BatchFlatUint64.)
-func BatchFlatUint64Kernel(n int) func(data []uint64, m int) {
-	if n < BatchMinWidth || n > BatchMaxWidth {
-		return nil
+// simdTransposed transposes the m rows of data into pooled
+// column-major scratch, sorts the columns with k, and transposes them
+// back.
+func simdTransposed[E int | uint64 | float64](data []E, width, m int, k func(data []E, m int), pool *sync.Pool) {
+	sp := pool.Get().(*[]E)
+	s := *sp
+	if cap(s) < len(data) {
+		s = make([]E, len(data))
 	}
-	return batchFlatUint64Kernels[n]
+	s = s[:len(data)]
+	batchTransTo[width](unsafe.Pointer(&s[0]), unsafe.Pointer(&data[0]), m)
+	k(s, m)
+	batchTransFrom[width](unsafe.Pointer(&data[0]), unsafe.Pointer(&s[0]), m)
+	*sp = s
+	pool.Put(sp)
 }
 
-var batchColsFloat64Kernels = [BatchMaxWidth + 1]func(data []float64, m int){
-	2:  batchCols2Float64,
-	3:  batchCols3Float64,
-	4:  batchCols4Float64,
-	5:  batchCols5Float64,
-	6:  batchCols6Float64,
-	7:  batchCols7Float64,
-	8:  batchCols8Float64,
-	9:  batchCols9Float64,
-	10: batchCols10Float64,
-	11: batchCols11Float64,
-	12: batchCols12Float64,
-	13: batchCols13Float64,
-	14: batchCols14Float64,
-	15: batchCols15Float64,
-	16: batchCols16Float64,
-}
-
-var batchFlatFloat64Kernels = [BatchMaxWidth + 1]func(data []float64, m int){
-	2:  batchFlat2Float64,
-	3:  batchFlat3Float64,
-	4:  batchFlat4Float64,
-	5:  batchFlat5Float64,
-	6:  batchFlat6Float64,
-	7:  batchFlat7Float64,
-	8:  batchFlat8Float64,
-	9:  batchFlat9Float64,
-	10: batchFlat10Float64,
-	11: batchFlat11Float64,
-	12: batchFlat12Float64,
-	13: batchFlat13Float64,
-	14: batchFlat14Float64,
-	15: batchFlat15Float64,
-	16: batchFlat16Float64,
-}
-
-// simdColsFloat64Kernels is filled in by the amd64 init when AVX-512 is
-// available.
-var simdColsFloat64Kernels [BatchMaxWidth + 1]func(data []float64, m int)
-
-var batchScratchFloat64 = sync.Pool{New: func() any { return new([]float64) }}
-
-// BatchFloat64 sorts, in place, every row of the column-major batch:
-// data holds len(data)/m columns of length m, column w at
+// Batch sorts, in place, every row of the column-major batch: data
+// holds len(data)/m columns of length m, column w at
 // data[w*m:(w+1)*m]. It reports whether a kernel of that width was
-// available; on false the data is untouched.
-// Input must be NaN-free (shufflenet.SortBatch prescans); ±0 bit
+// available; on false the data is untouched. int, uint64 and float64
+// batches run the AVX-512 kernels when they are enabled; every other
+// element type, and those three without AVX-512, run the generic Go
+// kernels. Input must be NaN-free (the shufflenet façades prescan):
+// the kernels' min and max would turn one NaN into two. ±0 bit
 // patterns are preserved as a multiset.
-func BatchFloat64(data []float64, m int) bool {
+func Batch[T cmp.Ordered](data []T, m int) bool {
 	n, trivial, ok := batchDims(len(data), m, BatchMaxWidth)
 	if !ok {
 		return false
@@ -407,89 +192,7 @@ func BatchFloat64(data []float64, m int) bool {
 	if trivial {
 		return true
 	}
-	if batchSIMDOn {
-		if k := simdColsFloat64Kernels[n]; k != nil {
-			k(data, m)
-			return true
-		}
-	}
-	if k := batchColsFloat64Kernels[n]; k != nil {
-		k(data, m)
-		return true
-	}
-	return false
-}
-
-// BatchFlatFloat64 sorts, in place, every row of the row-major batch:
-// data holds len(data)/width contiguous rows of the given width. It
-// reports whether a kernel of that width was available; on false the
-// data is untouched.
-// Input must be NaN-free (shufflenet.SortBatchFlat prescans).
-func BatchFlatFloat64(data []float64, width int) bool {
-	m, trivial, ok := batchFlatDims(len(data), width, BatchMaxWidth)
-	if !ok {
-		return false
-	}
-	if trivial {
-		return true
-	}
-	if batchSIMDOn {
-		if k := simdColsFloat64Kernels[width]; k != nil && batchTransTo[width] != nil {
-			sp := batchScratchFloat64.Get().(*[]float64)
-			s := *sp
-			if cap(s) < len(data) {
-				s = make([]float64, len(data))
-			}
-			s = s[:len(data)]
-			batchTransTo[width](unsafe.Pointer(&s[0]), unsafe.Pointer(&data[0]), m)
-			k(s, m)
-			batchTransFrom[width](unsafe.Pointer(&data[0]), unsafe.Pointer(&s[0]), m)
-			*sp = s
-			batchScratchFloat64.Put(sp)
-			return true
-		}
-	}
-	if k := batchFlatFloat64Kernels[width]; k != nil {
-		k(data, m)
-		return true
-	}
-	return false
-}
-
-// BatchFloat64Kernel returns the width-n column-major batch kernel that a
-// BatchFloat64 call would run right now (AVX-512 when enabled), or nil when
-// none exists. Hot loops can hoist the lookup.
-func BatchFloat64Kernel(n int) func(data []float64, m int) {
-	if n < BatchMinWidth || n > BatchMaxWidth {
-		return nil
-	}
-	if batchSIMDOn {
-		if k := simdColsFloat64Kernels[n]; k != nil {
-			return k
-		}
-	}
-	return batchColsFloat64Kernels[n]
-}
-
-// BatchFlatFloat64Kernel returns the portable width-n row-major batch
-// kernel, or nil when none exists. (The SIMD row-major path needs
-// transpose scratch and lives only behind BatchFlatFloat64.)
-func BatchFlatFloat64Kernel(n int) func(data []float64, m int) {
-	if n < BatchMinWidth || n > BatchMaxWidth {
-		return nil
-	}
-	return batchFlatFloat64Kernels[n]
-}
-
-// BatchOrdered sorts, in place, every row of the column-major batch
-// of any ordered element type (pure Go; the SIMD kernels cover the
-// concrete 64-bit families). Same contract as BatchInt.
-func BatchOrdered[T cmp.Ordered](data []T, m int) bool {
-	n, trivial, ok := batchDims(len(data), m, BatchMaxWidth)
-	if !ok {
-		return false
-	}
-	if trivial {
+	if batchSIMDOn && simdCols(data, n, m) {
 		return true
 	}
 	switch n {
@@ -529,14 +232,20 @@ func BatchOrdered[T cmp.Ordered](data []T, m int) bool {
 	return true
 }
 
-// BatchFlatOrdered sorts, in place, every row of the row-major batch
-// of any ordered element type. Same contract as BatchFlatInt.
-func BatchFlatOrdered[T cmp.Ordered](data []T, width int) bool {
+// BatchFlat sorts, in place, every row of the row-major batch: data
+// holds len(data)/width contiguous rows of the given width. It reports
+// whether a kernel of that width was available; on false the data is
+// untouched. Kernels and input contract as for Batch; the AVX-512 path
+// transposes through pooled scratch.
+func BatchFlat[T cmp.Ordered](data []T, width int) bool {
 	m, trivial, ok := batchFlatDims(len(data), width, BatchMaxWidth)
 	if !ok {
 		return false
 	}
 	if trivial {
+		return true
+	}
+	if batchSIMDOn && simdFlat(data, width, m) {
 		return true
 	}
 	switch width {

@@ -14,9 +14,7 @@ func batchCols2Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1 := c0[r], c1[r]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
 
 		c0[r], c1[r] = v0, v1
 	}
@@ -30,9 +28,7 @@ func batchFlat2Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1 := s[0], s[1]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
 
 		s[0], s[1] = v0, v1
 	}
@@ -49,19 +45,13 @@ func batchCols3Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2 := c0[r], c1[r], c2[r]
 
 		// level 1
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
 
 		// level 2
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
 
 		// level 3
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
 
 		c0[r], c1[r], c2[r] = v0, v1, v2
 	}
@@ -75,19 +65,13 @@ func batchFlat3Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2 := s[0], s[1], s[2]
 
 		// level 1
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
 
 		// level 2
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
 
 		// level 3
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
 
 		s[0], s[1], s[2] = v0, v1, v2
 	}
@@ -105,25 +89,15 @@ func batchCols4Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3 := c0[r], c1[r], c2[r], c3[r]
 
 		// level 1
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
 
 		// level 2
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
 
 		// level 3
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
 
 		c0[r], c1[r], c2[r], c3[r] = v0, v1, v2, v3
 	}
@@ -137,25 +111,15 @@ func batchFlat4Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3 := s[0], s[1], s[2], s[3]
 
 		// level 1
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
 
 		// level 2
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
 
 		// level 3
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
 
 		s[0], s[1], s[2], s[3] = v0, v1, v2, v3
 	}
@@ -174,41 +138,23 @@ func batchCols5Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4 := c0[r], c1[r], c2[r], c3[r], c4[r]
 
 		// level 1
-		if v3 < v0 {
-			v0, v3 = v3, v0
-		}
-		if v4 < v1 {
-			v1, v4 = v4, v1
-		}
+		v0, v3 = min(v0, v3), max(v0, v3)
+		v1, v4 = min(v1, v4), max(v1, v4)
 
 		// level 2
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
 
 		// level 3
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v4 = min(v2, v4), max(v2, v4)
 
 		// level 4
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
 
 		// level 5
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
+		v2, v3 = min(v2, v3), max(v2, v3)
 
 		c0[r], c1[r], c2[r], c3[r], c4[r] = v0, v1, v2, v3, v4
 	}
@@ -222,41 +168,23 @@ func batchFlat5Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4 := s[0], s[1], s[2], s[3], s[4]
 
 		// level 1
-		if v3 < v0 {
-			v0, v3 = v3, v0
-		}
-		if v4 < v1 {
-			v1, v4 = v4, v1
-		}
+		v0, v3 = min(v0, v3), max(v0, v3)
+		v1, v4 = min(v1, v4), max(v1, v4)
 
 		// level 2
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
 
 		// level 3
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v4 = min(v2, v4), max(v2, v4)
 
 		// level 4
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
 
 		// level 5
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
+		v2, v3 = min(v2, v3), max(v2, v3)
 
 		s[0], s[1], s[2], s[3], s[4] = v0, v1, v2, v3, v4
 	}
@@ -276,50 +204,26 @@ func batchCols6Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5 := c0[r], c1[r], c2[r], c3[r], c4[r], c5[r]
 
 		// level 1
-		if v5 < v0 {
-			v0, v5 = v5, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
+		v0, v5 = min(v0, v5), max(v0, v5)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v2, v4 = min(v2, v4), max(v2, v4)
 
 		// level 2
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
 
 		// level 3
-		if v3 < v0 {
-			v0, v3 = v3, v0
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
+		v0, v3 = min(v0, v3), max(v0, v3)
+		v2, v5 = min(v2, v5), max(v2, v5)
 
 		// level 4
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
 
 		// level 5
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
 
 		c0[r], c1[r], c2[r], c3[r], c4[r], c5[r] = v0, v1, v2, v3, v4, v5
 	}
@@ -333,50 +237,26 @@ func batchFlat6Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5 := s[0], s[1], s[2], s[3], s[4], s[5]
 
 		// level 1
-		if v5 < v0 {
-			v0, v5 = v5, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
+		v0, v5 = min(v0, v5), max(v0, v5)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v2, v4 = min(v2, v4), max(v2, v4)
 
 		// level 2
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
 
 		// level 3
-		if v3 < v0 {
-			v0, v3 = v3, v0
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
+		v0, v3 = min(v0, v3), max(v0, v3)
+		v2, v5 = min(v2, v5), max(v2, v5)
 
 		// level 4
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
 
 		// level 5
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
 
 		s[0], s[1], s[2], s[3], s[4], s[5] = v0, v1, v2, v3, v4, v5
 	}
@@ -397,64 +277,32 @@ func batchCols7Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6 := c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r]
 
 		// level 1
-		if v6 < v0 {
-			v0, v6 = v6, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
+		v0, v6 = min(v0, v6), max(v0, v6)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
 
 		// level 2
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v4 < v1 {
-			v1, v4 = v4, v1
-		}
-		if v6 < v3 {
-			v3, v6 = v6, v3
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v4 = min(v1, v4), max(v1, v4)
+		v3, v6 = min(v3, v6), max(v3, v6)
 
 		// level 3
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v3, v4 = min(v3, v4), max(v3, v4)
 
 		// level 4
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v4, v6 = min(v4, v6), max(v4, v6)
 
 		// level 5
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
 
 		// level 6
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
 
 		c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r] = v0, v1, v2, v3, v4, v5, v6
 	}
@@ -468,64 +316,32 @@ func batchFlat7Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6 := s[0], s[1], s[2], s[3], s[4], s[5], s[6]
 
 		// level 1
-		if v6 < v0 {
-			v0, v6 = v6, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
+		v0, v6 = min(v0, v6), max(v0, v6)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
 
 		// level 2
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v4 < v1 {
-			v1, v4 = v4, v1
-		}
-		if v6 < v3 {
-			v3, v6 = v6, v3
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v4 = min(v1, v4), max(v1, v4)
+		v3, v6 = min(v3, v6), max(v3, v6)
 
 		// level 3
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v3, v4 = min(v3, v4), max(v3, v4)
 
 		// level 4
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v4, v6 = min(v4, v6), max(v4, v6)
 
 		// level 5
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
 
 		// level 6
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
 
 		s[0], s[1], s[2], s[3], s[4], s[5], s[6] = v0, v1, v2, v3, v4, v5, v6
 	}
@@ -547,73 +363,35 @@ func batchCols8Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7 := c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r]
 
 		// level 1
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
 
 		// level 2
-		if v4 < v0 {
-			v0, v4 = v4, v0
-		}
-		if v5 < v1 {
-			v1, v5 = v5, v1
-		}
-		if v6 < v2 {
-			v2, v6 = v6, v2
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
+		v0, v4 = min(v0, v4), max(v0, v4)
+		v1, v5 = min(v1, v5), max(v1, v5)
+		v2, v6 = min(v2, v6), max(v2, v6)
+		v3, v7 = min(v3, v7), max(v3, v7)
 
 		// level 3
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
 
 		// level 4
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
 
 		// level 5
-		if v4 < v1 {
-			v1, v4 = v4, v1
-		}
-		if v6 < v3 {
-			v3, v6 = v6, v3
-		}
+		v1, v4 = min(v1, v4), max(v1, v4)
+		v3, v6 = min(v3, v6), max(v3, v6)
 
 		// level 6
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
 
 		c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r] = v0, v1, v2, v3, v4, v5, v6, v7
 	}
@@ -627,73 +405,35 @@ func batchFlat8Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
 
 		// level 1
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
 
 		// level 2
-		if v4 < v0 {
-			v0, v4 = v4, v0
-		}
-		if v5 < v1 {
-			v1, v5 = v5, v1
-		}
-		if v6 < v2 {
-			v2, v6 = v6, v2
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
+		v0, v4 = min(v0, v4), max(v0, v4)
+		v1, v5 = min(v1, v5), max(v1, v5)
+		v2, v6 = min(v2, v6), max(v2, v6)
+		v3, v7 = min(v3, v7), max(v3, v7)
 
 		// level 3
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
 
 		// level 4
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
 
 		// level 5
-		if v4 < v1 {
-			v1, v4 = v4, v1
-		}
-		if v6 < v3 {
-			v3, v6 = v6, v3
-		}
+		v1, v4 = min(v1, v4), max(v1, v4)
+		v3, v6 = min(v3, v6), max(v3, v6)
 
 		// level 6
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
 
 		s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = v0, v1, v2, v3, v4, v5, v6, v7
 	}
@@ -716,93 +456,43 @@ func batchCols9Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8 := c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r]
 
 		// level 1
-		if v3 < v0 {
-			v0, v3 = v3, v0
-		}
-		if v7 < v1 {
-			v1, v7 = v7, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v8 < v4 {
-			v4, v8 = v8, v4
-		}
+		v0, v3 = min(v0, v3), max(v0, v3)
+		v1, v7 = min(v1, v7), max(v1, v7)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v4, v8 = min(v4, v8), max(v4, v8)
 
 		// level 2
-		if v7 < v0 {
-			v0, v7 = v7, v0
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
+		v0, v7 = min(v0, v7), max(v0, v7)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v5, v6 = min(v5, v6), max(v5, v6)
 
 		// level 3
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v7, v8 = min(v7, v8), max(v7, v8)
 
 		// level 4
-		if v4 < v1 {
-			v1, v4 = v4, v1
-		}
-		if v6 < v3 {
-			v3, v6 = v6, v3
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
+		v1, v4 = min(v1, v4), max(v1, v4)
+		v3, v6 = min(v3, v6), max(v3, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
 
 		// level 5
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
 
 		// level 6
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
 
 		// level 7
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
 
 		c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r] = v0, v1, v2, v3, v4, v5, v6, v7, v8
 	}
@@ -816,93 +506,43 @@ func batchFlat9Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8]
 
 		// level 1
-		if v3 < v0 {
-			v0, v3 = v3, v0
-		}
-		if v7 < v1 {
-			v1, v7 = v7, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v8 < v4 {
-			v4, v8 = v8, v4
-		}
+		v0, v3 = min(v0, v3), max(v0, v3)
+		v1, v7 = min(v1, v7), max(v1, v7)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v4, v8 = min(v4, v8), max(v4, v8)
 
 		// level 2
-		if v7 < v0 {
-			v0, v7 = v7, v0
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
+		v0, v7 = min(v0, v7), max(v0, v7)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v5, v6 = min(v5, v6), max(v5, v6)
 
 		// level 3
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v7, v8 = min(v7, v8), max(v7, v8)
 
 		// level 4
-		if v4 < v1 {
-			v1, v4 = v4, v1
-		}
-		if v6 < v3 {
-			v3, v6 = v6, v3
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
+		v1, v4 = min(v1, v4), max(v1, v4)
+		v3, v6 = min(v3, v6), max(v3, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
 
 		// level 5
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
 
 		// level 6
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
 
 		// level 7
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
 
 		s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8] = v0, v1, v2, v3, v4, v5, v6, v7, v8
 	}
@@ -926,111 +566,49 @@ func batchCols10Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 := c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v6 < v3 {
-			v3, v6 = v6, v3
-		}
-		if v7 < v4 {
-			v4, v7 = v7, v4
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v3, v6 = min(v3, v6), max(v3, v6)
+		v4, v7 = min(v4, v7), max(v4, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
 
 		// level 2
-		if v6 < v0 {
-			v0, v6 = v6, v0
-		}
-		if v8 < v1 {
-			v1, v8 = v8, v1
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v9 < v3 {
-			v3, v9 = v9, v3
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
+		v0, v6 = min(v0, v6), max(v0, v6)
+		v1, v8 = min(v1, v8), max(v1, v8)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v9 = min(v3, v9), max(v3, v9)
+		v5, v7 = min(v5, v7), max(v5, v7)
 
 		// level 3
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
-		if v9 < v7 {
-			v7, v9 = v9, v7
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
+		v7, v9 = min(v7, v9), max(v7, v9)
 
 		// level 4
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v7 < v2 {
-			v2, v7 = v7, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v7 = min(v2, v7), max(v2, v7)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v8, v9 = min(v8, v9), max(v8, v9)
 
 		// level 5
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
 
 		// level 6
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v6, v8 = min(v6, v8), max(v6, v8)
 
 		// level 7
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
 
 		c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9
 	}
@@ -1044,111 +622,49 @@ func batchFlat10Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v6 < v3 {
-			v3, v6 = v6, v3
-		}
-		if v7 < v4 {
-			v4, v7 = v7, v4
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v3, v6 = min(v3, v6), max(v3, v6)
+		v4, v7 = min(v4, v7), max(v4, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
 
 		// level 2
-		if v6 < v0 {
-			v0, v6 = v6, v0
-		}
-		if v8 < v1 {
-			v1, v8 = v8, v1
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v9 < v3 {
-			v3, v9 = v9, v3
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
+		v0, v6 = min(v0, v6), max(v0, v6)
+		v1, v8 = min(v1, v8), max(v1, v8)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v9 = min(v3, v9), max(v3, v9)
+		v5, v7 = min(v5, v7), max(v5, v7)
 
 		// level 3
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
-		if v9 < v7 {
-			v7, v9 = v9, v7
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
+		v7, v9 = min(v7, v9), max(v7, v9)
 
 		// level 4
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v7 < v2 {
-			v2, v7 = v7, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v7 = min(v2, v7), max(v2, v7)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v8, v9 = min(v8, v9), max(v8, v9)
 
 		// level 5
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
 
 		// level 6
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v6, v8 = min(v6, v8), max(v6, v8)
 
 		// level 7
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
 
 		s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9
 	}
@@ -1173,125 +689,55 @@ func batchCols11Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10 := c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r], c10[r]
 
 		// level 1
-		if v9 < v0 {
-			v0, v9 = v9, v0
-		}
-		if v6 < v1 {
-			v1, v6 = v6, v1
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
-		if v8 < v5 {
-			v5, v8 = v8, v5
-		}
+		v0, v9 = min(v0, v9), max(v0, v9)
+		v1, v6 = min(v1, v6), max(v1, v6)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v7 = min(v3, v7), max(v3, v7)
+		v5, v8 = min(v5, v8), max(v5, v8)
 
 		// level 2
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v10 < v4 {
-			v4, v10 = v10, v4
-		}
-		if v9 < v6 {
-			v6, v9 = v9, v6
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v4, v10 = min(v4, v10), max(v4, v10)
+		v6, v9 = min(v6, v9), max(v6, v9)
+		v7, v8 = min(v7, v8), max(v7, v8)
 
 		// level 3
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v7 < v4 {
-			v4, v7 = v7, v4
-		}
-		if v10 < v8 {
-			v8, v10 = v10, v8
-		}
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v4, v7 = min(v4, v7), max(v4, v7)
+		v8, v10 = min(v8, v10), max(v8, v10)
 
 		// level 4
-		if v4 < v0 {
-			v0, v4 = v4, v0
-		}
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
-		if v9 < v5 {
-			v5, v9 = v9, v5
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
+		v0, v4 = min(v0, v4), max(v0, v4)
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v7 = min(v3, v7), max(v3, v7)
+		v5, v9 = min(v5, v9), max(v5, v9)
+		v6, v8 = min(v6, v8), max(v6, v8)
 
 		// level 5
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v6 < v2 {
-			v2, v6 = v6, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v6 = min(v2, v6), max(v2, v6)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v7, v8 = min(v7, v8), max(v7, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
 
 		// level 6
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v6 < v3 {
-			v3, v6 = v6, v3
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v6 = min(v3, v6), max(v3, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
 
 		// level 7
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
 
 		// level 8
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
 
 		c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r], c10[r] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10
 	}
@@ -1305,125 +751,55 @@ func batchFlat11Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10]
 
 		// level 1
-		if v9 < v0 {
-			v0, v9 = v9, v0
-		}
-		if v6 < v1 {
-			v1, v6 = v6, v1
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
-		if v8 < v5 {
-			v5, v8 = v8, v5
-		}
+		v0, v9 = min(v0, v9), max(v0, v9)
+		v1, v6 = min(v1, v6), max(v1, v6)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v7 = min(v3, v7), max(v3, v7)
+		v5, v8 = min(v5, v8), max(v5, v8)
 
 		// level 2
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v10 < v4 {
-			v4, v10 = v10, v4
-		}
-		if v9 < v6 {
-			v6, v9 = v9, v6
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v4, v10 = min(v4, v10), max(v4, v10)
+		v6, v9 = min(v6, v9), max(v6, v9)
+		v7, v8 = min(v7, v8), max(v7, v8)
 
 		// level 3
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v7 < v4 {
-			v4, v7 = v7, v4
-		}
-		if v10 < v8 {
-			v8, v10 = v10, v8
-		}
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v4, v7 = min(v4, v7), max(v4, v7)
+		v8, v10 = min(v8, v10), max(v8, v10)
 
 		// level 4
-		if v4 < v0 {
-			v0, v4 = v4, v0
-		}
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
-		if v9 < v5 {
-			v5, v9 = v9, v5
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
+		v0, v4 = min(v0, v4), max(v0, v4)
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v7 = min(v3, v7), max(v3, v7)
+		v5, v9 = min(v5, v9), max(v5, v9)
+		v6, v8 = min(v6, v8), max(v6, v8)
 
 		// level 5
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v6 < v2 {
-			v2, v6 = v6, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v6 = min(v2, v6), max(v2, v6)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v7, v8 = min(v7, v8), max(v7, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
 
 		// level 6
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v6 < v3 {
-			v3, v6 = v6, v3
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v6 = min(v3, v6), max(v3, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
 
 		// level 7
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
 
 		// level 8
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
 
 		s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10
 	}
@@ -1449,149 +825,63 @@ func batchCols12Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11 := c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r], c10[r], c11[r]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
-		if v11 < v10 {
-			v10, v11 = v11, v10
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
+		v10, v11 = min(v10, v11), max(v10, v11)
 
 		// level 2
-		if v6 < v0 {
-			v0, v6 = v6, v0
-		}
-		if v7 < v1 {
-			v1, v7 = v7, v1
-		}
-		if v9 < v2 {
-			v2, v9 = v9, v2
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v10 < v4 {
-			v4, v10 = v10, v4
-		}
-		if v11 < v5 {
-			v5, v11 = v11, v5
-		}
+		v0, v6 = min(v0, v6), max(v0, v6)
+		v1, v7 = min(v1, v7), max(v1, v7)
+		v2, v9 = min(v2, v9), max(v2, v9)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v4, v10 = min(v4, v10), max(v4, v10)
+		v5, v11 = min(v5, v11), max(v5, v11)
 
 		// level 3
-		if v11 < v0 {
-			v0, v11 = v11, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v7 < v4 {
-			v4, v7 = v7, v4
-		}
-		if v9 < v6 {
-			v6, v9 = v9, v6
-		}
-		if v10 < v8 {
-			v8, v10 = v10, v8
-		}
+		v0, v11 = min(v0, v11), max(v0, v11)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v4, v7 = min(v4, v7), max(v4, v7)
+		v6, v9 = min(v6, v9), max(v6, v9)
+		v8, v10 = min(v8, v10), max(v8, v10)
 
 		// level 4
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v4 < v1 {
-			v1, v4 = v4, v1
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
-		if v10 < v7 {
-			v7, v10 = v10, v7
-		}
-		if v11 < v9 {
-			v9, v11 = v11, v9
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v4 = min(v1, v4), max(v1, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
+		v7, v10 = min(v7, v10), max(v7, v10)
+		v9, v11 = min(v9, v11), max(v9, v11)
 
 		// level 5
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v9 < v7 {
-			v7, v9 = v9, v7
-		}
-		if v11 < v10 {
-			v10, v11 = v11, v10
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v7, v9 = min(v7, v9), max(v7, v9)
+		v10, v11 = min(v10, v11), max(v10, v11)
 
 		// level 6
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v6 < v3 {
-			v3, v6 = v6, v3
-		}
-		if v7 < v4 {
-			v4, v7 = v7, v4
-		}
-		if v8 < v5 {
-			v5, v8 = v8, v5
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v6 = min(v3, v6), max(v3, v6)
+		v4, v7 = min(v4, v7), max(v4, v7)
+		v5, v8 = min(v5, v8), max(v5, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
 
 		// level 7
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
 
 		// level 8
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
 
 		c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r], c10[r], c11[r] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11
 	}
@@ -1605,149 +895,63 @@ func batchFlat12Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
-		if v11 < v10 {
-			v10, v11 = v11, v10
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
+		v10, v11 = min(v10, v11), max(v10, v11)
 
 		// level 2
-		if v6 < v0 {
-			v0, v6 = v6, v0
-		}
-		if v7 < v1 {
-			v1, v7 = v7, v1
-		}
-		if v9 < v2 {
-			v2, v9 = v9, v2
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v10 < v4 {
-			v4, v10 = v10, v4
-		}
-		if v11 < v5 {
-			v5, v11 = v11, v5
-		}
+		v0, v6 = min(v0, v6), max(v0, v6)
+		v1, v7 = min(v1, v7), max(v1, v7)
+		v2, v9 = min(v2, v9), max(v2, v9)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v4, v10 = min(v4, v10), max(v4, v10)
+		v5, v11 = min(v5, v11), max(v5, v11)
 
 		// level 3
-		if v11 < v0 {
-			v0, v11 = v11, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v7 < v4 {
-			v4, v7 = v7, v4
-		}
-		if v9 < v6 {
-			v6, v9 = v9, v6
-		}
-		if v10 < v8 {
-			v8, v10 = v10, v8
-		}
+		v0, v11 = min(v0, v11), max(v0, v11)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v4, v7 = min(v4, v7), max(v4, v7)
+		v6, v9 = min(v6, v9), max(v6, v9)
+		v8, v10 = min(v8, v10), max(v8, v10)
 
 		// level 4
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v4 < v1 {
-			v1, v4 = v4, v1
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
-		if v10 < v7 {
-			v7, v10 = v10, v7
-		}
-		if v11 < v9 {
-			v9, v11 = v11, v9
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v4 = min(v1, v4), max(v1, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
+		v7, v10 = min(v7, v10), max(v7, v10)
+		v9, v11 = min(v9, v11), max(v9, v11)
 
 		// level 5
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v9 < v7 {
-			v7, v9 = v9, v7
-		}
-		if v11 < v10 {
-			v10, v11 = v11, v10
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v7, v9 = min(v7, v9), max(v7, v9)
+		v10, v11 = min(v10, v11), max(v10, v11)
 
 		// level 6
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v6 < v3 {
-			v3, v6 = v6, v3
-		}
-		if v7 < v4 {
-			v4, v7 = v7, v4
-		}
-		if v8 < v5 {
-			v5, v8 = v8, v5
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v6 = min(v3, v6), max(v3, v6)
+		v4, v7 = min(v4, v7), max(v4, v7)
+		v5, v8 = min(v5, v8), max(v5, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
 
 		// level 7
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
 
 		// level 8
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
 
 		s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11
 	}
@@ -1774,166 +978,70 @@ func batchCols13Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12 := c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r], c10[r], c11[r], c12[r]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
-		if v11 < v10 {
-			v10, v11 = v11, v10
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
+		v10, v11 = min(v10, v11), max(v10, v11)
 
 		// level 2
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v10 < v8 {
-			v8, v10 = v10, v8
-		}
-		if v11 < v9 {
-			v9, v11 = v11, v9
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v8, v10 = min(v8, v10), max(v8, v10)
+		v9, v11 = min(v9, v11), max(v9, v11)
 
 		// level 3
-		if v4 < v0 {
-			v0, v4 = v4, v0
-		}
-		if v6 < v1 {
-			v1, v6 = v6, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
-		if v12 < v8 {
-			v8, v12 = v12, v8
-		}
+		v0, v4 = min(v0, v4), max(v0, v4)
+		v1, v6 = min(v1, v6), max(v1, v6)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v3, v7 = min(v3, v7), max(v3, v7)
+		v8, v12 = min(v8, v12), max(v8, v12)
 
 		// level 4
-		if v8 < v0 {
-			v0, v8 = v8, v0
-		}
-		if v9 < v1 {
-			v1, v9 = v9, v1
-		}
-		if v10 < v2 {
-			v2, v10 = v10, v2
-		}
-		if v11 < v3 {
-			v3, v11 = v11, v3
-		}
-		if v12 < v4 {
-			v4, v12 = v12, v4
-		}
+		v0, v8 = min(v0, v8), max(v0, v8)
+		v1, v9 = min(v1, v9), max(v1, v9)
+		v2, v10 = min(v2, v10), max(v2, v10)
+		v3, v11 = min(v3, v11), max(v3, v11)
+		v4, v12 = min(v4, v12), max(v4, v12)
 
 		// level 5
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v12 < v3 {
-			v3, v12 = v12, v3
-		}
-		if v8 < v4 {
-			v4, v8 = v8, v4
-		}
-		if v9 < v5 {
-			v5, v9 = v9, v5
-		}
-		if v10 < v6 {
-			v6, v10 = v10, v6
-		}
-		if v11 < v7 {
-			v7, v11 = v11, v7
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v12 = min(v3, v12), max(v3, v12)
+		v4, v8 = min(v4, v8), max(v4, v8)
+		v5, v9 = min(v5, v9), max(v5, v9)
+		v6, v10 = min(v6, v10), max(v6, v10)
+		v7, v11 = min(v7, v11), max(v7, v11)
 
 		// level 6
-		if v8 < v2 {
-			v2, v8 = v8, v2
-		}
-		if v10 < v3 {
-			v3, v10 = v10, v3
-		}
-		if v12 < v5 {
-			v5, v12 = v12, v5
-		}
-		if v9 < v6 {
-			v6, v9 = v9, v6
-		}
+		v2, v8 = min(v2, v8), max(v2, v8)
+		v3, v10 = min(v3, v10), max(v3, v10)
+		v5, v12 = min(v5, v12), max(v5, v12)
+		v6, v9 = min(v6, v9), max(v6, v9)
 
 		// level 7
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v12 < v7 {
-			v7, v12 = v12, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v12 = min(v7, v12), max(v7, v12)
+		v9, v10 = min(v9, v10), max(v9, v10)
 
 		// level 8
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
-		if v9 < v7 {
-			v7, v9 = v9, v7
-		}
-		if v12 < v10 {
-			v10, v12 = v12, v10
-		}
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
+		v7, v9 = min(v7, v9), max(v7, v9)
+		v10, v12 = min(v10, v12), max(v10, v12)
 
 		// level 9
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
-		if v12 < v11 {
-			v11, v12 = v12, v11
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
+		v11, v12 = min(v11, v12), max(v11, v12)
 
 		c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r], c10[r], c11[r], c12[r] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12
 	}
@@ -1947,166 +1055,70 @@ func batchFlat13Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
-		if v11 < v10 {
-			v10, v11 = v11, v10
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
+		v10, v11 = min(v10, v11), max(v10, v11)
 
 		// level 2
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v10 < v8 {
-			v8, v10 = v10, v8
-		}
-		if v11 < v9 {
-			v9, v11 = v11, v9
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v8, v10 = min(v8, v10), max(v8, v10)
+		v9, v11 = min(v9, v11), max(v9, v11)
 
 		// level 3
-		if v4 < v0 {
-			v0, v4 = v4, v0
-		}
-		if v6 < v1 {
-			v1, v6 = v6, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
-		if v12 < v8 {
-			v8, v12 = v12, v8
-		}
+		v0, v4 = min(v0, v4), max(v0, v4)
+		v1, v6 = min(v1, v6), max(v1, v6)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v3, v7 = min(v3, v7), max(v3, v7)
+		v8, v12 = min(v8, v12), max(v8, v12)
 
 		// level 4
-		if v8 < v0 {
-			v0, v8 = v8, v0
-		}
-		if v9 < v1 {
-			v1, v9 = v9, v1
-		}
-		if v10 < v2 {
-			v2, v10 = v10, v2
-		}
-		if v11 < v3 {
-			v3, v11 = v11, v3
-		}
-		if v12 < v4 {
-			v4, v12 = v12, v4
-		}
+		v0, v8 = min(v0, v8), max(v0, v8)
+		v1, v9 = min(v1, v9), max(v1, v9)
+		v2, v10 = min(v2, v10), max(v2, v10)
+		v3, v11 = min(v3, v11), max(v3, v11)
+		v4, v12 = min(v4, v12), max(v4, v12)
 
 		// level 5
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v12 < v3 {
-			v3, v12 = v12, v3
-		}
-		if v8 < v4 {
-			v4, v8 = v8, v4
-		}
-		if v9 < v5 {
-			v5, v9 = v9, v5
-		}
-		if v10 < v6 {
-			v6, v10 = v10, v6
-		}
-		if v11 < v7 {
-			v7, v11 = v11, v7
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v12 = min(v3, v12), max(v3, v12)
+		v4, v8 = min(v4, v8), max(v4, v8)
+		v5, v9 = min(v5, v9), max(v5, v9)
+		v6, v10 = min(v6, v10), max(v6, v10)
+		v7, v11 = min(v7, v11), max(v7, v11)
 
 		// level 6
-		if v8 < v2 {
-			v2, v8 = v8, v2
-		}
-		if v10 < v3 {
-			v3, v10 = v10, v3
-		}
-		if v12 < v5 {
-			v5, v12 = v12, v5
-		}
-		if v9 < v6 {
-			v6, v9 = v9, v6
-		}
+		v2, v8 = min(v2, v8), max(v2, v8)
+		v3, v10 = min(v3, v10), max(v3, v10)
+		v5, v12 = min(v5, v12), max(v5, v12)
+		v6, v9 = min(v6, v9), max(v6, v9)
 
 		// level 7
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v12 < v7 {
-			v7, v12 = v12, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v12 = min(v7, v12), max(v7, v12)
+		v9, v10 = min(v9, v10), max(v9, v10)
 
 		// level 8
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
-		if v9 < v7 {
-			v7, v9 = v9, v7
-		}
-		if v12 < v10 {
-			v10, v12 = v12, v10
-		}
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
+		v7, v9 = min(v7, v9), max(v7, v9)
+		v10, v12 = min(v10, v12), max(v10, v12)
 
 		// level 9
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
-		if v12 < v11 {
-			v11, v12 = v12, v11
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
+		v11, v12 = min(v11, v12), max(v11, v12)
 
 		s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12
 	}
@@ -2134,181 +1146,75 @@ func batchCols14Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13 := c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r], c10[r], c11[r], c12[r], c13[r]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
-		if v11 < v10 {
-			v10, v11 = v11, v10
-		}
-		if v13 < v12 {
-			v12, v13 = v13, v12
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
+		v10, v11 = min(v10, v11), max(v10, v11)
+		v12, v13 = min(v12, v13), max(v12, v13)
 
 		// level 2
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v10 < v8 {
-			v8, v10 = v10, v8
-		}
-		if v11 < v9 {
-			v9, v11 = v11, v9
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v8, v10 = min(v8, v10), max(v8, v10)
+		v9, v11 = min(v9, v11), max(v9, v11)
 
 		// level 3
-		if v4 < v0 {
-			v0, v4 = v4, v0
-		}
-		if v6 < v1 {
-			v1, v6 = v6, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
-		if v12 < v8 {
-			v8, v12 = v12, v8
-		}
-		if v13 < v10 {
-			v10, v13 = v13, v10
-		}
+		v0, v4 = min(v0, v4), max(v0, v4)
+		v1, v6 = min(v1, v6), max(v1, v6)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v3, v7 = min(v3, v7), max(v3, v7)
+		v8, v12 = min(v8, v12), max(v8, v12)
+		v10, v13 = min(v10, v13), max(v10, v13)
 
 		// level 4
-		if v8 < v0 {
-			v0, v8 = v8, v0
-		}
-		if v9 < v1 {
-			v1, v9 = v9, v1
-		}
-		if v10 < v2 {
-			v2, v10 = v10, v2
-		}
-		if v11 < v3 {
-			v3, v11 = v11, v3
-		}
-		if v12 < v4 {
-			v4, v12 = v12, v4
-		}
-		if v13 < v5 {
-			v5, v13 = v13, v5
-		}
+		v0, v8 = min(v0, v8), max(v0, v8)
+		v1, v9 = min(v1, v9), max(v1, v9)
+		v2, v10 = min(v2, v10), max(v2, v10)
+		v3, v11 = min(v3, v11), max(v3, v11)
+		v4, v12 = min(v4, v12), max(v4, v12)
+		v5, v13 = min(v5, v13), max(v5, v13)
 
 		// level 5
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v12 < v3 {
-			v3, v12 = v12, v3
-		}
-		if v8 < v4 {
-			v4, v8 = v8, v4
-		}
-		if v9 < v5 {
-			v5, v9 = v9, v5
-		}
-		if v10 < v6 {
-			v6, v10 = v10, v6
-		}
-		if v11 < v7 {
-			v7, v11 = v11, v7
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v12 = min(v3, v12), max(v3, v12)
+		v4, v8 = min(v4, v8), max(v4, v8)
+		v5, v9 = min(v5, v9), max(v5, v9)
+		v6, v10 = min(v6, v10), max(v6, v10)
+		v7, v11 = min(v7, v11), max(v7, v11)
 
 		// level 6
-		if v8 < v2 {
-			v2, v8 = v8, v2
-		}
-		if v10 < v3 {
-			v3, v10 = v10, v3
-		}
-		if v12 < v5 {
-			v5, v12 = v12, v5
-		}
-		if v9 < v6 {
-			v6, v9 = v9, v6
-		}
-		if v13 < v7 {
-			v7, v13 = v13, v7
-		}
+		v2, v8 = min(v2, v8), max(v2, v8)
+		v3, v10 = min(v3, v10), max(v3, v10)
+		v5, v12 = min(v5, v12), max(v5, v12)
+		v6, v9 = min(v6, v9), max(v6, v9)
+		v7, v13 = min(v7, v13), max(v7, v13)
 
 		// level 7
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v12 < v7 {
-			v7, v12 = v12, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v12 = min(v7, v12), max(v7, v12)
+		v9, v10 = min(v9, v10), max(v9, v10)
 
 		// level 8
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
-		if v9 < v7 {
-			v7, v9 = v9, v7
-		}
-		if v12 < v10 {
-			v10, v12 = v12, v10
-		}
-		if v13 < v11 {
-			v11, v13 = v13, v11
-		}
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
+		v7, v9 = min(v7, v9), max(v7, v9)
+		v10, v12 = min(v10, v12), max(v10, v12)
+		v11, v13 = min(v11, v13), max(v11, v13)
 
 		// level 9
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
-		if v12 < v11 {
-			v11, v12 = v12, v11
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
+		v11, v12 = min(v11, v12), max(v11, v12)
 
 		c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r], c10[r], c11[r], c12[r], c13[r] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13
 	}
@@ -2322,181 +1228,75 @@ func batchFlat14Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
-		if v11 < v10 {
-			v10, v11 = v11, v10
-		}
-		if v13 < v12 {
-			v12, v13 = v13, v12
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
+		v10, v11 = min(v10, v11), max(v10, v11)
+		v12, v13 = min(v12, v13), max(v12, v13)
 
 		// level 2
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v10 < v8 {
-			v8, v10 = v10, v8
-		}
-		if v11 < v9 {
-			v9, v11 = v11, v9
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v8, v10 = min(v8, v10), max(v8, v10)
+		v9, v11 = min(v9, v11), max(v9, v11)
 
 		// level 3
-		if v4 < v0 {
-			v0, v4 = v4, v0
-		}
-		if v6 < v1 {
-			v1, v6 = v6, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
-		if v12 < v8 {
-			v8, v12 = v12, v8
-		}
-		if v13 < v10 {
-			v10, v13 = v13, v10
-		}
+		v0, v4 = min(v0, v4), max(v0, v4)
+		v1, v6 = min(v1, v6), max(v1, v6)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v3, v7 = min(v3, v7), max(v3, v7)
+		v8, v12 = min(v8, v12), max(v8, v12)
+		v10, v13 = min(v10, v13), max(v10, v13)
 
 		// level 4
-		if v8 < v0 {
-			v0, v8 = v8, v0
-		}
-		if v9 < v1 {
-			v1, v9 = v9, v1
-		}
-		if v10 < v2 {
-			v2, v10 = v10, v2
-		}
-		if v11 < v3 {
-			v3, v11 = v11, v3
-		}
-		if v12 < v4 {
-			v4, v12 = v12, v4
-		}
-		if v13 < v5 {
-			v5, v13 = v13, v5
-		}
+		v0, v8 = min(v0, v8), max(v0, v8)
+		v1, v9 = min(v1, v9), max(v1, v9)
+		v2, v10 = min(v2, v10), max(v2, v10)
+		v3, v11 = min(v3, v11), max(v3, v11)
+		v4, v12 = min(v4, v12), max(v4, v12)
+		v5, v13 = min(v5, v13), max(v5, v13)
 
 		// level 5
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v12 < v3 {
-			v3, v12 = v12, v3
-		}
-		if v8 < v4 {
-			v4, v8 = v8, v4
-		}
-		if v9 < v5 {
-			v5, v9 = v9, v5
-		}
-		if v10 < v6 {
-			v6, v10 = v10, v6
-		}
-		if v11 < v7 {
-			v7, v11 = v11, v7
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v12 = min(v3, v12), max(v3, v12)
+		v4, v8 = min(v4, v8), max(v4, v8)
+		v5, v9 = min(v5, v9), max(v5, v9)
+		v6, v10 = min(v6, v10), max(v6, v10)
+		v7, v11 = min(v7, v11), max(v7, v11)
 
 		// level 6
-		if v8 < v2 {
-			v2, v8 = v8, v2
-		}
-		if v10 < v3 {
-			v3, v10 = v10, v3
-		}
-		if v12 < v5 {
-			v5, v12 = v12, v5
-		}
-		if v9 < v6 {
-			v6, v9 = v9, v6
-		}
-		if v13 < v7 {
-			v7, v13 = v13, v7
-		}
+		v2, v8 = min(v2, v8), max(v2, v8)
+		v3, v10 = min(v3, v10), max(v3, v10)
+		v5, v12 = min(v5, v12), max(v5, v12)
+		v6, v9 = min(v6, v9), max(v6, v9)
+		v7, v13 = min(v7, v13), max(v7, v13)
 
 		// level 7
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v12 < v7 {
-			v7, v12 = v12, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v12 = min(v7, v12), max(v7, v12)
+		v9, v10 = min(v9, v10), max(v9, v10)
 
 		// level 8
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
-		if v9 < v7 {
-			v7, v9 = v9, v7
-		}
-		if v12 < v10 {
-			v10, v12 = v12, v10
-		}
-		if v13 < v11 {
-			v11, v13 = v13, v11
-		}
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
+		v7, v9 = min(v7, v9), max(v7, v9)
+		v10, v12 = min(v10, v12), max(v10, v12)
+		v11, v13 = min(v11, v13), max(v11, v13)
 
 		// level 9
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
-		if v12 < v11 {
-			v11, v12 = v12, v11
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
+		v11, v12 = min(v11, v12), max(v11, v12)
 
 		s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13
 	}
@@ -2525,199 +1325,81 @@ func batchCols15Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 := c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r], c10[r], c11[r], c12[r], c13[r], c14[r]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
-		if v11 < v10 {
-			v10, v11 = v11, v10
-		}
-		if v13 < v12 {
-			v12, v13 = v13, v12
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
+		v10, v11 = min(v10, v11), max(v10, v11)
+		v12, v13 = min(v12, v13), max(v12, v13)
 
 		// level 2
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v10 < v8 {
-			v8, v10 = v10, v8
-		}
-		if v11 < v9 {
-			v9, v11 = v11, v9
-		}
-		if v14 < v12 {
-			v12, v14 = v14, v12
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v8, v10 = min(v8, v10), max(v8, v10)
+		v9, v11 = min(v9, v11), max(v9, v11)
+		v12, v14 = min(v12, v14), max(v12, v14)
 
 		// level 3
-		if v4 < v0 {
-			v0, v4 = v4, v0
-		}
-		if v6 < v1 {
-			v1, v6 = v6, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
-		if v12 < v8 {
-			v8, v12 = v12, v8
-		}
-		if v14 < v9 {
-			v9, v14 = v14, v9
-		}
-		if v13 < v10 {
-			v10, v13 = v13, v10
-		}
+		v0, v4 = min(v0, v4), max(v0, v4)
+		v1, v6 = min(v1, v6), max(v1, v6)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v3, v7 = min(v3, v7), max(v3, v7)
+		v8, v12 = min(v8, v12), max(v8, v12)
+		v9, v14 = min(v9, v14), max(v9, v14)
+		v10, v13 = min(v10, v13), max(v10, v13)
 
 		// level 4
-		if v8 < v0 {
-			v0, v8 = v8, v0
-		}
-		if v9 < v1 {
-			v1, v9 = v9, v1
-		}
-		if v10 < v2 {
-			v2, v10 = v10, v2
-		}
-		if v11 < v3 {
-			v3, v11 = v11, v3
-		}
-		if v12 < v4 {
-			v4, v12 = v12, v4
-		}
-		if v13 < v5 {
-			v5, v13 = v13, v5
-		}
-		if v14 < v6 {
-			v6, v14 = v14, v6
-		}
+		v0, v8 = min(v0, v8), max(v0, v8)
+		v1, v9 = min(v1, v9), max(v1, v9)
+		v2, v10 = min(v2, v10), max(v2, v10)
+		v3, v11 = min(v3, v11), max(v3, v11)
+		v4, v12 = min(v4, v12), max(v4, v12)
+		v5, v13 = min(v5, v13), max(v5, v13)
+		v6, v14 = min(v6, v14), max(v6, v14)
 
 		// level 5
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v12 < v3 {
-			v3, v12 = v12, v3
-		}
-		if v8 < v4 {
-			v4, v8 = v8, v4
-		}
-		if v9 < v5 {
-			v5, v9 = v9, v5
-		}
-		if v10 < v6 {
-			v6, v10 = v10, v6
-		}
-		if v11 < v7 {
-			v7, v11 = v11, v7
-		}
-		if v14 < v13 {
-			v13, v14 = v14, v13
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v12 = min(v3, v12), max(v3, v12)
+		v4, v8 = min(v4, v8), max(v4, v8)
+		v5, v9 = min(v5, v9), max(v5, v9)
+		v6, v10 = min(v6, v10), max(v6, v10)
+		v7, v11 = min(v7, v11), max(v7, v11)
+		v13, v14 = min(v13, v14), max(v13, v14)
 
 		// level 6
-		if v8 < v2 {
-			v2, v8 = v8, v2
-		}
-		if v10 < v3 {
-			v3, v10 = v10, v3
-		}
-		if v12 < v5 {
-			v5, v12 = v12, v5
-		}
-		if v9 < v6 {
-			v6, v9 = v9, v6
-		}
-		if v13 < v7 {
-			v7, v13 = v13, v7
-		}
+		v2, v8 = min(v2, v8), max(v2, v8)
+		v3, v10 = min(v3, v10), max(v3, v10)
+		v5, v12 = min(v5, v12), max(v5, v12)
+		v6, v9 = min(v6, v9), max(v6, v9)
+		v7, v13 = min(v7, v13), max(v7, v13)
 
 		// level 7
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v12 < v7 {
-			v7, v12 = v12, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
-		if v14 < v13 {
-			v13, v14 = v14, v13
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v12 = min(v7, v12), max(v7, v12)
+		v9, v10 = min(v9, v10), max(v9, v10)
+		v13, v14 = min(v13, v14), max(v13, v14)
 
 		// level 8
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
-		if v9 < v7 {
-			v7, v9 = v9, v7
-		}
-		if v12 < v10 {
-			v10, v12 = v12, v10
-		}
-		if v13 < v11 {
-			v11, v13 = v13, v11
-		}
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
+		v7, v9 = min(v7, v9), max(v7, v9)
+		v10, v12 = min(v10, v12), max(v10, v12)
+		v11, v13 = min(v11, v13), max(v11, v13)
 
 		// level 9
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
-		if v12 < v11 {
-			v11, v12 = v12, v11
-		}
-		if v14 < v13 {
-			v13, v14 = v14, v13
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
+		v11, v12 = min(v11, v12), max(v11, v12)
+		v13, v14 = min(v13, v14), max(v13, v14)
 
 		c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r], c10[r], c11[r], c12[r], c13[r], c14[r] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14
 	}
@@ -2731,199 +1413,81 @@ func batchFlat15Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
-		if v11 < v10 {
-			v10, v11 = v11, v10
-		}
-		if v13 < v12 {
-			v12, v13 = v13, v12
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
+		v10, v11 = min(v10, v11), max(v10, v11)
+		v12, v13 = min(v12, v13), max(v12, v13)
 
 		// level 2
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v10 < v8 {
-			v8, v10 = v10, v8
-		}
-		if v11 < v9 {
-			v9, v11 = v11, v9
-		}
-		if v14 < v12 {
-			v12, v14 = v14, v12
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v8, v10 = min(v8, v10), max(v8, v10)
+		v9, v11 = min(v9, v11), max(v9, v11)
+		v12, v14 = min(v12, v14), max(v12, v14)
 
 		// level 3
-		if v4 < v0 {
-			v0, v4 = v4, v0
-		}
-		if v6 < v1 {
-			v1, v6 = v6, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
-		if v12 < v8 {
-			v8, v12 = v12, v8
-		}
-		if v14 < v9 {
-			v9, v14 = v14, v9
-		}
-		if v13 < v10 {
-			v10, v13 = v13, v10
-		}
+		v0, v4 = min(v0, v4), max(v0, v4)
+		v1, v6 = min(v1, v6), max(v1, v6)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v3, v7 = min(v3, v7), max(v3, v7)
+		v8, v12 = min(v8, v12), max(v8, v12)
+		v9, v14 = min(v9, v14), max(v9, v14)
+		v10, v13 = min(v10, v13), max(v10, v13)
 
 		// level 4
-		if v8 < v0 {
-			v0, v8 = v8, v0
-		}
-		if v9 < v1 {
-			v1, v9 = v9, v1
-		}
-		if v10 < v2 {
-			v2, v10 = v10, v2
-		}
-		if v11 < v3 {
-			v3, v11 = v11, v3
-		}
-		if v12 < v4 {
-			v4, v12 = v12, v4
-		}
-		if v13 < v5 {
-			v5, v13 = v13, v5
-		}
-		if v14 < v6 {
-			v6, v14 = v14, v6
-		}
+		v0, v8 = min(v0, v8), max(v0, v8)
+		v1, v9 = min(v1, v9), max(v1, v9)
+		v2, v10 = min(v2, v10), max(v2, v10)
+		v3, v11 = min(v3, v11), max(v3, v11)
+		v4, v12 = min(v4, v12), max(v4, v12)
+		v5, v13 = min(v5, v13), max(v5, v13)
+		v6, v14 = min(v6, v14), max(v6, v14)
 
 		// level 5
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v12 < v3 {
-			v3, v12 = v12, v3
-		}
-		if v8 < v4 {
-			v4, v8 = v8, v4
-		}
-		if v9 < v5 {
-			v5, v9 = v9, v5
-		}
-		if v10 < v6 {
-			v6, v10 = v10, v6
-		}
-		if v11 < v7 {
-			v7, v11 = v11, v7
-		}
-		if v14 < v13 {
-			v13, v14 = v14, v13
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v12 = min(v3, v12), max(v3, v12)
+		v4, v8 = min(v4, v8), max(v4, v8)
+		v5, v9 = min(v5, v9), max(v5, v9)
+		v6, v10 = min(v6, v10), max(v6, v10)
+		v7, v11 = min(v7, v11), max(v7, v11)
+		v13, v14 = min(v13, v14), max(v13, v14)
 
 		// level 6
-		if v8 < v2 {
-			v2, v8 = v8, v2
-		}
-		if v10 < v3 {
-			v3, v10 = v10, v3
-		}
-		if v12 < v5 {
-			v5, v12 = v12, v5
-		}
-		if v9 < v6 {
-			v6, v9 = v9, v6
-		}
-		if v13 < v7 {
-			v7, v13 = v13, v7
-		}
+		v2, v8 = min(v2, v8), max(v2, v8)
+		v3, v10 = min(v3, v10), max(v3, v10)
+		v5, v12 = min(v5, v12), max(v5, v12)
+		v6, v9 = min(v6, v9), max(v6, v9)
+		v7, v13 = min(v7, v13), max(v7, v13)
 
 		// level 7
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v12 < v7 {
-			v7, v12 = v12, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
-		if v14 < v13 {
-			v13, v14 = v14, v13
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v12 = min(v7, v12), max(v7, v12)
+		v9, v10 = min(v9, v10), max(v9, v10)
+		v13, v14 = min(v13, v14), max(v13, v14)
 
 		// level 8
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
-		if v9 < v7 {
-			v7, v9 = v9, v7
-		}
-		if v12 < v10 {
-			v10, v12 = v12, v10
-		}
-		if v13 < v11 {
-			v11, v13 = v13, v11
-		}
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
+		v7, v9 = min(v7, v9), max(v7, v9)
+		v10, v12 = min(v10, v12), max(v10, v12)
+		v11, v13 = min(v11, v13), max(v11, v13)
 
 		// level 9
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
-		if v12 < v11 {
-			v11, v12 = v12, v11
-		}
-		if v14 < v13 {
-			v13, v14 = v14, v13
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
+		v11, v12 = min(v11, v12), max(v11, v12)
+		v13, v14 = min(v13, v14), max(v13, v14)
 
 		s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14
 	}
@@ -2953,217 +1517,87 @@ func batchCols16Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 := c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r], c10[r], c11[r], c12[r], c13[r], c14[r], c15[r]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
-		if v11 < v10 {
-			v10, v11 = v11, v10
-		}
-		if v13 < v12 {
-			v12, v13 = v13, v12
-		}
-		if v15 < v14 {
-			v14, v15 = v15, v14
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
+		v10, v11 = min(v10, v11), max(v10, v11)
+		v12, v13 = min(v12, v13), max(v12, v13)
+		v14, v15 = min(v14, v15), max(v14, v15)
 
 		// level 2
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v10 < v8 {
-			v8, v10 = v10, v8
-		}
-		if v11 < v9 {
-			v9, v11 = v11, v9
-		}
-		if v14 < v12 {
-			v12, v14 = v14, v12
-		}
-		if v15 < v13 {
-			v13, v15 = v15, v13
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v8, v10 = min(v8, v10), max(v8, v10)
+		v9, v11 = min(v9, v11), max(v9, v11)
+		v12, v14 = min(v12, v14), max(v12, v14)
+		v13, v15 = min(v13, v15), max(v13, v15)
 
 		// level 3
-		if v4 < v0 {
-			v0, v4 = v4, v0
-		}
-		if v6 < v1 {
-			v1, v6 = v6, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
-		if v12 < v8 {
-			v8, v12 = v12, v8
-		}
-		if v14 < v9 {
-			v9, v14 = v14, v9
-		}
-		if v13 < v10 {
-			v10, v13 = v13, v10
-		}
-		if v15 < v11 {
-			v11, v15 = v15, v11
-		}
+		v0, v4 = min(v0, v4), max(v0, v4)
+		v1, v6 = min(v1, v6), max(v1, v6)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v3, v7 = min(v3, v7), max(v3, v7)
+		v8, v12 = min(v8, v12), max(v8, v12)
+		v9, v14 = min(v9, v14), max(v9, v14)
+		v10, v13 = min(v10, v13), max(v10, v13)
+		v11, v15 = min(v11, v15), max(v11, v15)
 
 		// level 4
-		if v8 < v0 {
-			v0, v8 = v8, v0
-		}
-		if v9 < v1 {
-			v1, v9 = v9, v1
-		}
-		if v10 < v2 {
-			v2, v10 = v10, v2
-		}
-		if v11 < v3 {
-			v3, v11 = v11, v3
-		}
-		if v12 < v4 {
-			v4, v12 = v12, v4
-		}
-		if v13 < v5 {
-			v5, v13 = v13, v5
-		}
-		if v14 < v6 {
-			v6, v14 = v14, v6
-		}
-		if v15 < v7 {
-			v7, v15 = v15, v7
-		}
+		v0, v8 = min(v0, v8), max(v0, v8)
+		v1, v9 = min(v1, v9), max(v1, v9)
+		v2, v10 = min(v2, v10), max(v2, v10)
+		v3, v11 = min(v3, v11), max(v3, v11)
+		v4, v12 = min(v4, v12), max(v4, v12)
+		v5, v13 = min(v5, v13), max(v5, v13)
+		v6, v14 = min(v6, v14), max(v6, v14)
+		v7, v15 = min(v7, v15), max(v7, v15)
 
 		// level 5
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v12 < v3 {
-			v3, v12 = v12, v3
-		}
-		if v8 < v4 {
-			v4, v8 = v8, v4
-		}
-		if v9 < v5 {
-			v5, v9 = v9, v5
-		}
-		if v10 < v6 {
-			v6, v10 = v10, v6
-		}
-		if v11 < v7 {
-			v7, v11 = v11, v7
-		}
-		if v14 < v13 {
-			v13, v14 = v14, v13
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v12 = min(v3, v12), max(v3, v12)
+		v4, v8 = min(v4, v8), max(v4, v8)
+		v5, v9 = min(v5, v9), max(v5, v9)
+		v6, v10 = min(v6, v10), max(v6, v10)
+		v7, v11 = min(v7, v11), max(v7, v11)
+		v13, v14 = min(v13, v14), max(v13, v14)
 
 		// level 6
-		if v8 < v2 {
-			v2, v8 = v8, v2
-		}
-		if v10 < v3 {
-			v3, v10 = v10, v3
-		}
-		if v12 < v5 {
-			v5, v12 = v12, v5
-		}
-		if v9 < v6 {
-			v6, v9 = v9, v6
-		}
-		if v13 < v7 {
-			v7, v13 = v13, v7
-		}
+		v2, v8 = min(v2, v8), max(v2, v8)
+		v3, v10 = min(v3, v10), max(v3, v10)
+		v5, v12 = min(v5, v12), max(v5, v12)
+		v6, v9 = min(v6, v9), max(v6, v9)
+		v7, v13 = min(v7, v13), max(v7, v13)
 
 		// level 7
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v12 < v7 {
-			v7, v12 = v12, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
-		if v14 < v13 {
-			v13, v14 = v14, v13
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v12 = min(v7, v12), max(v7, v12)
+		v9, v10 = min(v9, v10), max(v9, v10)
+		v13, v14 = min(v13, v14), max(v13, v14)
 
 		// level 8
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
-		if v9 < v7 {
-			v7, v9 = v9, v7
-		}
-		if v12 < v10 {
-			v10, v12 = v12, v10
-		}
-		if v13 < v11 {
-			v11, v13 = v13, v11
-		}
-		if v15 < v14 {
-			v14, v15 = v15, v14
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
+		v7, v9 = min(v7, v9), max(v7, v9)
+		v10, v12 = min(v10, v12), max(v10, v12)
+		v11, v13 = min(v11, v13), max(v11, v13)
+		v14, v15 = min(v14, v15), max(v14, v15)
 
 		// level 9
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
-		if v12 < v11 {
-			v11, v12 = v12, v11
-		}
-		if v14 < v13 {
-			v13, v14 = v14, v13
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
+		v11, v12 = min(v11, v12), max(v11, v12)
+		v13, v14 = min(v13, v14), max(v13, v14)
 
 		c0[r], c1[r], c2[r], c3[r], c4[r], c5[r], c6[r], c7[r], c8[r], c9[r], c10[r], c11[r], c12[r], c13[r], c14[r], c15[r] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15
 	}
@@ -3177,217 +1611,87 @@ func batchFlat16Ordered[T cmp.Ordered](data []T, m int) {
 		v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14], s[15]
 
 		// level 1
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v3 < v2 {
-			v2, v3 = v3, v2
-		}
-		if v5 < v4 {
-			v4, v5 = v5, v4
-		}
-		if v7 < v6 {
-			v6, v7 = v7, v6
-		}
-		if v9 < v8 {
-			v8, v9 = v9, v8
-		}
-		if v11 < v10 {
-			v10, v11 = v11, v10
-		}
-		if v13 < v12 {
-			v12, v13 = v13, v12
-		}
-		if v15 < v14 {
-			v14, v15 = v15, v14
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v3 = min(v2, v3), max(v2, v3)
+		v4, v5 = min(v4, v5), max(v4, v5)
+		v6, v7 = min(v6, v7), max(v6, v7)
+		v8, v9 = min(v8, v9), max(v8, v9)
+		v10, v11 = min(v10, v11), max(v10, v11)
+		v12, v13 = min(v12, v13), max(v12, v13)
+		v14, v15 = min(v14, v15), max(v14, v15)
 
 		// level 2
-		if v2 < v0 {
-			v0, v2 = v2, v0
-		}
-		if v3 < v1 {
-			v1, v3 = v3, v1
-		}
-		if v6 < v4 {
-			v4, v6 = v6, v4
-		}
-		if v7 < v5 {
-			v5, v7 = v7, v5
-		}
-		if v10 < v8 {
-			v8, v10 = v10, v8
-		}
-		if v11 < v9 {
-			v9, v11 = v11, v9
-		}
-		if v14 < v12 {
-			v12, v14 = v14, v12
-		}
-		if v15 < v13 {
-			v13, v15 = v15, v13
-		}
+		v0, v2 = min(v0, v2), max(v0, v2)
+		v1, v3 = min(v1, v3), max(v1, v3)
+		v4, v6 = min(v4, v6), max(v4, v6)
+		v5, v7 = min(v5, v7), max(v5, v7)
+		v8, v10 = min(v8, v10), max(v8, v10)
+		v9, v11 = min(v9, v11), max(v9, v11)
+		v12, v14 = min(v12, v14), max(v12, v14)
+		v13, v15 = min(v13, v15), max(v13, v15)
 
 		// level 3
-		if v4 < v0 {
-			v0, v4 = v4, v0
-		}
-		if v6 < v1 {
-			v1, v6 = v6, v1
-		}
-		if v5 < v2 {
-			v2, v5 = v5, v2
-		}
-		if v7 < v3 {
-			v3, v7 = v7, v3
-		}
-		if v12 < v8 {
-			v8, v12 = v12, v8
-		}
-		if v14 < v9 {
-			v9, v14 = v14, v9
-		}
-		if v13 < v10 {
-			v10, v13 = v13, v10
-		}
-		if v15 < v11 {
-			v11, v15 = v15, v11
-		}
+		v0, v4 = min(v0, v4), max(v0, v4)
+		v1, v6 = min(v1, v6), max(v1, v6)
+		v2, v5 = min(v2, v5), max(v2, v5)
+		v3, v7 = min(v3, v7), max(v3, v7)
+		v8, v12 = min(v8, v12), max(v8, v12)
+		v9, v14 = min(v9, v14), max(v9, v14)
+		v10, v13 = min(v10, v13), max(v10, v13)
+		v11, v15 = min(v11, v15), max(v11, v15)
 
 		// level 4
-		if v8 < v0 {
-			v0, v8 = v8, v0
-		}
-		if v9 < v1 {
-			v1, v9 = v9, v1
-		}
-		if v10 < v2 {
-			v2, v10 = v10, v2
-		}
-		if v11 < v3 {
-			v3, v11 = v11, v3
-		}
-		if v12 < v4 {
-			v4, v12 = v12, v4
-		}
-		if v13 < v5 {
-			v5, v13 = v13, v5
-		}
-		if v14 < v6 {
-			v6, v14 = v14, v6
-		}
-		if v15 < v7 {
-			v7, v15 = v15, v7
-		}
+		v0, v8 = min(v0, v8), max(v0, v8)
+		v1, v9 = min(v1, v9), max(v1, v9)
+		v2, v10 = min(v2, v10), max(v2, v10)
+		v3, v11 = min(v3, v11), max(v3, v11)
+		v4, v12 = min(v4, v12), max(v4, v12)
+		v5, v13 = min(v5, v13), max(v5, v13)
+		v6, v14 = min(v6, v14), max(v6, v14)
+		v7, v15 = min(v7, v15), max(v7, v15)
 
 		// level 5
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v12 < v3 {
-			v3, v12 = v12, v3
-		}
-		if v8 < v4 {
-			v4, v8 = v8, v4
-		}
-		if v9 < v5 {
-			v5, v9 = v9, v5
-		}
-		if v10 < v6 {
-			v6, v10 = v10, v6
-		}
-		if v11 < v7 {
-			v7, v11 = v11, v7
-		}
-		if v14 < v13 {
-			v13, v14 = v14, v13
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v12 = min(v3, v12), max(v3, v12)
+		v4, v8 = min(v4, v8), max(v4, v8)
+		v5, v9 = min(v5, v9), max(v5, v9)
+		v6, v10 = min(v6, v10), max(v6, v10)
+		v7, v11 = min(v7, v11), max(v7, v11)
+		v13, v14 = min(v13, v14), max(v13, v14)
 
 		// level 6
-		if v8 < v2 {
-			v2, v8 = v8, v2
-		}
-		if v10 < v3 {
-			v3, v10 = v10, v3
-		}
-		if v12 < v5 {
-			v5, v12 = v12, v5
-		}
-		if v9 < v6 {
-			v6, v9 = v9, v6
-		}
-		if v13 < v7 {
-			v7, v13 = v13, v7
-		}
+		v2, v8 = min(v2, v8), max(v2, v8)
+		v3, v10 = min(v3, v10), max(v3, v10)
+		v5, v12 = min(v5, v12), max(v5, v12)
+		v6, v9 = min(v6, v9), max(v6, v9)
+		v7, v13 = min(v7, v13), max(v7, v13)
 
 		// level 7
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v8 < v3 {
-			v3, v8 = v8, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v12 < v7 {
-			v7, v12 = v12, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
-		if v14 < v13 {
-			v13, v14 = v14, v13
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v8 = min(v3, v8), max(v3, v8)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v12 = min(v7, v12), max(v7, v12)
+		v9, v10 = min(v9, v10), max(v9, v10)
+		v13, v14 = min(v13, v14), max(v13, v14)
 
 		// level 8
-		if v1 < v0 {
-			v0, v1 = v1, v0
-		}
-		if v4 < v2 {
-			v2, v4 = v4, v2
-		}
-		if v5 < v3 {
-			v3, v5 = v5, v3
-		}
-		if v8 < v6 {
-			v6, v8 = v8, v6
-		}
-		if v9 < v7 {
-			v7, v9 = v9, v7
-		}
-		if v12 < v10 {
-			v10, v12 = v12, v10
-		}
-		if v13 < v11 {
-			v11, v13 = v13, v11
-		}
-		if v15 < v14 {
-			v14, v15 = v15, v14
-		}
+		v0, v1 = min(v0, v1), max(v0, v1)
+		v2, v4 = min(v2, v4), max(v2, v4)
+		v3, v5 = min(v3, v5), max(v3, v5)
+		v6, v8 = min(v6, v8), max(v6, v8)
+		v7, v9 = min(v7, v9), max(v7, v9)
+		v10, v12 = min(v10, v12), max(v10, v12)
+		v11, v13 = min(v11, v13), max(v11, v13)
+		v14, v15 = min(v14, v15), max(v14, v15)
 
 		// level 9
-		if v2 < v1 {
-			v1, v2 = v2, v1
-		}
-		if v4 < v3 {
-			v3, v4 = v4, v3
-		}
-		if v6 < v5 {
-			v5, v6 = v6, v5
-		}
-		if v8 < v7 {
-			v7, v8 = v8, v7
-		}
-		if v10 < v9 {
-			v9, v10 = v10, v9
-		}
-		if v12 < v11 {
-			v11, v12 = v12, v11
-		}
-		if v14 < v13 {
-			v13, v14 = v14, v13
-		}
+		v1, v2 = min(v1, v2), max(v1, v2)
+		v3, v4 = min(v3, v4), max(v3, v4)
+		v5, v6 = min(v5, v6), max(v5, v6)
+		v7, v8 = min(v7, v8), max(v7, v8)
+		v9, v10 = min(v9, v10), max(v9, v10)
+		v11, v12 = min(v11, v12), max(v11, v12)
+		v13, v14 = min(v13, v14), max(v13, v14)
 
 		s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14], s[15] = v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15
 	}

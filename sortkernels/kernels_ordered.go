@@ -6,6 +6,8 @@ import "cmp"
 
 // Sort2Ordered sorts s[:2] in place with a sorting-network kernel:
 // depth 1, size 1, depth-optimal (proven minimum 1).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort2Ordered[T cmp.Ordered](s []T) {
 	_ = s[1]
 	v0, v1 := s[0], s[1]
@@ -20,6 +22,8 @@ func Sort2Ordered[T cmp.Ordered](s []T) {
 
 // Sort3Ordered sorts s[:3] in place with a sorting-network kernel:
 // depth 3, size 3, depth-optimal (proven minimum 3).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort3Ordered[T cmp.Ordered](s []T) {
 	_ = s[2]
 	v0, v1, v2 := s[0], s[1], s[2]
@@ -44,6 +48,8 @@ func Sort3Ordered[T cmp.Ordered](s []T) {
 
 // Sort4Ordered sorts s[:4] in place with a sorting-network kernel:
 // depth 3, size 5, depth-optimal (proven minimum 3).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort4Ordered[T cmp.Ordered](s []T) {
 	_ = s[3]
 	v0, v1, v2, v3 := s[0], s[1], s[2], s[3]
@@ -74,6 +80,8 @@ func Sort4Ordered[T cmp.Ordered](s []T) {
 
 // Sort5Ordered sorts s[:5] in place with a sorting-network kernel:
 // depth 5, size 9, depth-optimal (proven minimum 5).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort5Ordered[T cmp.Ordered](s []T) {
 	_ = s[4]
 	v0, v1, v2, v3, v4 := s[0], s[1], s[2], s[3], s[4]
@@ -120,6 +128,8 @@ func Sort5Ordered[T cmp.Ordered](s []T) {
 
 // Sort6Ordered sorts s[:6] in place with a sorting-network kernel:
 // depth 5, size 12, depth-optimal (proven minimum 5).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort6Ordered[T cmp.Ordered](s []T) {
 	_ = s[5]
 	v0, v1, v2, v3, v4, v5 := s[0], s[1], s[2], s[3], s[4], s[5]
@@ -175,6 +185,8 @@ func Sort6Ordered[T cmp.Ordered](s []T) {
 
 // Sort7Ordered sorts s[:7] in place with a sorting-network kernel:
 // depth 6, size 16, depth-optimal (proven minimum 6).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort7Ordered[T cmp.Ordered](s []T) {
 	_ = s[6]
 	v0, v1, v2, v3, v4, v5, v6 := s[0], s[1], s[2], s[3], s[4], s[5], s[6]
@@ -244,6 +256,8 @@ func Sort7Ordered[T cmp.Ordered](s []T) {
 
 // Sort8Ordered sorts s[:8] in place with a sorting-network kernel:
 // depth 6, size 19, depth-optimal (proven minimum 6).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort8Ordered[T cmp.Ordered](s []T) {
 	_ = s[7]
 	v0, v1, v2, v3, v4, v5, v6, v7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
@@ -322,6 +336,8 @@ func Sort8Ordered[T cmp.Ordered](s []T) {
 
 // Sort9Ordered sorts s[:9] in place with a sorting-network kernel:
 // depth 7, size 25, depth-optimal (proven minimum 7).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort9Ordered[T cmp.Ordered](s []T) {
 	_ = s[8]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8]
@@ -420,6 +436,8 @@ func Sort9Ordered[T cmp.Ordered](s []T) {
 
 // Sort10Ordered sorts s[:10] in place with a sorting-network kernel:
 // depth 7, size 31, depth-optimal (proven minimum 7).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort10Ordered[T cmp.Ordered](s []T) {
 	_ = s[9]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9]
@@ -536,6 +554,8 @@ func Sort10Ordered[T cmp.Ordered](s []T) {
 
 // Sort11Ordered sorts s[:11] in place with a sorting-network kernel:
 // depth 8, size 35, depth-optimal (proven minimum 8).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort11Ordered[T cmp.Ordered](s []T) {
 	_ = s[10]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10]
@@ -666,6 +686,8 @@ func Sort11Ordered[T cmp.Ordered](s []T) {
 
 // Sort12Ordered sorts s[:12] in place with a sorting-network kernel:
 // depth 8, size 43, depth-optimal (proven minimum 8).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort12Ordered[T cmp.Ordered](s []T) {
 	_ = s[11]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11]
@@ -820,6 +842,8 @@ func Sort12Ordered[T cmp.Ordered](s []T) {
 
 // Sort13Ordered sorts s[:13] in place with a sorting-network kernel:
 // depth 9, size 48, depth-optimal (proven minimum 9).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort13Ordered[T cmp.Ordered](s []T) {
 	_ = s[12]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12]
@@ -991,6 +1015,8 @@ func Sort13Ordered[T cmp.Ordered](s []T) {
 
 // Sort14Ordered sorts s[:14] in place with a sorting-network kernel:
 // depth 9, size 53, depth-optimal (proven minimum 9).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort14Ordered[T cmp.Ordered](s []T) {
 	_ = s[13]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13]
@@ -1177,6 +1203,8 @@ func Sort14Ordered[T cmp.Ordered](s []T) {
 
 // Sort15Ordered sorts s[:15] in place with a sorting-network kernel:
 // depth 9, size 59, depth-optimal (proven minimum 9).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort15Ordered[T cmp.Ordered](s []T) {
 	_ = s[14]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14]
@@ -1381,6 +1409,8 @@ func Sort15Ordered[T cmp.Ordered](s []T) {
 
 // Sort16Ordered sorts s[:16] in place with a sorting-network kernel:
 // depth 9, size 65, depth-optimal (proven minimum 9).
+// Ordering follows <, so inputs containing NaN come out in
+// unspecified order (the input multiset is always preserved).
 func Sort16Ordered[T cmp.Ordered](s []T) {
 	_ = s[15]
 	v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11], s[12], s[13], s[14], s[15]

@@ -4,14 +4,17 @@
 // widths 2..16, generated from the curated depth-optimal networks in
 // internal/netbuild. Each kernel keeps the whole slice in locals and
 // applies a fixed compare-exchange schedule, level by level, with no
-// data-dependent branches on the integer families — the comparator
+// data-dependent branches at integer element types — the comparator
 // count is the depth-optimal network's size, and the level grouping
-// leaves independent exchanges adjacent for the CPU to overlap.
+// leaves independent exchanges adjacent for the CPU to overlap. One
+// kernel family is generic over cmp.Ordered (Sort<N>Ordered, behind
+// Ordered), the other over a less function (Sort<N>Func, behind Func).
 //
-// The batch entry points (Batch<Kind>, BatchFlat<Kind>) sort many
-// same-width slices per call: column-major and row-major pure-Go
-// kernels for every width, plus AVX-512 columnar kernels and layout
-// transposes on amd64, selected at init when the CPU supports them.
+// The batch entry points (Batch, BatchFlat) sort many same-width
+// slices per call: generic column-major and row-major pure-Go kernels
+// for every width, plus AVX-512 columnar kernels for int, uint64 and
+// float64 and layout transposes on amd64, selected at init when the
+// CPU supports them.
 //
 // Regenerate with `make netgen`; `make netgen-check` fails the build
 // if the committed files drift from what cmd/netgen emits.
@@ -31,146 +34,13 @@ func Widths() []int {
 	return []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 }
 
-var intKernels = [MaxWidth + 1]func(s []int){
-	2:  Sort2Int,
-	3:  Sort3Int,
-	4:  Sort4Int,
-	5:  Sort5Int,
-	6:  Sort6Int,
-	7:  Sort7Int,
-	8:  Sort8Int,
-	9:  Sort9Int,
-	10: Sort10Int,
-	11: Sort11Int,
-	12: Sort12Int,
-	13: Sort13Int,
-	14: Sort14Int,
-	15: Sort15Int,
-	16: Sort16Int,
-}
-
-// Int sorts s in place with the generated kernel matching len(s)
-// and reports whether one was available; slices shorter than 2 are
-// trivially sorted. When it returns false, s is untouched.
-func Int(s []int) bool {
-	if len(s) < 2 {
-		return true
-	}
-	if len(s) <= MaxWidth {
-		if k := intKernels[len(s)]; k != nil {
-			k(s)
-			return true
-		}
-	}
-	return false
-}
-
-// IntKernel returns the width-n int kernel, or nil when none exists.
-// Hot loops that sort many same-width slices can hoist the lookup
-// (and Int's length checks) out of the loop.
-func IntKernel(n int) func(s []int) {
-	if n < MinWidth || n > MaxWidth {
-		return nil
-	}
-	return intKernels[n]
-}
-
-var uint64Kernels = [MaxWidth + 1]func(s []uint64){
-	2:  Sort2Uint64,
-	3:  Sort3Uint64,
-	4:  Sort4Uint64,
-	5:  Sort5Uint64,
-	6:  Sort6Uint64,
-	7:  Sort7Uint64,
-	8:  Sort8Uint64,
-	9:  Sort9Uint64,
-	10: Sort10Uint64,
-	11: Sort11Uint64,
-	12: Sort12Uint64,
-	13: Sort13Uint64,
-	14: Sort14Uint64,
-	15: Sort15Uint64,
-	16: Sort16Uint64,
-}
-
-// Uint64 sorts s in place with the generated kernel matching len(s)
-// and reports whether one was available; slices shorter than 2 are
-// trivially sorted. When it returns false, s is untouched.
-func Uint64(s []uint64) bool {
-	if len(s) < 2 {
-		return true
-	}
-	if len(s) <= MaxWidth {
-		if k := uint64Kernels[len(s)]; k != nil {
-			k(s)
-			return true
-		}
-	}
-	return false
-}
-
-// Uint64Kernel returns the width-n uint64 kernel, or nil when none exists.
-// Hot loops that sort many same-width slices can hoist the lookup
-// (and Uint64's length checks) out of the loop.
-func Uint64Kernel(n int) func(s []uint64) {
-	if n < MinWidth || n > MaxWidth {
-		return nil
-	}
-	return uint64Kernels[n]
-}
-
-var float64Kernels = [MaxWidth + 1]func(s []float64){
-	2:  Sort2Float64,
-	3:  Sort3Float64,
-	4:  Sort4Float64,
-	5:  Sort5Float64,
-	6:  Sort6Float64,
-	7:  Sort7Float64,
-	8:  Sort8Float64,
-	9:  Sort9Float64,
-	10: Sort10Float64,
-	11: Sort11Float64,
-	12: Sort12Float64,
-	13: Sort13Float64,
-	14: Sort14Float64,
-	15: Sort15Float64,
-	16: Sort16Float64,
-}
-
-// Float64 sorts s in place with the generated kernel matching len(s)
-// and reports whether one was available; slices shorter than 2 are
-// trivially sorted. When it returns false, s is untouched.
-func Float64(s []float64) bool {
-	if len(s) < 2 {
-		return true
-	}
-	if len(s) <= MaxWidth {
-		if k := float64Kernels[len(s)]; k != nil {
-			k(s)
-			return true
-		}
-	}
-	return false
-}
-
-// Float64Kernel returns the width-n float64 kernel, or nil when none exists.
-// Hot loops that sort many same-width slices can hoist the lookup
-// (and Float64's length checks) out of the loop.
-func Float64Kernel(n int) func(s []float64) {
-	if n < MinWidth || n > MaxWidth {
-		return nil
-	}
-	return float64Kernels[n]
-}
-
 // Ordered sorts s in place with the generated generic kernel
 // matching len(s) and reports whether one was available; slices
 // shorter than 2 are trivially sorted. When it returns false, s is
-// untouched.
+// untouched. Inputs containing NaN come out in unspecified order.
 func Ordered[T cmp.Ordered](s []T) bool {
 	switch len(s) {
 	case 0, 1:
-		return true
 	case 2:
 		Sort2Ordered(s)
 	case 3:
@@ -201,8 +71,10 @@ func Ordered[T cmp.Ordered](s []T) bool {
 		Sort15Ordered(s)
 	case 16:
 		Sort16Ordered(s)
+	default:
+		return false
 	}
-	return false
+	return true
 }
 
 // Func sorts s in place by less with the generated generic kernel
@@ -212,7 +84,6 @@ func Ordered[T cmp.Ordered](s []T) bool {
 func Func[T any](s []T, less func(a, b T) bool) bool {
 	switch len(s) {
 	case 0, 1:
-		return true
 	case 2:
 		Sort2Func(s, less)
 	case 3:
@@ -243,8 +114,10 @@ func Func[T any](s []T, less func(a, b T) bool) bool {
 		Sort15Func(s, less)
 	case 16:
 		Sort16Func(s, less)
+	default:
+		return false
 	}
-	return false
+	return true
 }
 
 // levels holds the compare-exchange schedule of every kernel, level

@@ -14,7 +14,7 @@ import (
 // at every comparator. The []string paths of Sort, SortBatchFlat and
 // SortBatchCols instead turn the string in slot w into one uint64 key:
 // 7 bytes of it, big-endian and zero-padded, above the 8-bit position
-// w. The uint64 kernels sort the keys (the columnar AVX-512 ones in
+// w. The generic kernels sort the keys (the columnar AVX-512 ones in
 // batch), and each sorted key's low byte names the string that
 // belongs in its slot. Zero-padded prefixes are monotone — a < b
 // implies prefix(a) <= prefix(b) — so after that permutation only a
@@ -113,42 +113,10 @@ func sortRun(run []string, d int) {
 }
 
 // sortKeyed sorts run by its keys k, taken from offset d as keyRun
-// returns it. The kernels are called directly, not through
-// sortkernels.Uint64's table: an indirect call would move the callers'
-// key arrays to the heap.
+// returns it. sortkernels.Ordered calls each width's kernel directly,
+// so the callers' key arrays stay on the stack.
 func sortKeyed(run []string, k []uint64, d int) {
-	switch len(k) {
-	case 2:
-		sortkernels.Sort2Uint64(k)
-	case 3:
-		sortkernels.Sort3Uint64(k)
-	case 4:
-		sortkernels.Sort4Uint64(k)
-	case 5:
-		sortkernels.Sort5Uint64(k)
-	case 6:
-		sortkernels.Sort6Uint64(k)
-	case 7:
-		sortkernels.Sort7Uint64(k)
-	case 8:
-		sortkernels.Sort8Uint64(k)
-	case 9:
-		sortkernels.Sort9Uint64(k)
-	case 10:
-		sortkernels.Sort10Uint64(k)
-	case 11:
-		sortkernels.Sort11Uint64(k)
-	case 12:
-		sortkernels.Sort12Uint64(k)
-	case 13:
-		sortkernels.Sort13Uint64(k)
-	case 14:
-		sortkernels.Sort14Uint64(k)
-	case 15:
-		sortkernels.Sort15Uint64(k)
-	case 16:
-		sortkernels.Sort16Uint64(k)
-	}
+	sortkernels.Ordered(k)
 	var orig [sortkernels.MaxWidth]string
 	copy(orig[:], run)
 	for w, key := range k {
@@ -204,7 +172,7 @@ func sortStringBatch(data []string, n, m, rowStride, colStride int) {
 				keys[w*c+r] = stringKey(data[at+w*colStride], w)
 			}
 		}
-		sortkernels.BatchUint64(keys, c)
+		sortkernels.Batch(keys, c)
 		for r := 0; r < c; r++ {
 			at := (r0 + r) * rowStride
 			for w := 0; w < n; w++ {
