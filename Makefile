@@ -129,8 +129,8 @@ obs-smoke:
 # serve-smoke drives the daemon end to end: start shufflenetd with a
 # per-request journal, fire a short loadgen burst across every endpoint
 # (loadgen itself fails on any non-200), SIGTERM the daemon, and
-# require a clean drain (exit 0) plus both per-request records and the
-# final run entry in the journal.
+# require a clean drain (exit 0) plus a journal that cmd/obsreport
+# reads as one completed run carrying its request lines.
 serve-smoke:
 	rm -f /tmp/serve_smoke.jsonl
 	$(GO) build -o /tmp/shufflenetd ./cmd/shufflenetd
@@ -141,8 +141,9 @@ serve-smoke:
 		-max-errors 0 -json || { kill $$pid; exit 1; }; \
 	kill -TERM $$pid; \
 	wait $$pid || { echo "serve-smoke: daemon exited non-zero"; exit 1; }
-	grep -q '"type":"request"' /tmp/serve_smoke.jsonl
-	grep -q '"cmd":"shufflenetd"' /tmp/serve_smoke.jsonl
+	$(GO) run ./cmd/obsreport /tmp/serve_smoke.jsonl > /tmp/serve_smoke_report.txt
+	grep -q '^1 run(s): 1 completed' /tmp/serve_smoke_report.txt
+	grep -Eq '^  requests [1-9][0-9]* \(0 failed\)' /tmp/serve_smoke_report.txt
 	@echo "serve-smoke: ok ($$(grep -c '"type":"request"' /tmp/serve_smoke.jsonl) requests journaled)"
 
 # resume-smoke drives the checkpoint/resume path end to end with real
@@ -150,10 +151,13 @@ serve-smoke:
 # journal, a second run resumes from it (the whole 81-prefix frontier
 # is already done, so every prefix is skipped and the seeded incumbent
 # carries the result), and cmd/obsreport must parse the journal and
-# render the resume summary. Last, one forged prefix_done record
-# claiming incumbent 2^64-1 is appended to a copy of the journal:
-# resuming from it must fail, because the seed is no witness on the
-# circuit.
+# render the resume summary. Next, a copy of the journal loses the
+# last 40 bytes of its last line, as a killed writer leaves it, and is
+# resumed from and journaled into twice: opening the journal cuts the
+# torn tail, so the second resume still parses it and obsreport finds
+# no torn line. Last, one forged prefix_done record claiming
+# incumbent 2^64-1 is appended to a copy of the journal: resuming
+# from it must fail, because the seed is no witness on the circuit.
 resume-smoke:
 	rm -f /tmp/resume_smoke.jsonl
 	$(GO) run ./cmd/adversary -optimal -n 16 -blocks 2 -topology random -seed 3 \
@@ -164,6 +168,16 @@ resume-smoke:
 	grep -q '81/81 prefixes skipped' /tmp/resume_smoke_out.txt
 	$(GO) run ./cmd/obsreport /tmp/resume_smoke.jsonl > /tmp/resume_smoke_report.txt
 	grep -q 'resumed from seq' /tmp/resume_smoke_report.txt
+	cp /tmp/resume_smoke.jsonl /tmp/resume_smoke_torn.jsonl
+	truncate -s -40 /tmp/resume_smoke_torn.jsonl
+	for i in 1 2; do \
+		$(GO) run ./cmd/adversary -optimal -n 16 -blocks 2 -topology random -seed 3 \
+			-journal /tmp/resume_smoke_torn.jsonl -resume /tmp/resume_smoke_torn.jsonl \
+			> /tmp/resume_smoke_torn_out.txt || exit 1; \
+		grep -q '81/81 prefixes skipped' /tmp/resume_smoke_torn_out.txt || exit 1; \
+	done
+	$(GO) run ./cmd/obsreport /tmp/resume_smoke_torn.jsonl > /tmp/resume_smoke_torn_report.txt
+	! grep -q 'torn line' /tmp/resume_smoke_torn_report.txt
 	cp /tmp/resume_smoke.jsonl /tmp/resume_smoke_forged.jsonl
 	echo '{"type":"prefix_done","prefix":0,"incumbent":18446744073709551615,"seq":1000000}' \
 		>> /tmp/resume_smoke_forged.jsonl
@@ -191,13 +205,14 @@ coord-smoke:
 
 # Short fuzz pass over the parsers / compiled-kernel round trip, the
 # optimum search's canonical keys under wire relabeling, the Sort
-# dispatcher vs slices.Sort differential, and the batch façades
-# (numeric and []string lanes) vs slices.Sort.
+# dispatcher vs slices.Sort differential, the batch façades (numeric
+# and []string lanes) vs slices.Sort, and the resume-journal parser.
 fuzz:
 	$(GO) test ./internal/network/ -run FuzzCompileEval -fuzz FuzzCompileEval -fuzztime 20s
 	$(GO) test ./internal/core/ -run FuzzCanonicalRelabel -fuzz FuzzCanonicalRelabel -fuzztime 20s
 	$(GO) test . -run FuzzSortT -fuzz FuzzSortT -fuzztime 20s
 	$(GO) test . -run FuzzSortBatch -fuzz FuzzSortBatch -fuzztime 20s
+	$(GO) test ./internal/coord/ -run FuzzParseResumeJournal -fuzz FuzzParseResumeJournal -fuzztime 20s
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -561,7 +561,7 @@ func BenchmarkOptimalResume(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer j.Close()
-		fw := coord.NewFrontierWriter(j, "bench")
+		fw := coord.NewFrontierWriter(j)
 		opt := base
 		opt.OnPrefixDone = func(p int, inc uint64) { _ = fw.PrefixDone(p, inc) }
 		b.ResetTimer()

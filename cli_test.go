@@ -1,16 +1,20 @@
 package shufflenet_test
 
-// End-to-end tests of the three command-line tools: each binary is
-// built once into a temp dir and driven through its primary flows.
+// End-to-end tests of the command-line tools: each binary is built
+// once into a temp dir, removed when the tests end, and driven through
+// its primary flows.
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"shufflenet/internal/obs"
 )
 
 var (
@@ -18,6 +22,14 @@ var (
 	binDir    string
 	buildErr  error
 )
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
 
 func binaries(t *testing.T) string {
 	t.Helper()
@@ -175,30 +187,11 @@ func TestCLIRunJournal(t *testing.T) {
 		t.Fatalf("-trace output missing:\n%s", out)
 	}
 
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
+	entries := journalEntries(t, journal)
+	if len(entries) != 2 {
+		t.Fatalf("journal has %d entries, want 2 (one per invocation)", len(entries))
 	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("journal has %d lines, want 2 (one per invocation):\n%s", len(lines), data)
-	}
-
-	type entry struct {
-		Cmd       string         `json:"cmd"`
-		Seed      int64          `json:"seed"`
-		GoVersion string         `json:"go_version"`
-		WallMS    float64        `json:"wall_ms"`
-		Metrics   map[string]any `json:"metrics"`
-		Extra     map[string]any `json:"extra"`
-	}
-	var adv, exp entry
-	if err := json.Unmarshal([]byte(lines[0]), &adv); err != nil {
-		t.Fatalf("adversary journal line is not valid JSON: %v\n%s", err, lines[0])
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &exp); err != nil {
-		t.Fatalf("experiments journal line is not valid JSON: %v\n%s", err, lines[1])
-	}
+	adv, exp := entries[0], entries[1]
 	if adv.Cmd != "adversary" || exp.Cmd != "experiments" {
 		t.Fatalf("cmd fields wrong: %q, %q", adv.Cmd, exp.Cmd)
 	}
@@ -234,27 +227,37 @@ func TestCLIRunJournal(t *testing.T) {
 	}
 }
 
-// journalEntry is the subset of the run-journal schema the robustness
-// tests assert on. Partial's completed/skipped lists may be JSON null
-// when empty, so the field is a loose map.
-type journalEntry struct {
-	Cmd      string         `json:"cmd"`
-	TimedOut bool           `json:"timed_out"`
-	Partial  map[string]any `json:"partial"`
-}
-
-func lastJournalEntry(t *testing.T, path string) journalEntry {
+// journalEntries reads the run journal at path, which must hold only
+// run entries and no torn line.
+func journalEntries(t *testing.T, path string) []obs.Entry {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	var e journalEntry
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &e); err != nil {
-		t.Fatalf("journal line is not valid JSON: %v\n%s", err, lines[len(lines)-1])
+	defer f.Close()
+	var out []obs.Entry
+	torn, err := obs.ReadJournal(f, func(h obs.Header, line []byte) error {
+		if h.Type != obs.RecRun {
+			return fmt.Errorf("record type %q, want only run entries", h.Type)
+		}
+		var e obs.Entry
+		if err := json.Unmarshal(line, &e); err != nil {
+			return err
+		}
+		out = append(out, e)
+		return nil
+	})
+	if err != nil || torn || len(out) == 0 {
+		t.Fatalf("journal %s: %d entries, torn %v, err %v", path, len(out), torn, err)
 	}
-	return e
+	return out
+}
+
+func lastJournalEntry(t *testing.T, path string) obs.Entry {
+	t.Helper()
+	entries := journalEntries(t, path)
+	return entries[len(entries)-1]
 }
 
 func TestCLIExperimentsRunParsing(t *testing.T) {

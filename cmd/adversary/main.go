@@ -483,40 +483,17 @@ func runOptimal(ctx context.Context, circ *network.Network, cfg optimalConfig) {
 	cli.Entry.Set("memo_bytes", opt.Memo.Stats().Bytes) // 0 when off
 
 	// Frontier checkpointing and resume. The records ride the run
-	// journal; parsing a prior journal yields the prefixes to skip and
-	// the incumbent to seed, which by DESIGN.md decision 14 reproduces
-	// the uninterrupted run exactly.
-	fp := core.NetworkFingerprint(circ)
-	prefixes := core.OptimalPrefixes(n)
-	var fr *coord.Frontier
+	// journal; a prior journal yields the prefixes to skip and the
+	// incumbent to seed, which by DESIGN.md decision 14 reproduces the
+	// uninterrupted run exactly.
+	fw, fr, err := coord.OpenFrontier(cli.Journal(), circ, cfg.resume)
+	if err != nil {
+		fail(err.Error())
+	}
+	opt.SkipPrefix, opt.SeedIncumbent = fr.Skip, fr.Seed
 	if cfg.resume != "" {
-		var err error
-		fr, err = coord.ParseResumeJournalFile(cfg.resume)
-		if err != nil {
-			fail("-resume: " + err.Error())
-		}
-		if fr.Net != fp {
-			fail(fmt.Sprintf("-resume: journal %s checkpoints network %s, but this run searches %s (different circuit)", cfg.resume, fr.Net, fp))
-		}
-		if fr.Seed != 0 {
-			if err := core.VerifyOptimalWitness(circ, fr.Seed); err != nil {
-				fail(fmt.Sprintf("-resume: journal %s seeds incumbent %d, which is not a witness on this circuit: %v", cfg.resume, fr.Seed, err))
-			}
-		}
-		opt.SkipPrefix = fr.Skip
-		opt.SeedIncumbent = fr.Seed
 		fmt.Printf("resuming from %s: seq %d, %d/%d prefixes skipped\n",
-			cfg.resume, fr.LastSeq, len(fr.Done), prefixes)
-		cli.Entry.Set("resume", map[string]any{"from": cfg.resume, "from_seq": fr.LastSeq, "skipped": len(fr.Done)})
-	}
-	fw := coord.NewFrontierWriter(cli.Journal(), cli.Entry.Run)
-	if err := fw.Init(fp, n, prefixes, opt.SeedIncumbent); err != nil {
-		fail("journal: " + err.Error())
-	}
-	if fr != nil {
-		if err := fw.Resumed(cfg.resume, fr.LastSeq, len(fr.Done), prefixes, fr.Seed); err != nil {
-			fail("journal: " + err.Error())
-		}
+			cfg.resume, fr.LastSeq, len(fr.Done), fr.Prefixes)
 	}
 	var journalErr sync.Once
 	opt.OnPrefixDone = func(p int, inc uint64) {

@@ -9,9 +9,14 @@
 //
 //	go test -run XXX -bench . -benchmem . | benchjson -o BENCH.json
 //	benchjson -diff old.json new.json [-threshold 0.15] [-guard REGEX]
+//	benchjson -table [-filter REGEX] BENCH_PR2.json BENCH_PR4.json ...
 //
 // Used by `make bench-json` to record the per-PR benchmark snapshots
 // (BENCH_PR*.json) referenced from EXPERIMENTS.md.
+//
+// With -table, the recorded files are rendered as a markdown ns/op
+// trajectory, one column per file and a first→last delta, ready to
+// paste into EXPERIMENTS.md; -filter restricts the rows.
 //
 // With -diff, two recorded files are compared benchmark by benchmark
 // (ns/op, with the -GOMAXPROCS name suffix stripped so runs at
@@ -32,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -81,7 +87,19 @@ func main() {
 	diff := flag.Bool("diff", false, "compare two recorded JSON files: benchjson -diff old.json new.json")
 	threshold := flag.Float64("threshold", 0.15, "with -diff: allowed fractional ns/op regression for guarded benchmarks")
 	guard := flag.String("guard", defaultGuard, "regexp of benchmark names whose regressions fail a -diff (empty = report only); when recording, stamped into the document so later diffs keep guarding it")
+	table := flag.Bool("table", false, "render recorded JSON files as a markdown ns/op trajectory table: benchjson -table a.json b.json ...")
+	filter := flag.String("filter", "", "with -table: regexp restricting which benchmarks appear (default: all)")
 	flag.Parse()
+
+	if *table {
+		if flag.NArg() == 0 {
+			fail("-table needs at least one recorded file")
+		}
+		if err := Table(os.Stdout, flag.Args(), *filter); err != nil {
+			fail(err.Error())
+		}
+		return
+	}
 
 	if *diff {
 		if flag.NArg() != 2 {
@@ -319,6 +337,78 @@ func Diff(w io.Writer, oldPath, newPath, guard string, threshold float64) (int, 
 		fmt.Fprintf(w, "ok: %d guarded benchmark(s) within %.0f%% of %s\n", guarded, threshold*100, oldPath)
 	}
 	return failures, nil
+}
+
+// Table renders a markdown ns/op trajectory across the given recorded
+// files, one column per file (labeled from the filename:
+// BENCH_PR6.json → PR6), one row per benchmark name present in any of
+// them, with a first→last delta column. filter restricts rows to
+// matching names ("" = all).
+func Table(w io.Writer, files []string, filter string) error {
+	var filterRE *regexp.Regexp
+	if filter != "" {
+		var err error
+		if filterRE, err = regexp.Compile(filter); err != nil {
+			return fmt.Errorf("bad -filter regexp: %v", err)
+		}
+	}
+	labels := make([]string, len(files))
+	cols := make([]map[string]Result, len(files))
+	var order []string
+	seen := map[string]bool{}
+	for i, path := range files {
+		labels[i] = strings.TrimPrefix(strings.TrimSuffix(filepath.Base(path), filepath.Ext(path)), "BENCH_")
+		m, names, _, err := loadDoc(path)
+		if err != nil {
+			return err
+		}
+		cols[i] = m
+		for _, name := range names {
+			if !seen[name] && (filterRE == nil || filterRE.MatchString(name)) {
+				seen[name] = true
+				order = append(order, name)
+			}
+		}
+	}
+	sort.Strings(order)
+
+	fmt.Fprintf(w, "| benchmark |")
+	for _, l := range labels {
+		fmt.Fprintf(w, " %s ns/op |", l)
+	}
+	fmt.Fprintf(w, " %s→%s |\n|---|", labels[0], labels[len(labels)-1])
+	for range labels {
+		fmt.Fprintf(w, "---:|")
+	}
+	fmt.Fprintf(w, "---:|\n")
+	for _, name := range order {
+		fmt.Fprintf(w, "| %s |", strings.TrimPrefix(name, "Benchmark"))
+		for i := range cols {
+			if r, ok := cols[i][name]; ok {
+				fmt.Fprintf(w, " %s |", fmtNs(r.NsPerOp))
+			} else {
+				fmt.Fprintf(w, " — |")
+			}
+		}
+		first, okF := cols[0][name]
+		last, okL := cols[len(cols)-1][name]
+		switch {
+		case okF && okL && first.NsPerOp > 0:
+			fmt.Fprintf(w, " %+.1f%% |\n", (last.NsPerOp/first.NsPerOp-1)*100)
+		case okL:
+			fmt.Fprintf(w, " new |\n")
+		default:
+			fmt.Fprintf(w, " gone |\n")
+		}
+	}
+	return nil
+}
+
+func fmtNs(v float64) string {
+	if v >= 100 || v == float64(int64(v)) {
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.2f", v)
 }
 
 func fail(msg string) {

@@ -187,3 +187,57 @@ func TestDiffBadGuardRegexp(t *testing.T) {
 		t.Fatal("expected an error for an invalid -guard regexp")
 	}
 }
+
+// writeBench records a minimal benchjson document.
+func writeBench(t *testing.T, dir, name string, ns map[string]float64) string {
+	t.Helper()
+	var doc Doc
+	for n, v := range ns {
+		doc.Benchmarks = append(doc.Benchmarks, Result{Name: n, NsPerOp: v})
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestBenchTable(t *testing.T) {
+	dir := t.TempDir()
+	old := writeBench(t, dir, "BENCH_PR2.json", map[string]float64{
+		"BenchmarkKernel/bits-8": 100,
+		"BenchmarkRetired-8":     50,
+	})
+	nu := writeBench(t, dir, "BENCH_PR6.json", map[string]float64{
+		"BenchmarkKernel/bits-1": 80, // GOMAXPROCS suffix differs; must line up
+		"BenchmarkFresh-1":       10,
+	})
+	var buf strings.Builder
+	if err := Table(&buf, []string{old, nu}, ""); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"| benchmark | PR2 ns/op | PR6 ns/op | PR2→PR6 |", // labels from filenames
+		"| Kernel/bits | 100 | 80 | -20.0% |",             // suffixes stripped, delta computed
+		"new",                                             // Fresh only in PR6
+		"gone",                                            // Retired only in PR2
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("table lacks %q:\n%s", want, out)
+		}
+	}
+
+	// The filter restricts rows.
+	buf.Reset()
+	if err := Table(&buf, []string{old, nu}, "Kernel"); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "Fresh") {
+		t.Errorf("filtered table still contains Fresh:\n%s", buf.String())
+	}
+}

@@ -1,236 +1,205 @@
-// Command obsreport turns the repo's observability artifacts — run
-// journals (JSONL, written by the CLIs' -journal flag) and recorded
-// benchmark snapshots (BENCH_PR*.json, written by benchjson) — into
-// human-readable reports:
+// Command obsreport turns run journals (JSONL, written by the CLIs'
+// and the daemon's -journal flag) into human-readable reports:
 //
 //   - Per-run summaries: one block per invocation found in the
-//     journals, with wall/CPU time, peak memory, seed, and the
-//     heartbeat trail the run left while -progress was on.
-//   - Killed-run detection: a heartbeat trail whose run ID has no
-//     final journal entry is reported as INCOMPLETE with the last
-//     heartbeat's counters — the honest partial progress of a run
-//     that was killed or OOM'd mid-flight.
+//     journals, with wall/CPU time, peak memory, seed, the heartbeat
+//     trail the run left while -progress was on, its frontier
+//     checkpoints, and — for the daemon — its request count.
+//   - Killed-run detection: records whose run ID has no final journal
+//     entry are reported as INCOMPLETE with the last heartbeat's
+//     counters — the honest partial progress of a run that was killed
+//     or OOM'd mid-flight. A journal whose last line is torn (its
+//     writer died mid-record) is still reported, with a note.
 //   - Run-over-run deltas: consecutive completed runs of the same
 //     command and arguments are compared (wall time, peak RSS), so a
 //     slowdown across a code change shows up without a profiler.
-//   - Bench trajectory: -bench takes a comma-separated list of
-//     benchjson files (e.g. the committed BENCH_PR*.json history) and
-//     renders a markdown table of ns/op per snapshot with the
-//     first→last delta, ready to paste into EXPERIMENTS.md.
+//
+// Every line is decoded into the Go type that wrote it (obs.Entry,
+// obs.Sample, serve.RequestRecord, coord's frontier records), framed
+// by obs.ReadJournal. Benchmark snapshots are cmd/benchjson's (-table).
 //
 // Usage:
 //
 //	obsreport run.jsonl [more.jsonl ...]
 //	obsreport -require-heartbeats run.jsonl        # CI smoke: fail unless heartbeats present
-//	obsreport -bench BENCH_PR2.json,BENCH_PR4.json,BENCH_PR6.json [-filter REGEX]
 //
-// Exit status: 0 normally; 1 on parse errors or when
-// -require-heartbeats finds no heartbeat records.
+// Exit status: 0 normally; 1 on an unreadable or corrupt journal or
+// when -require-heartbeats finds no heartbeat records.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
-	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
+
+	"shufflenet/internal/coord"
+	"shufflenet/internal/obs"
+	"shufflenet/internal/serve"
 )
 
 func main() {
-	bench := flag.String("bench", "", "comma-separated benchjson files: render a markdown ns/op trajectory table instead of a journal report")
-	filter := flag.String("filter", "", "with -bench: regexp restricting which benchmarks appear in the table (default: all)")
 	requireHB := flag.Bool("require-heartbeats", false, "exit 1 unless at least one heartbeat record is present (CI smoke for -progress)")
 	flag.Parse()
 
-	if *bench != "" {
-		files := splitList(*bench)
-		if len(files) == 0 {
-			fail("-bench needs at least one file")
-		}
-		if err := BenchTable(os.Stdout, files, *filter); err != nil {
-			fail(err.Error())
-		}
-		return
-	}
-
 	if flag.NArg() == 0 {
-		fail("no journal files given (and no -bench); see -h")
+		fail("no journal files given; see -h")
 	}
-	var recs []Record
+	var js Journals
 	for _, path := range flag.Args() {
 		f, err := os.Open(path)
 		if err != nil {
 			fail(err.Error())
 		}
-		r, err := ParseJournal(f)
+		err = js.Read(path, f)
 		f.Close()
 		if err != nil {
 			fail(fmt.Sprintf("%s: %v", path, err))
 		}
-		recs = append(recs, r...)
 	}
-	runs := GroupRuns(recs)
-	WriteReport(os.Stdout, runs)
+	js.WriteReport(os.Stdout)
 	if *requireHB {
 		beats := 0
-		for _, r := range runs {
-			beats += len(r.Beats)
+		for _, r := range js.Runs {
+			beats += r.Beats
 		}
 		if beats == 0 {
 			fail("-require-heartbeats: no heartbeat records found (was the run started with -progress and -journal?)")
 		}
-		fmt.Printf("heartbeats: %d records across %d run(s)\n", beats, len(runs))
+		fmt.Printf("heartbeats: %d records across %d run(s)\n", beats, len(js.Runs))
 	}
 }
 
-// Record is one journal line — a run entry (no "type" field;
-// obs.Entry's schema), a heartbeat ("type":"heartbeat"; obs.Sample's
-// schema), or a frontier checkpoint from the resumable optimum search
-// ("type":"frontier_init" / "prefix_done" / "resumed"; internal/coord's
-// schemas). The schemas share Time/Cmd/Run, so one struct decodes them
-// all and Type discriminates.
-type Record struct {
-	Type string `json:"type"`
-	Time string `json:"time"`
-	Cmd  string `json:"cmd"`
-	Run  string `json:"run"`
-
-	// Entry fields.
-	Args   []string `json:"args"`
-	Seed   int64    `json:"seed"`
-	WallMS float64  `json:"wall_ms"`
-	CPUMS  float64  `json:"cpu_ms"`
-	Mem    struct {
-		MaxRSSKB int64 `json:"max_rss_kb"`
-	} `json:"mem"`
-	Interrupted bool           `json:"interrupted"`
-	TimedOut    bool           `json:"timed_out"`
-	Partial     map[string]any `json:"partial"`
-	Extra       map[string]any `json:"extra"`
-
-	// Heartbeat fields.
-	Seq       int64          `json:"seq"`
-	ElapsedMS float64        `json:"elapsed_ms"`
-	Frac      float64        `json:"frac"`
-	EtaMS     float64        `json:"eta_ms"`
-	Fields    map[string]any `json:"fields"`
-	Final     bool           `json:"final"`
-
-	// Frontier-checkpoint fields (internal/coord records).
-	Net       string `json:"net"`
-	Prefixes  int    `json:"prefixes"`
-	Prefix    int    `json:"prefix"`
-	Incumbent uint64 `json:"incumbent"`
-	From      string `json:"from"`
-	FromSeq   int    `json:"from_seq"`
-	Skipped   int    `json:"skipped"`
-}
-
-// ParseJournal reads one JSONL journal. Unparseable lines are an
-// error — a corrupt journal should be noticed, not skipped — except
-// for blank lines, which are tolerated.
-func ParseJournal(r io.Reader) ([]Record, error) {
-	var recs []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 16<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			return nil, fmt.Errorf("line %d: %v", line, err)
-		}
-		recs = append(recs, rec)
-	}
-	return recs, sc.Err()
-}
-
-// Run is one invocation reconstructed from the journal: its entry (nil
-// when the process died before writing one), its heartbeat trail, and
-// its frontier checkpoints, all in journal order.
+// Run is one invocation reconstructed from the journals: its entry
+// (nil when the process died before writing one), its heartbeat trail,
+// its frontier checkpoints and its request lines, in journal order.
+// The run with an empty ID collects request lines from journals
+// written before those lines named their run.
 type Run struct {
 	ID    string
 	Cmd   string
-	Entry *Record
-	Beats []*Record
+	Entry *obs.Entry
+
+	Beats    int   // heartbeat records
+	FirstSeq int64 // seq of the first heartbeat
+	LastBeat *obs.Sample
 
 	// Frontier-checkpoint trail (resumable optimum search).
-	Init       *Record // frontier_init, when present
-	Resumed    *Record // resumed, when present
-	DonePrefix int     // count of prefix_done records
-	LastSeq    int64   // highest frontier record seq
+	Init       *coord.FrontierInit // when present
+	Resumed    *coord.Resumed      // when present
+	DonePrefix int                 // count of prefix_done records
+	LastSeq    int                 // highest frontier record seq
+
+	Requests, FailedRequests int // daemon request lines; failed = non-200
 }
 
 // Complete reports whether the run wrote its final entry.
 func (r *Run) Complete() bool { return r.Entry != nil }
 
-// GroupRuns correlates entries with their heartbeat trails by run ID,
-// preserving journal order. Entries from journals predating run IDs
-// get a synthetic per-line ID, so old journals still report (without
-// heartbeat correlation).
-func GroupRuns(recs []Record) []*Run {
-	var runs []*Run
-	index := map[string]*Run{}
-	get := func(id, cmd string) *Run {
-		if r, ok := index[id]; ok {
-			return r
-		}
-		r := &Run{ID: id, Cmd: cmd}
-		index[id] = r
-		runs = append(runs, r)
-		return r
-	}
-	for i := range recs {
-		rec := &recs[i]
-		id := rec.Run
-		if id == "" {
-			id = fmt.Sprintf("(pre-heartbeat journal, record %d)", i+1)
-		}
-		r := get(id, rec.Cmd)
-		switch rec.Type {
-		case "heartbeat":
-			r.Beats = append(r.Beats, rec)
-		case "frontier_init":
-			r.Init = rec
-			if rec.Seq > r.LastSeq {
-				r.LastSeq = rec.Seq
-			}
-		case "prefix_done":
-			r.DonePrefix++
-			if rec.Seq > r.LastSeq {
-				r.LastSeq = rec.Seq
-			}
-		case "resumed":
-			r.Resumed = rec
-			if rec.Seq > r.LastSeq {
-				r.LastSeq = rec.Seq
-			}
-		default:
-			r.Entry = rec
-		}
-	}
-	return runs
+// Journals is the runs read from one or more journals, correlated by
+// run ID and kept in journal order.
+type Journals struct {
+	Runs []*Run
+	Torn []string // journals whose last line was torn
+
+	index   map[string]*Run
+	records int
 }
 
-// WriteReport renders per-run summaries and run-over-run deltas.
-func WriteReport(w io.Writer, runs []*Run) {
+// Read adds the records of one journal, named name in the report.
+func (js *Journals) Read(name string, r io.Reader) error {
+	torn, err := obs.ReadJournal(r, js.add)
+	if torn {
+		js.Torn = append(js.Torn, name)
+	}
+	return err
+}
+
+func decode[T any](line []byte) (*T, error) {
+	v := new(T)
+	return v, json.Unmarshal(line, v)
+}
+
+func (js *Journals) add(h obs.Header, line []byte) error {
+	js.records++
+	id := h.Run
+	if id == "" && h.Type == obs.RecRun {
+		// An entry from a journal predating run IDs is a whole run.
+		id = fmt.Sprintf("(pre-heartbeat journal, record %d)", js.records)
+	}
+	r := js.index[id]
+	if r == nil {
+		if js.index == nil {
+			js.index = map[string]*Run{}
+		}
+		r = &Run{ID: id}
+		js.index[id] = r
+		js.Runs = append(js.Runs, r)
+	}
+	if r.Cmd == "" {
+		r.Cmd = h.Cmd
+	}
+	var err error
+	switch h.Type {
+	case obs.RecRun:
+		r.Entry, err = decode[obs.Entry](line)
+	case obs.RecHeartbeat:
+		var s *obs.Sample
+		if s, err = decode[obs.Sample](line); err == nil {
+			if r.Beats == 0 {
+				r.FirstSeq = s.Seq
+			}
+			r.Beats++
+			r.LastBeat = s
+		}
+	case coord.RecFrontierInit:
+		if r.Init, err = decode[coord.FrontierInit](line); err == nil {
+			r.LastSeq = max(r.LastSeq, r.Init.Seq)
+		}
+	case coord.RecPrefixDone:
+		var rec *coord.PrefixDone
+		if rec, err = decode[coord.PrefixDone](line); err == nil {
+			r.DonePrefix++
+			r.LastSeq = max(r.LastSeq, rec.Seq)
+		}
+	case coord.RecResumed:
+		if r.Resumed, err = decode[coord.Resumed](line); err == nil {
+			r.LastSeq = max(r.LastSeq, r.Resumed.Seq)
+		}
+	case serve.RecRequest:
+		var rec *serve.RequestRecord
+		if rec, err = decode[serve.RequestRecord](line); err == nil {
+			r.Requests++
+			if rec.Status != http.StatusOK {
+				r.FailedRequests++
+			}
+		}
+	}
+	return err
+}
+
+// WriteReport renders per-run summaries, run-over-run deltas, and a
+// note per torn journal.
+func (js *Journals) WriteReport(w io.Writer) {
 	// prev maps cmd+args → the previous completed run, for deltas.
-	prev := map[string]*Record{}
-	for _, r := range runs {
+	prev := map[string]*obs.Entry{}
+	runs, complete := 0, 0
+	for _, r := range js.Runs {
+		if r.ID == "" {
+			fmt.Fprintf(w, "records with no run ID (request lines from a journal that predates them)\n")
+			fmt.Fprintf(w, "  requests %d (%d failed)\n\n", r.Requests, r.FailedRequests)
+			continue
+		}
+		runs++
 		status := "completed"
 		failed := false
 		switch {
 		case !r.Complete():
-			status = "INCOMPLETE (heartbeat trail with no final entry — killed or OOM'd)"
+			status = "INCOMPLETE (records with no final entry — killed or OOM'd)"
 		case r.Entry.Interrupted:
 			status = "interrupted"
 		case r.Entry.TimedOut:
@@ -243,6 +212,9 @@ func WriteReport(w io.Writer, runs []*Run) {
 				status = "failed: " + msg
 				failed = true
 			}
+		}
+		if r.Complete() {
+			complete++
 		}
 		fmt.Fprintf(w, "run %s\n", r.ID)
 		fmt.Fprintf(w, "  cmd %s  status %s\n", r.Cmd, status)
@@ -262,6 +234,9 @@ func WriteReport(w io.Writer, runs []*Run) {
 				prev[key] = e
 			}
 		}
+		if r.Requests > 0 {
+			fmt.Fprintf(w, "  requests %d (%d failed)\n", r.Requests, r.FailedRequests)
+		}
 		if r.Resumed != nil {
 			fmt.Fprintf(w, "  resumed from seq %d, %d/%d prefixes skipped (from %s)\n",
 				r.Resumed.FromSeq, r.Resumed.Skipped, r.Resumed.Prefixes, r.Resumed.From)
@@ -276,9 +251,8 @@ func WriteReport(w io.Writer, runs []*Run) {
 			line += fmt.Sprintf(", last seq %d", r.LastSeq)
 			fmt.Fprintln(w, line)
 		}
-		if n := len(r.Beats); n > 0 {
-			last := r.Beats[n-1]
-			fmt.Fprintf(w, "  heartbeats %d (seq %d..%d)\n", n, r.Beats[0].Seq, last.Seq)
+		if last := r.LastBeat; last != nil {
+			fmt.Fprintf(w, "  heartbeats %d (seq %d..%d)\n", r.Beats, r.FirstSeq, last.Seq)
 			line := fmt.Sprintf("  last heartbeat: +%s", fmtMS(last.ElapsedMS))
 			if last.Frac > 0 {
 				line += fmt.Sprintf("  %.1f%% done", last.Frac*100)
@@ -293,143 +267,12 @@ func WriteReport(w io.Writer, runs []*Run) {
 		}
 		fmt.Fprintln(w)
 	}
-	fmt.Fprintf(w, "%d run(s): %d completed, %d incomplete\n",
-		len(runs), countComplete(runs), len(runs)-countComplete(runs))
+	fmt.Fprintf(w, "%d run(s): %d completed, %d incomplete\n", runs, complete, runs-complete)
+	for _, name := range js.Torn {
+		fmt.Fprintf(w, "note: %s ends in a torn line (its writer died mid-record); the fragment was skipped\n", name)
+	}
 }
 
-func countComplete(runs []*Run) int {
-	n := 0
-	for _, r := range runs {
-		if r.Complete() {
-			n++
-		}
-	}
-	return n
-}
-
-// benchDoc mirrors the benchjson document schema (cmd/benchjson).
-type benchDoc struct {
-	Benchmarks []struct {
-		Name    string  `json:"name"`
-		NsPerOp float64 `json:"ns_per_op"`
-	} `json:"benchmarks"`
-}
-
-// BenchTable renders a markdown ns/op trajectory across the given
-// benchjson snapshots, one column per file (labeled from the filename:
-// BENCH_PR6.json → PR6), one row per benchmark name present in any of
-// them, with a first→last delta column. filter restricts rows to
-// matching names ("" = all).
-func BenchTable(w io.Writer, files []string, filter string) error {
-	var filterRE *regexp.Regexp
-	if filter != "" {
-		var err error
-		if filterRE, err = regexp.Compile(filter); err != nil {
-			return fmt.Errorf("bad -filter regexp: %v", err)
-		}
-	}
-	labels := make([]string, len(files))
-	cols := make([]map[string]float64, len(files))
-	var order []string
-	seen := map[string]bool{}
-	for i, path := range files {
-		labels[i] = benchLabel(path)
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		var doc benchDoc
-		err = json.NewDecoder(f).Decode(&doc)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-		cols[i] = map[string]float64{}
-		for _, b := range doc.Benchmarks {
-			name := stripProcs(b.Name)
-			if filterRE != nil && !filterRE.MatchString(name) {
-				continue
-			}
-			cols[i][name] = b.NsPerOp
-			if !seen[name] {
-				seen[name] = true
-				order = append(order, name)
-			}
-		}
-	}
-	sort.Strings(order)
-
-	fmt.Fprintf(w, "| benchmark |")
-	for _, l := range labels {
-		fmt.Fprintf(w, " %s ns/op |", l)
-	}
-	fmt.Fprintf(w, " %s→%s |\n", labels[0], labels[len(labels)-1])
-	fmt.Fprintf(w, "|---|")
-	for range labels {
-		fmt.Fprintf(w, "---:|")
-	}
-	fmt.Fprintf(w, "---:|\n")
-	for _, name := range order {
-		fmt.Fprintf(w, "| %s |", strings.TrimPrefix(name, "Benchmark"))
-		for i := range cols {
-			if v, ok := cols[i][name]; ok {
-				fmt.Fprintf(w, " %s |", fmtNs(v))
-			} else {
-				fmt.Fprintf(w, " — |")
-			}
-		}
-		first, okF := cols[0][name]
-		last, okL := cols[len(cols)-1][name]
-		switch {
-		case okF && okL && first > 0:
-			fmt.Fprintf(w, " %+.1f%% |\n", (last/first-1)*100)
-		case okL:
-			fmt.Fprintf(w, " new |\n")
-		default:
-			fmt.Fprintf(w, " gone |\n")
-		}
-	}
-	return nil
-}
-
-// benchLabel derives a column label from a snapshot path:
-// "bench/BENCH_PR6.json" → "PR6".
-func benchLabel(path string) string {
-	base := filepath.Base(path)
-	base = strings.TrimSuffix(base, filepath.Ext(base))
-	base = strings.TrimPrefix(base, "BENCH_")
-	return base
-}
-
-// stripProcs removes go test's trailing -GOMAXPROCS suffix, exactly as
-// benchjson does, so snapshots recorded at different -cpu line up.
-func stripProcs(name string) string {
-	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		allDigits := i+1 < len(name)
-		for _, c := range name[i+1:] {
-			if c < '0' || c > '9' {
-				allDigits = false
-				break
-			}
-		}
-		if allDigits {
-			return name[:i]
-		}
-	}
-	return name
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// fmtMS renders a millisecond quantity compactly (1.2s, 450ms, 2m3s).
 // shortNet abbreviates a 32-hex-digit network fingerprint for display.
 func shortNet(fp string) string {
 	if len(fp) > 12 {
@@ -438,6 +281,7 @@ func shortNet(fp string) string {
 	return fp
 }
 
+// fmtMS renders a millisecond quantity compactly (1.2s, 450ms, 2m3s).
 func fmtMS(ms float64) string {
 	switch {
 	case ms <= 0:
@@ -461,13 +305,6 @@ func fmtKB(kb int64) string {
 	default:
 		return fmt.Sprintf("%.1f MB", float64(kb)/1024)
 	}
-}
-
-func fmtNs(v float64) string {
-	if v >= 100 || v == float64(int64(v)) {
-		return fmt.Sprintf("%.0f", v)
-	}
-	return fmt.Sprintf("%.2f", v)
 }
 
 // fmtFields renders a small JSON object as sorted key=value pairs.

@@ -90,43 +90,18 @@ func main() {
 	if n > core.MaxOptimalWires {
 		fail(fmt.Sprintf("the optimum search handles at most %d wires (core.MaxOptimalWires); the circuit has %d", core.MaxOptimalWires, n))
 	}
-	fp := core.NetworkFingerprint(circ)
-	prefixes := core.OptimalPrefixes(n)
-	fmt.Printf("optcoord: %v from %s, fingerprint %s, frontier %d prefixes\n", circ, *file, fp, prefixes)
+	fw, fr, err := coord.OpenFrontier(cli.Journal(), circ, *resume)
+	if err != nil {
+		fail(err.Error())
+	}
+	fmt.Printf("optcoord: %v from %s, fingerprint %s, frontier %d prefixes\n", circ, *file, fr.Net, fr.Prefixes)
 	cli.Entry.Set("file", *file)
 	cli.Entry.Set("n", n)
-	cli.Entry.Set("fingerprint", fp)
+	cli.Entry.Set("fingerprint", fr.Net)
 	cli.Entry.Set("chunk", *chunk)
-
-	var fr *coord.Frontier
-	var seed uint64
 	if *resume != "" {
-		fr, err = coord.ParseResumeJournalFile(*resume)
-		if err != nil {
-			fail("-resume: " + err.Error())
-		}
-		if fr.Net != fp {
-			fail(fmt.Sprintf("-resume: journal %s checkpoints network %s, but -file is %s (different circuit)", *resume, fr.Net, fp))
-		}
-		if fr.Seed != 0 {
-			if err := core.VerifyOptimalWitness(circ, fr.Seed); err != nil {
-				fail(fmt.Sprintf("-resume: journal %s seeds incumbent %d, which is not a witness on this circuit: %v", *resume, fr.Seed, err))
-			}
-		}
-		seed = fr.Seed
 		fmt.Printf("optcoord: resuming from %s: seq %d, %d/%d prefixes already done\n",
-			*resume, fr.LastSeq, len(fr.Done), prefixes)
-		cli.Entry.Set("resume", map[string]any{"from": *resume, "from_seq": fr.LastSeq, "skipped": len(fr.Done)})
-	}
-
-	fw := coord.NewFrontierWriter(cli.Journal(), cli.Entry.Run)
-	if err := fw.Init(fp, n, prefixes, seed); err != nil {
-		fail("journal: " + err.Error())
-	}
-	if fr != nil {
-		if err := fw.Resumed(*resume, fr.LastSeq, len(fr.Done), prefixes, fr.Seed); err != nil {
-			fail("journal: " + err.Error())
-		}
+			*resume, fr.LastSeq, len(fr.Done), fr.Prefixes)
 	}
 
 	co, err := coord.New(circ, coord.Options{

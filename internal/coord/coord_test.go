@@ -135,7 +135,7 @@ func TestCoordinatorResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw := NewFrontierWriter(j, "run-1")
+	fw := NewFrontierWriter(j)
 	fp := core.NetworkFingerprint(circ)
 	prefixes := core.OptimalPrefixes(circ.Wires())
 	if err := fw.Init(fp, circ.Wires(), prefixes, 0); err != nil {
@@ -162,7 +162,7 @@ func TestCoordinatorResume(t *testing.T) {
 	co1.Close()
 	j.Close()
 
-	fr, err := ParseResumeJournalFile(path)
+	_, fr, err := OpenFrontier(nil, circ, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +305,45 @@ func TestParseResumeJournal(t *testing.T) {
 	})
 }
 
+// TestFrontierWriterConcurrent: the search retires prefixes from
+// worker goroutines; concurrent PrefixDone calls each journal one
+// whole record with a sequence number of its own.
+func TestFrontierWriterConcurrent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	j, err := obs.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewFrontierWriter(j)
+	if err := w.Init("net-x", 12, 81, 0); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := g; p < 81; p += 4 {
+				if err := w.PrefixDone(p, uint64(p)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := readFrontier(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Done) != 81 || f.Seed != 80 || f.LastSeq != 82 {
+		t.Fatalf("frontier: %d done, seed %d, last seq %d; want 81, 80, 82", len(f.Done), f.Seed, f.LastSeq)
+	}
+}
+
 // TestFrontierWriterRoundTrip: records written through the writer
 // parse back to the same frontier, and a nil-journal writer is inert.
 func TestFrontierWriterRoundTrip(t *testing.T) {
@@ -313,7 +352,7 @@ func TestFrontierWriterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewFrontierWriter(j, "r")
+	w := NewFrontierWriter(j)
 	if err := w.Init("net-x", 12, 81, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +365,7 @@ func TestFrontierWriterRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ParseResumeJournalFile(path)
+	f, err := readFrontier(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +377,7 @@ func TestFrontierWriterRoundTrip(t *testing.T) {
 	if err := inert.PrefixDone(0, 0); err != nil {
 		t.Fatal("nil writer errored")
 	}
-	if err := NewFrontierWriter(nil, "").Init("", 0, 0, 0); err != nil {
+	if err := NewFrontierWriter(nil).Init("", 0, 0, 0); err != nil {
 		t.Fatal("nil-journal writer errored")
 	}
 	if _, err := os.Stat(path); err != nil {

@@ -16,20 +16,20 @@
 package coord
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 
+	"shufflenet/internal/core"
+	"shufflenet/internal/network"
 	"shufflenet/internal/obs"
 )
 
-// Record type tags, shared by the journal writer, the resume parser,
-// and obsreport's renderer. They live in the same JSONL stream as run
-// entries and heartbeats; the "type" field discriminates.
+// Record type tags of the frontier records. They share the run
+// journal with run entries, heartbeats and request lines; the header's
+// type routes them.
 const (
 	RecFrontierInit = "frontier_init"
 	RecPrefixDone   = "prefix_done"
@@ -41,8 +41,7 @@ const (
 // frontier is, and the incumbent the run was seeded with (non-zero on
 // a resumed run, so chains of resumes stay sound).
 type FrontierInit struct {
-	Type     string `json:"type"`
-	Run      string `json:"run,omitempty"`
+	obs.Header
 	Net      string `json:"net"`
 	N        int    `json:"n"`
 	Prefixes int    `json:"prefixes"`
@@ -54,20 +53,18 @@ type FrontierInit struct {
 // global packed incumbent at the moment its subtree was exhausted —
 // by the resume proof, a sound seed for any run that skips it.
 type PrefixDone struct {
-	Type      string `json:"type"`
-	Run       string `json:"run,omitempty"`
+	obs.Header
 	Prefix    int    `json:"prefix"`
 	Incumbent uint64 `json:"incumbent"`
 	Seq       int    `json:"seq"`
 }
 
-// Resumed is written by a -resume run after parsing a prior journal:
+// Resumed is written by a resumed run after reading a prior journal:
 // where it resumed from, how much of the frontier it inherited, and
 // the seed it starts with. obsreport renders it as "resumed from seq
 // N, M/P prefixes skipped".
 type Resumed struct {
-	Type     string `json:"type"`
-	Run      string `json:"run,omitempty"`
+	obs.Header
 	From     string `json:"from"`
 	FromSeq  int    `json:"from_seq"`
 	Skipped  int    `json:"skipped"`
@@ -77,38 +74,37 @@ type Resumed struct {
 }
 
 // FrontierWriter journals frontier records with monotonically
-// increasing per-run sequence numbers. Safe for concurrent use (the
-// search calls PrefixDone from worker goroutines). A writer over a nil
-// journal is inert, mirroring obs.Journal's nil behavior.
+// increasing sequence numbers of their own. Safe for concurrent use
+// (the search calls PrefixDone from worker goroutines). A writer over
+// a nil journal is inert, mirroring obs.Journal's nil behavior.
 type FrontierWriter struct {
 	mu  sync.Mutex
 	j   *obs.Journal
-	run string
 	seq int
 }
 
 // NewFrontierWriter wraps a journal (nil is allowed and yields an
-// inert writer); run correlates the records with the run's entry and
-// heartbeats.
-func NewFrontierWriter(j *obs.Journal, run string) *FrontierWriter {
-	return &FrontierWriter{j: j, run: run}
+// inert writer). The journal stamps each record with its run.
+func NewFrontierWriter(j *obs.Journal) *FrontierWriter {
+	return &FrontierWriter{j: j}
 }
 
-func (w *FrontierWriter) nextSeq() int {
-	w.seq++
-	return w.seq
-}
-
-// Init journals the FrontierInit record.
-func (w *FrontierWriter) Init(net string, n, prefixes int, seed uint64) error {
+// write journals the record rec builds for the next sequence number.
+func (w *FrontierWriter) write(rec func(seq int) obs.Record) error {
 	if w == nil || w.j == nil {
 		return nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.j.WriteRecord(FrontierInit{
-		Type: RecFrontierInit, Run: w.run,
-		Net: net, N: n, Prefixes: prefixes, Seed: seed, Seq: w.nextSeq(),
+	w.seq++
+	return w.j.Write(rec(w.seq))
+}
+
+// Init journals the FrontierInit record.
+func (w *FrontierWriter) Init(net string, n, prefixes int, seed uint64) error {
+	return w.write(func(seq int) obs.Record {
+		return &FrontierInit{Header: obs.Header{Type: RecFrontierInit},
+			Net: net, N: n, Prefixes: prefixes, Seed: seed, Seq: seq}
 	})
 }
 
@@ -116,33 +112,24 @@ func (w *FrontierWriter) Init(net string, n, prefixes int, seed uint64) error {
 // CLI can surface a failing disk, but the search result does not
 // depend on them.
 func (w *FrontierWriter) PrefixDone(prefix int, incumbent uint64) error {
-	if w == nil || w.j == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.j.WriteRecord(PrefixDone{
-		Type: RecPrefixDone, Run: w.run,
-		Prefix: prefix, Incumbent: incumbent, Seq: w.nextSeq(),
+	return w.write(func(seq int) obs.Record {
+		return &PrefixDone{Header: obs.Header{Type: RecPrefixDone},
+			Prefix: prefix, Incumbent: incumbent, Seq: seq}
 	})
 }
 
 // Resumed journals the resume provenance record.
 func (w *FrontierWriter) Resumed(from string, fromSeq, skipped, prefixes int, seed uint64) error {
-	if w == nil || w.j == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.j.WriteRecord(Resumed{
-		Type: RecResumed, Run: w.run,
-		From: from, FromSeq: fromSeq, Skipped: skipped, Prefixes: prefixes, Seed: seed, Seq: w.nextSeq(),
+	return w.write(func(seq int) obs.Record {
+		return &Resumed{Header: obs.Header{Type: RecResumed},
+			From: from, FromSeq: fromSeq, Skipped: skipped, Prefixes: prefixes, Seed: seed, Seq: seq}
 	})
 }
 
-// Frontier is the resumable state reconstructed from a journal: which
-// prefixes any prior run completed, the strongest incumbent recorded,
-// and the identity the records were stamped with.
+// Frontier is the resumable state reconstructed from a journal (or,
+// from OpenFrontier without one, a fresh search's): which prefixes any
+// prior run completed, the strongest incumbent recorded, and the
+// identity the records were stamped with.
 type Frontier struct {
 	Net      string
 	N        int
@@ -162,74 +149,50 @@ func (f *Frontier) Skip(prefix int) bool {
 
 // ParseResumeJournal reads a JSONL run journal and reconstructs the
 // checkpointed frontier. Non-frontier records (run entries,
-// heartbeats) are ignored; unparseable lines are an error except for a
-// torn final line, which is the expected signature of a killed run and
-// is tolerated. Records from multiple runs (a chain of resumes
-// appending to one file) accumulate: a prefix done in any run stays
-// done, and the seed is the max incumbent recorded anywhere — both
-// sound because every recorded incumbent is a real leaf of this
-// network's search. Mixing networks in one journal is an error.
+// heartbeats, requests) are ignored. Line framing is obs.ReadJournal's:
+// a torn final line, the expected signature of a killed run, is
+// tolerated, and any other unparseable line is an error. Records from
+// multiple runs (a chain of resumes appending to one file) accumulate:
+// a prefix done in any run stays done, and the seed is the max
+// incumbent recorded anywhere — both sound because every recorded
+// incumbent is a real leaf of this network's search. Mixing networks
+// in one journal is an error.
 func ParseResumeJournal(r io.Reader) (*Frontier, error) {
 	f := &Frontier{Done: map[int]bool{}}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 16<<20)
-	line, torn := 0, false
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if torn {
-			return nil, fmt.Errorf("line %d: unparseable record followed by more records (corrupt journal, not a torn tail)", line-1)
-		}
-		var tag struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal([]byte(text), &tag); err != nil {
-			torn = true
-			continue
-		}
-		switch tag.Type {
+	_, err := obs.ReadJournal(r, func(h obs.Header, line []byte) error {
+		switch h.Type {
 		case RecFrontierInit:
 			var rec FrontierInit
-			if err := json.Unmarshal([]byte(text), &rec); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return err
 			}
 			if f.Net != "" && rec.Net != f.Net {
-				return nil, fmt.Errorf("line %d: journal mixes networks (%s then %s)", line, f.Net, rec.Net)
+				return fmt.Errorf("journal mixes networks (%s then %s)", f.Net, rec.Net)
 			}
 			if f.Net != "" && (rec.N != f.N || rec.Prefixes != f.Prefixes) {
-				return nil, fmt.Errorf("line %d: journal mixes frontier geometries (%d wires/%d prefixes then %d/%d)", line, f.N, f.Prefixes, rec.N, rec.Prefixes)
+				return fmt.Errorf("journal mixes frontier geometries (%d wires/%d prefixes then %d/%d)", f.N, f.Prefixes, rec.N, rec.Prefixes)
 			}
 			f.Net, f.N, f.Prefixes = rec.Net, rec.N, rec.Prefixes
-			if rec.Seed > f.Seed {
-				f.Seed = rec.Seed
-			}
-			if rec.Seq > f.LastSeq {
-				f.LastSeq = rec.Seq
-			}
+			f.Seed = max(f.Seed, rec.Seed)
+			f.LastSeq = max(f.LastSeq, rec.Seq)
 		case RecPrefixDone:
 			var rec PrefixDone
-			if err := json.Unmarshal([]byte(text), &rec); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return err
 			}
 			if f.Net == "" {
-				return nil, fmt.Errorf("line %d: %s record before any %s", line, RecPrefixDone, RecFrontierInit)
+				return fmt.Errorf("%s record before any %s", RecPrefixDone, RecFrontierInit)
 			}
 			if rec.Prefix < 0 || rec.Prefix >= f.Prefixes {
-				return nil, fmt.Errorf("line %d: prefix %d outside the %d-wide frontier", line, rec.Prefix, f.Prefixes)
+				return fmt.Errorf("prefix %d outside the %d-wide frontier", rec.Prefix, f.Prefixes)
 			}
 			f.Done[rec.Prefix] = true
-			if rec.Incumbent > f.Seed {
-				f.Seed = rec.Incumbent
-			}
-			if rec.Seq > f.LastSeq {
-				f.LastSeq = rec.Seq
-			}
+			f.Seed = max(f.Seed, rec.Incumbent)
+			f.LastSeq = max(f.LastSeq, rec.Seq)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if f.Net == "" {
@@ -238,16 +201,56 @@ func ParseResumeJournal(r io.Reader) (*Frontier, error) {
 	return f, nil
 }
 
-// ParseResumeJournalFile is ParseResumeJournal over a file path.
-func ParseResumeJournalFile(path string) (*Frontier, error) {
+// OpenFrontier starts the checkpoint trail of an optimum search over
+// circ in journal j (nil journals nothing) and returns the writer for
+// its prefix_done records plus the frontier the search starts from.
+//
+// With resume empty, the frontier is fresh: nothing done, no seed.
+// Otherwise it is read from the journal at that path and checked
+// against circ before anything is searched or journaled: the same
+// network fingerprint, the same frontier geometry, and a seed
+// incumbent that is a witness on circ (core.VerifyOptimalWitness) —
+// the journal is bytes this process did not write, and the search
+// returns a seed it cannot beat unchanged. The new trail then opens
+// with frontier_init carrying the seed and, when resuming, a resumed
+// record.
+func OpenFrontier(j *obs.Journal, circ *network.Network, resume string) (*FrontierWriter, *Frontier, error) {
+	n := circ.Wires()
+	fr := &Frontier{Net: core.NetworkFingerprint(circ), N: n, Prefixes: core.OptimalPrefixes(n), Done: map[int]bool{}}
+	if resume != "" {
+		got, err := readFrontier(resume)
+		if err != nil {
+			return nil, nil, fmt.Errorf("resume from %s: %w", resume, err)
+		}
+		switch {
+		case got.Net != fr.Net:
+			return nil, nil, fmt.Errorf("resume from %s: journal checkpoints network %s, but the circuit is %s (different circuit)", resume, got.Net, fr.Net)
+		case got.N != fr.N || got.Prefixes != fr.Prefixes:
+			return nil, nil, fmt.Errorf("resume from %s: journal frontier is %d wires/%d prefixes, the circuit's is %d/%d", resume, got.N, got.Prefixes, fr.N, fr.Prefixes)
+		}
+		if got.Seed != 0 {
+			if err := core.VerifyOptimalWitness(circ, got.Seed); err != nil {
+				return nil, nil, fmt.Errorf("resume from %s: seed incumbent %d is not a witness on this circuit: %v", resume, got.Seed, err)
+			}
+		}
+		fr = got
+	}
+	w := NewFrontierWriter(j)
+	err := w.Init(fr.Net, fr.N, fr.Prefixes, fr.Seed)
+	if err == nil && resume != "" {
+		err = w.Resumed(resume, fr.LastSeq, len(fr.Done), fr.Prefixes, fr.Seed)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal: %w", err)
+	}
+	return w, fr, nil
+}
+
+func readFrontier(path string) (*Frontier, error) {
 	fd, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer fd.Close()
-	f, err := ParseResumeJournal(fd)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return f, nil
+	return ParseResumeJournal(fd)
 }

@@ -60,6 +60,9 @@ func StartCLI(cmd, journalPath string, metrics bool, pprofAddr string) (*CLIRun,
 		metrics: metrics,
 		reg:     Default,
 	}
+	if j != nil {
+		j.def = Header{Run: r.Entry.Run, Cmd: r.Entry.Cmd}
+	}
 	if pprofAddr != "" {
 		Default.Expvar("shufflenet")
 		ln, err := ServeDebug(pprofAddr)
@@ -72,12 +75,11 @@ func StartCLI(cmd, journalPath string, metrics bool, pprofAddr string) (*CLIRun,
 	return r, nil
 }
 
-// Journaling reports whether a journal file is attached.
-func (r *CLIRun) Journaling() bool { return r != nil && r.journal != nil }
-
 // Journal exposes the run's journal (nil when none is attached) so
 // long-lived processes can interleave their own records — the daemon's
-// per-request lines — with the run entry and progress heartbeats.
+// per-request lines, the optimum search's frontier checkpoints — with
+// the run entry and progress heartbeats. Records written through it
+// carry this run's ID and command.
 func (r *CLIRun) Journal() *Journal {
 	if r == nil {
 		return nil

@@ -1,12 +1,39 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
+
+// readRecords decodes every record of the journal at path into T,
+// failing the test on a read error or a torn tail.
+func readRecords[T any](t *testing.T, path string) []T {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []T
+	torn, err := ReadJournal(f, func(_ Header, line []byte) error {
+		var rec T
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		out = append(out, rec)
+		return nil
+	})
+	if err != nil || torn {
+		t.Fatalf("ReadJournal(%s): torn %v, err %v", path, torn, err)
+	}
+	return out
+}
+
+func readSamples(t *testing.T, path string) []Sample { return readRecords[Sample](t, path) }
 
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
@@ -40,25 +67,12 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var lines []Entry
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var got Entry
-		if err := json.Unmarshal(sc.Bytes(), &got); err != nil {
-			t.Fatalf("line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, got)
-	}
+	lines := readRecords[Entry](t, path)
 	if len(lines) != 2 {
 		t.Fatalf("journal has %d lines, want 2", len(lines))
 	}
 	got := lines[0]
-	if got.Cmd != "testcmd" || got.Seed != 7 {
+	if got.Type != RecRun || got.Cmd != "testcmd" || got.Seed != 7 {
 		t.Fatalf("cmd/seed = %s/%d", got.Cmd, got.Seed)
 	}
 	if got.GoVersion == "" || got.OS == "" || got.Arch == "" || got.Time == "" {
@@ -98,5 +112,154 @@ func TestOpenJournalEmptyPath(t *testing.T) {
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJournalWriteFillsHeader: a record written through a CLI run's
+// journal carries that run's ID and command, and a time, when it
+// leaves them empty; fields it sets are kept.
+func TestJournalWriteFillsHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	run, err := StartCLI("testcmd", path, false, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Journal().Write(&Sample{Header: Header{Type: RecHeartbeat}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Journal().Write(&Sample{Header: Header{Type: RecHeartbeat, Run: "other"}}); err != nil {
+		t.Fatal(err)
+	}
+	run.Finish()
+
+	recs := readRecords[Header](t, path)
+	if len(recs) != 3 {
+		t.Fatalf("journal has %d records, want 3", len(recs))
+	}
+	if h := recs[0]; h.Run != run.Entry.Run || h.Cmd != "testcmd" || h.Time == "" {
+		t.Fatalf("filled header = %+v, want run %s, cmd testcmd, a time", h, run.Entry.Run)
+	}
+	if recs[1].Run != "other" {
+		t.Fatalf("a record's own run was overwritten: %+v", recs[1])
+	}
+	if recs[2].Type != RecRun || recs[2].Run != run.Entry.Run {
+		t.Fatalf("last record = %+v, want the run entry", recs[2])
+	}
+}
+
+// TestJournalConcurrentWrites: records written from several
+// goroutines at once through one CLI run's journal each land whole on
+// their own line, stamped with the run.
+func TestJournalConcurrentWrites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	run, err := StartCLI("testcmd", path, false, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, each = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := run.Journal().Write(&Sample{Header: Header{Type: RecHeartbeat}, Seq: int64(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	run.Finish()
+	samples := readSamples(t, path)
+	if len(samples) != writers*each+1 {
+		t.Fatalf("journal has %d records, want %d", len(samples), writers*each+1)
+	}
+	for _, s := range samples {
+		if s.Run != run.Entry.Run {
+			t.Fatalf("record not stamped with the run: %+v", s.Header)
+		}
+	}
+}
+
+// TestReadJournalFraming: blank lines are skipped, an untyped line is a
+// run entry, an unparseable last line is a torn tail, and an
+// unparseable line before another record is an error.
+func TestReadJournalFraming(t *testing.T) {
+	read := func(s string) ([]string, bool, error) {
+		var types []string
+		torn, err := ReadJournal(strings.NewReader(s), func(h Header, _ []byte) error {
+			types = append(types, h.Type)
+			return nil
+		})
+		return types, torn, err
+	}
+	types, torn, err := read(`{"cmd":"old"}` + "\n\n  \n" + `{"type":"heartbeat","seq":1}` + "\n" + `{"type":"heart`)
+	if err != nil || !torn || strings.Join(types, ",") != "run,heartbeat" {
+		t.Fatalf("torn tail: types %v, torn %v, err %v", types, torn, err)
+	}
+	if _, torn, err := read(`{"cmd":"old"}` + "\n"); err != nil || torn {
+		t.Fatalf("clean journal: torn %v, err %v", torn, err)
+	}
+	_, _, err = read(`{"cmd":"old"}` + "\n" + `{"type":"hea` + "\n\n" + `{"cmd":"x"}` + "\n")
+	if err == nil || !strings.Contains(err.Error(), "line 2:") {
+		t.Fatalf("torn middle: err %v, want a line-2 error", err)
+	}
+}
+
+// TestOpenJournalCutsTornTail: a run killed mid-line leaves a fragment
+// at the end of the journal. Reopening the journal cuts it, so a
+// resumed run's records start on lines of their own and the journal
+// reads back whole, with no torn line anywhere. A journal that is only
+// a fragment is emptied.
+func TestOpenJournalCutsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	write := func(cmds ...string) {
+		t.Helper()
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cmds {
+			if err := j.Write(&Entry{Header: Header{Type: RecRun, Cmd: c}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tear := func() {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(`{"type":"prefix_done","pre`); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+
+	write("a", "b")
+	tear()
+	write("c")
+	tear()
+	write("d")
+	var cmds []string
+	for _, e := range readRecords[Entry](t, path) {
+		cmds = append(cmds, e.Cmd)
+	}
+	if got := strings.Join(cmds, ","); got != "a,b,c,d" {
+		t.Fatalf("records after two torn tails = %s, want a,b,c,d", got)
+	}
+
+	if err := os.WriteFile(path, []byte(`{"type":"run"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	write()
+	if data, _ := os.ReadFile(path); len(data) != 0 {
+		t.Fatalf("a journal holding one fragment reopened as %q, want empty", data)
 	}
 }

@@ -77,15 +77,12 @@ type Event struct {
 }
 
 // Sample is one progress snapshot: what every sink sees and what a
-// heartbeat journal record serializes to. The "type":"heartbeat"
-// discriminator keeps heartbeat lines distinguishable from run-journal
-// entries in the same JSONL file (entries have no "type" field).
+// heartbeat journal record (type RecHeartbeat) serializes to. Seq
+// counts this run's heartbeats only, so a gap in a journal's trail
+// means a missed beat.
 type Sample struct {
-	Type      string         `json:"type"` // always "heartbeat"
-	Run       string         `json:"run,omitempty"`
-	Cmd       string         `json:"cmd,omitempty"`
+	Header
 	Seq       int64          `json:"seq"`
-	Time      string         `json:"time"`
 	ElapsedMS float64        `json:"elapsed_ms"`
 	Frac      float64        `json:"frac,omitempty"`   // completion fraction of the dominant phase (omitted at 0)
 	EtaMS     float64        `json:"eta_ms,omitempty"` // elapsed·(1−frac)/frac, the prefix-completion-rate ETA
@@ -294,10 +291,12 @@ func (p *Progress) emit(final bool) {
 
 	now := time.Now()
 	s := &Sample{
-		Type:      "heartbeat",
-		Run:       p.run,
-		Cmd:       p.cmd,
-		Time:      now.UTC().Format(time.RFC3339Nano),
+		Header: Header{
+			Type: RecHeartbeat,
+			Run:  p.run,
+			Cmd:  p.cmd,
+			Time: now.UTC().Format(time.RFC3339Nano),
+		},
 		ElapsedMS: float64(now.Sub(p.start)) / float64(time.Millisecond),
 		Final:     final,
 	}
@@ -513,7 +512,10 @@ func JournalSink(j *Journal) Sink {
 }
 
 func (js journalSink) Emit(s *Sample) {
-	if err := js.j.WriteRecord(s); err != nil {
+	// Write fills empty header fields in place; the copy keeps the
+	// sample other sinks and /debug/progress share unchanged.
+	c := *s
+	if err := js.j.Write(&c); err != nil {
 		fmt.Fprintf(os.Stderr, "obs: heartbeat: %v\n", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -56,29 +55,14 @@ func TestProgressHeartbeatTrail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d journal lines, want 4 heartbeats:\n%s", len(lines), data)
+	beats := readSamples(t, path)
+	if len(beats) != 4 {
+		t.Fatalf("got %d journal records, want 4 heartbeats", len(beats))
 	}
 	lastSeq := int64(-1)
 	lastNodes := int64(-1)
-	for i, line := range lines {
-		var hb struct {
-			Type   string         `json:"type"`
-			Run    string         `json:"run"`
-			Seq    int64          `json:"seq"`
-			Frac   float64        `json:"frac"`
-			Fields map[string]any `json:"fields"`
-			Final  bool           `json:"final"`
-		}
-		if err := json.Unmarshal([]byte(line), &hb); err != nil {
-			t.Fatalf("line %d does not parse: %v\n%s", i+1, err, line)
-		}
-		if hb.Type != "heartbeat" {
+	for i, hb := range beats {
+		if hb.Type != RecHeartbeat {
 			t.Fatalf("line %d type = %q, want heartbeat", i+1, hb.Type)
 		}
 		if hb.Run != "testcmd-1-abc" {
@@ -264,7 +248,7 @@ func TestProgressDisabledZeroAlloc(t *testing.T) {
 func TestStatusSinkPipe(t *testing.T) {
 	var sb strings.Builder
 	ss := &StatusSink{w: &sb}
-	s := &Sample{Cmd: "adversary", ElapsedMS: 1500, Frac: 0.25, fracSet: true, EtaMS: 4500}
+	s := &Sample{Header: Header{Cmd: "adversary"}, ElapsedMS: 1500, Frac: 0.25, fracSet: true, EtaMS: 4500}
 	s.Field("core.optimal.nodes", int64(1234567))
 	ss.Emit(s)
 	ss.Close()

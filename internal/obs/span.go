@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -10,7 +9,8 @@ import (
 )
 
 // Attr is one key/value annotation on a span. Values must be
-// JSON-marshalable for WriteJSONL; fmt verbs render them in the tree.
+// JSON-marshalable for the journal (Entry.AddSpans); fmt verbs render
+// them in the tree.
 type Attr struct {
 	Key   string `json:"key"`
 	Value any    `json:"value"`
@@ -24,10 +24,10 @@ func A(key string, value any) Attr { return Attr{Key: key, Value: value} }
 // inert (Child returns nil, End is a no-op), so callers can thread an
 // optional span through APIs without conditionals.
 //
-// A span tree is rendered with WriteTree (indented text) or WriteJSONL
-// (one JSON object per span, depth-first). Child and End are safe for
-// concurrent use on the same parent, matching the parallel phases in
-// core and par.
+// A span tree is rendered with WriteTree (indented text) or journaled
+// with Entry.AddSpans (one record per span, depth-first). Child and
+// End are safe for concurrent use on the same parent, matching the
+// parallel phases in core and par.
 type Span struct {
 	name  string
 	attrs []Attr
@@ -152,47 +152,12 @@ func (s *Span) writeTree(sb *strings.Builder, depth int) {
 	}
 }
 
-// spanRecord is the JSONL form of one span.
+// spanRecord is the journal form of one span.
 type spanRecord struct {
 	Path  string  `json:"path"` // slash-joined names from the root
 	Depth int     `json:"depth"`
 	MS    float64 `json:"ms"`
 	Attrs []Attr  `json:"attrs,omitempty"`
-}
-
-// WriteJSONL renders the span and its descendants depth-first, one
-// JSON object per line with the slash-joined path from the root.
-func (s *Span) WriteJSONL(w io.Writer) error {
-	if s == nil {
-		return nil
-	}
-	enc := json.NewEncoder(w)
-	return s.writeJSONL(enc, "", 0)
-}
-
-func (s *Span) writeJSONL(enc *json.Encoder, prefix string, depth int) error {
-	s.mu.Lock()
-	dur := s.dur
-	if !s.ended {
-		dur = time.Since(s.start)
-	}
-	attrs := append([]Attr(nil), s.attrs...)
-	children := append([]*Span(nil), s.children...)
-	s.mu.Unlock()
-
-	path := s.name
-	if prefix != "" {
-		path = prefix + "/" + s.name
-	}
-	if err := enc.Encode(spanRecord{Path: path, Depth: depth, MS: float64(dur) / float64(time.Millisecond), Attrs: attrs}); err != nil {
-		return err
-	}
-	for _, c := range children {
-		if err := c.writeJSONL(enc, path, depth+1); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // records flattens the tree into journal-friendly structs (used by

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -46,42 +45,35 @@ func TestSpanNestingOrder(t *testing.T) {
 	}
 }
 
+// TestSpanJSONL: a span tree journals depth-first, one record per
+// span, with slash-joined paths and depths from the root.
 func TestSpanJSONL(t *testing.T) {
 	root := NewSpan("root")
 	root.Child("a").End()
 	root.Child("b").Child("c").End()
 	root.End()
 
-	var sb strings.Builder
-	if err := root.WriteJSONL(&sb); err != nil {
+	e := NewEntry("spans")
+	e.AddSpans(root)
+	data, err := json.Marshal(e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var paths []string
-	var depths []int
-	sc := bufio.NewScanner(strings.NewReader(sb.String()))
-	for sc.Scan() {
-		var rec struct {
-			Path  string  `json:"path"`
-			Depth int     `json:"depth"`
-			MS    float64 `json:"ms"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("line %q: %v", sc.Text(), err)
-		}
-		if rec.MS < 0 {
-			t.Fatalf("negative duration in %q", sc.Text())
-		}
-		paths = append(paths, rec.Path)
-		depths = append(depths, rec.Depth)
+	var got Entry
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
 	}
 	wantPaths := []string{"root", "root/a", "root/b", "root/b/c"}
 	wantDepths := []int{0, 1, 1, 2}
-	if len(paths) != len(wantPaths) {
-		t.Fatalf("paths = %v", paths)
+	if len(got.Spans) != len(wantPaths) {
+		t.Fatalf("spans = %+v", got.Spans)
 	}
-	for i := range wantPaths {
-		if paths[i] != wantPaths[i] || depths[i] != wantDepths[i] {
-			t.Fatalf("record %d = (%s, %d), want (%s, %d)", i, paths[i], depths[i], wantPaths[i], wantDepths[i])
+	for i, rec := range got.Spans {
+		if rec.MS < 0 {
+			t.Fatalf("negative duration in %+v", rec)
+		}
+		if rec.Path != wantPaths[i] || rec.Depth != wantDepths[i] {
+			t.Fatalf("record %d = (%s, %d), want (%s, %d)", i, rec.Path, rec.Depth, wantPaths[i], wantDepths[i])
 		}
 	}
 }
@@ -98,9 +90,6 @@ func TestNilSpanIsInert(t *testing.T) {
 		t.Fatal("nil span not inert")
 	}
 	if err := s.WriteTree(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteJSONL(nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -70,9 +70,9 @@ type Config struct {
 	CoalesceLanes  int
 	// MaxBodyBytes bounds request bodies (default 8 MiB).
 	MaxBodyBytes int64
-	// Journal, when non-nil, receives one lightweight JSON record per
-	// request (type "request": endpoint, status, latency, cache state,
-	// partial-progress fields on timeouts).
+	// Journal, when non-nil, receives one RequestRecord per request
+	// (endpoint, status, latency, cache state, partial-progress fields
+	// on timeouts).
 	Journal *obs.Journal
 }
 
@@ -227,13 +227,16 @@ var (
 	metDeadline  = obs.C("serve.deadline_exceeded")
 )
 
-// requestRecord is the per-request journal line. Deliberately much
+// RecRequest is the type tag of RequestRecord.
+const RecRequest = "request"
+
+// RequestRecord is the per-request journal line. Deliberately much
 // lighter than obs.Entry (which shells out to git and snapshots the
 // registry): a daemon writes one of these per request, so it must cost
-// one Marshal and one write.
-type requestRecord struct {
-	Type     string         `json:"type"`
-	Time     string         `json:"time"`
+// one Marshal and one write. The journal stamps it with the daemon's
+// run, command and the time.
+type RequestRecord struct {
+	obs.Header
 	Endpoint string         `json:"endpoint"`
 	Status   int            `json:"status"`
 	MS       float64        `json:"ms"`
@@ -308,12 +311,14 @@ func (s *Server) endpoint(name string, fn handlerFunc) http.Handler {
 		w.Header().Set("X-Served-In", time.Since(start).String())
 		w.Write(res.body)
 		met.latUS.Observe(time.Since(start).Microseconds())
-		s.journal(requestRecord{
-			Type: "request", Time: time.Now().UTC().Format(time.RFC3339Nano),
-			Endpoint: name, Status: http.StatusOK,
-			MS: float64(time.Since(start)) / float64(time.Millisecond),
-			N:  res.n, Cache: res.cache,
-		})
+		if j := s.cfg.Journal; j != nil {
+			_ = j.Write(&RequestRecord{ // a failing journal must not fail the request it records
+				Header:   obs.Header{Type: RecRequest},
+				Endpoint: name, Status: http.StatusOK,
+				MS: float64(time.Since(start)) / float64(time.Millisecond),
+				N:  res.n, Cache: res.cache,
+			})
+		}
 	})
 }
 
@@ -356,19 +361,14 @@ func (s *Server) fail(w http.ResponseWriter, name string, met epMetrics, start t
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(body)
 	met.latUS.Observe(time.Since(start).Microseconds())
-	s.journal(requestRecord{
-		Type: "request", Time: time.Now().UTC().Format(time.RFC3339Nano),
-		Endpoint: name, Status: status,
-		MS: float64(time.Since(start)) / float64(time.Millisecond),
-		N:  n, Error: body.Error, Partial: body.Partial,
-	})
-}
-
-func (s *Server) journal(rec requestRecord) {
-	if s.cfg.Journal == nil {
-		return
+	if j := s.cfg.Journal; j != nil {
+		_ = j.Write(&RequestRecord{ // a failing journal must not fail the request it records
+			Header:   obs.Header{Type: RecRequest},
+			Endpoint: name, Status: status,
+			MS: float64(time.Since(start)) / float64(time.Millisecond),
+			N:  n, Error: body.Error, Partial: body.Partial,
+		})
 	}
-	s.cfg.Journal.WriteRecord(rec)
 }
 
 // parseNetwork decodes the request's network with the parser its

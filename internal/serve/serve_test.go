@@ -414,23 +414,24 @@ func TestServeJournalRecords(t *testing.T) {
 	ts.Close()
 	j.Close()
 
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
-	if len(lines) != 2 {
-		t.Fatalf("want 2 journal lines, got %d: %s", len(lines), raw)
-	}
-	var recs []requestRecord
-	for _, line := range lines {
-		var r requestRecord
+	defer f.Close()
+	var recs []RequestRecord
+	torn, err := obs.ReadJournal(f, func(_ obs.Header, line []byte) error {
+		var r RequestRecord
 		if err := json.Unmarshal(line, &r); err != nil {
-			t.Fatalf("bad journal line %q: %v", line, err)
+			return err
 		}
 		recs = append(recs, r)
+		return nil
+	})
+	if err != nil || torn || len(recs) != 2 {
+		t.Fatalf("want 2 journal records, got %d (torn %v, err %v)", len(recs), torn, err)
 	}
-	if recs[0].Type != "request" || recs[0].Endpoint != "check" || recs[0].Status != 200 || recs[0].N != 4 {
+	if recs[0].Type != RecRequest || recs[0].Time == "" || recs[0].Endpoint != "check" || recs[0].Status != 200 || recs[0].N != 4 {
 		t.Fatalf("first record %+v", recs[0])
 	}
 	if recs[1].Status != 400 || recs[1].Error == "" {
