@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-ctx check-memo vet race bench bench-json bench-diff bench-smoke batch-smoke obs-smoke serve-smoke resume-smoke coord-smoke fuzz experiments netgen netgen-check perfbench-check
+.PHONY: build test check check-ctx check-memo vet race cross bench bench-json bench-diff bench-smoke batch-smoke obs-smoke serve-smoke resume-smoke coord-smoke fuzz experiments netgen netgen-check perfbench-check
 
 # Benchmark snapshot recorded for this PR (see EXPERIMENTS.md).
 BENCH_JSON ?= BENCH_PR10.json
@@ -10,11 +10,12 @@ BENCH_JSON ?= BENCH_PR10.json
 BENCH_BASE ?= BENCH_PR9.json
 
 # The benchmarks bench-diff/bench-smoke re-run: the guarded SWAR 0-1
-# kernels, the daemon's end-to-end request legs, the durable
-# optimum-search paths — spill table and checkpoint/resume — the
-# optimum search itself, and the vertical batch sorting entry points
-# and raw columnar kernels (see cmd/benchjson defaultGuard).
-BENCH_GUARDED = ZeroOneScalarVsBits|HalverEpsilon|GeneratedSort|SortDispatch|BenchmarkServe|MemoSpill|OptimalResume|OptimalCanonMemo|SortBatch|BatchKernel
+# kernels, the daemon's end-to-end request legs and its first layers —
+# the body parsers and the table mount — the durable optimum-search
+# paths — spill table and checkpoint/resume — the optimum search
+# itself, and the vertical batch sorting entry points and raw columnar
+# kernels (see cmd/benchjson defaultGuard).
+BENCH_GUARDED = ZeroOneScalarVsBits|HalverEpsilon|GeneratedSort|SortDispatch|BenchmarkServe|BenchmarkParse|BenchmarkNewMemo|MemoSpill|OptimalResume|OptimalCanonMemo|SortBatch|BatchKernel
 
 build:
 	$(GO) build ./...
@@ -31,6 +32,14 @@ race:
 # check is the full gate: static analysis, the race detector in short
 # mode, and the tier-1 build+test pass.
 check: vet race build test
+
+# cross builds every package for the platforms the build tags split
+# on: windows compiles mmapio's heap fallback and obs's windows rusage,
+# darwin the other unix mapping, and linux/386 a 32-bit int.
+cross:
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) build ./...
 
 # check-ctx stresses the cancellation and durability paths: the
 # ctx-aware par/core/sortcheck/halver entry points, the CLI -timeout
@@ -203,11 +212,16 @@ coord-smoke:
 	grep -q 'witness verified against the circuit' /tmp/coord_smoke_out.txt
 	@echo "coord-smoke: ok"
 
-# Short fuzz pass over the parsers / compiled-kernel round trip, the
-# optimum search's canonical keys under wire relabeling, the Sort
-# dispatcher vs slices.Sort differential, the batch façades (numeric
-# and []string lanes) vs slices.Sort, and the resume-journal parser.
+# Short fuzz pass over the three network body parsers (text, register,
+# DOT: they share one line scanner), the parsers / compiled-kernel
+# round trip, the optimum search's canonical keys under wire
+# relabeling, the Sort dispatcher vs slices.Sort differential, the
+# batch façades (numeric and []string lanes) vs slices.Sort, and the
+# resume-journal parser.
 fuzz:
+	$(GO) test ./internal/network/ -run FuzzReadText -fuzz FuzzReadText -fuzztime 20s
+	$(GO) test ./internal/network/ -run FuzzReadRegisterText -fuzz FuzzReadRegisterText -fuzztime 20s
+	$(GO) test ./internal/network/ -run FuzzReadDOT -fuzz FuzzReadDOT -fuzztime 20s
 	$(GO) test ./internal/network/ -run FuzzCompileEval -fuzz FuzzCompileEval -fuzztime 20s
 	$(GO) test ./internal/core/ -run FuzzCanonicalRelabel -fuzz FuzzCanonicalRelabel -fuzztime 20s
 	$(GO) test . -run FuzzSortT -fuzz FuzzSortT -fuzztime 20s

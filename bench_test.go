@@ -11,7 +11,9 @@ package shufflenet_test
 // cmd/experiments' job.
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -91,9 +93,10 @@ func BenchmarkLemma41(b *testing.B) {
 
 // BenchmarkOptimalNoncolliding measures one call of the exact optimum
 // search on the A2 butterfly instance at n = 16 as a caller without a
-// table makes it. Each call allocates its private 12.7 MB auto-sized
-// transposition table, and zeroing it takes about half of this leg's
-// profile; the search itself is measured by BenchmarkOptimalCanonMemo.
+// table makes it. Each call builds its private auto-sized
+// transposition table (12.6 MB, mapped, so only the buckets the search
+// writes are ever zeroed); the search itself is measured by
+// BenchmarkOptimalCanonMemo.
 func BenchmarkOptimalNoncolliding(b *testing.B) {
 	const n = 16
 	it := delta.NewIterated(n)
@@ -160,6 +163,70 @@ func BenchmarkOptimalCanonMemo(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkParse measures the first layer of every daemon request, the
+// body parser, in its three formats, on the 16-wire circuit shape of
+// perfbench's serve-repeat check requests: one random level ahead of
+// the bitonic sorter. The register leg parses Stone's shuffle-based
+// bitonic sorter, the register form of the same width.
+func BenchmarkParse(b *testing.B) {
+	const n = 16
+	c := randnet.Levels(n, 1, rand.New(rand.NewSource(1))).Append(netbuild.Bitonic(n))
+	var text, dot, reg bytes.Buffer
+	if err := c.WriteText(&text); err != nil {
+		b.Fatal(err)
+	}
+	if err := c.WriteDOT(&dot, "bench"); err != nil {
+		b.Fatal(err)
+	}
+	if err := shuffle.Bitonic(n).WriteText(&reg); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name  string
+		body  []byte
+		parse func(io.Reader) error
+	}{
+		{"text", text.Bytes(), func(r io.Reader) error { _, err := network.ReadText(r); return err }},
+		{"register", reg.Bytes(), func(r io.Reader) error { _, err := network.ReadRegisterText(r); return err }},
+		{"dot", dot.Bytes(), func(r io.Reader) error { _, err := network.ReadDOT(r); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bc.body)))
+			for i := 0; i < b.N; i++ {
+				if err := bc.parse(bytes.NewReader(bc.body)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+var sinkMemo *core.Memo
+
+// BenchmarkNewMemo measures building a transposition table at the two
+// sizes the program mounts most: auto11, the 48 KiB table the search
+// workload builds per circuit (AutoMemoBytes(11), on the heap), and
+// serve64MiB, the daemon's default 64 MiB budget (48 MiB realized,
+// mapped). A mapped table's pages are zeroed by the kernel when first
+// written, so this leg times the mapping alone.
+func BenchmarkNewMemo(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		bytes int64
+	}{
+		{"auto11", core.AutoMemoBytes(11)},
+		{"serve64MiB", 64 << 20},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkMemo = core.NewMemo(bc.bytes)
+			}
+		})
+	}
 }
 
 // BenchmarkE3IteratedSurvival measures Theorem 4.1 across two butterfly

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"shufflenet/internal/mmapio"
 	"shufflenet/internal/obs"
@@ -16,13 +18,16 @@ import (
 // probing sound under branch-and-bound cuts and under sharing between
 // workers — see DESIGN.md §4, decision 10.
 //
-// The table is sized in bytes at construction and never grows. Each
-// bucket holds two slots; on a full bucket the slot whose residual
-// subtree is shallower (the larger step index, i.e. the cheaper
-// recomputation) is sacrificed for the incoming entry. A stored key is
-// the 64-bit verifier hash plus the step, on top of the shard and
-// bucket index drawn from the first hash: ~91 bits of discrimination,
-// so a wrong bound requires a full hash collision.
+// The table is sized in bytes at construction and never grows. All
+// shards are cut from one bucket array; a table of at least
+// memoMapMin bytes takes it from an anonymous mapping (see
+// newMemoBuckets). Each bucket holds two slots; on a full bucket the
+// slot whose residual subtree is shallower (the larger step index,
+// i.e. the cheaper recomputation) is sacrificed for the incoming
+// entry. A stored key is the 64-bit verifier hash plus the step, on
+// top of the shard and bucket index drawn from the first hash: ~91
+// bits of discrimination, so a wrong bound requires a full hash
+// collision.
 //
 // A Memo may be shared between concurrent searches, including searches
 // on different networks (keys are salted per network): the A-series
@@ -49,7 +54,24 @@ type Memo struct {
 type memoShard struct {
 	mu      sync.Mutex
 	buckets []memoBucket
-	_       [40]byte // keep shards off each other's cache lines
+	arena   *memoArena // owns buckets when they are mapped; nil on the heap
+	_       [32]byte   // keep shards off each other's cache lines
+}
+
+// memoArena owns a table's mapped bucket array. Every shard points to
+// it, so the mapping stays alive while any shard is reachable — a
+// probe holds its shard, and with it the arena, until it unlocks —
+// and a finalizer unmaps it once none is.
+type memoArena struct {
+	mem []byte
+}
+
+// release unmaps the array. Should munmap fail, the memory stays
+// mapped and counted.
+func (a *memoArena) release() {
+	if err := mmapio.FreeAnon(a.mem); err == nil {
+		metMemoMapped.Add(-int64(len(a.mem)))
+	}
 }
 
 // memoBucket packs two entries: key[i] is the verifier hash, meta[i]
@@ -79,6 +101,16 @@ const (
 	// uint64 conversion in the bucket-count sizing loop and NewMemo
 	// spun forever.)
 	MinMemoBytes = 1 << 14
+
+	// memoMapMin is the smallest bucket array NewMemo maps instead of
+	// allocating on the Go heap. A heap slice is zeroed whole up
+	// front; a mapping costs one syscall and its pages are zeroed by
+	// the kernel when first written, so the daemon's 48 MiB table
+	// mounts in microseconds and stays resident only where searches
+	// wrote. Below it — the search workload's 48 KiB per-circuit
+	// tables, and the check-memo tables the race detector must see,
+	// which it does not instrument in mapped memory — the heap wins.
+	memoMapMin = 1 << 20
 )
 
 var (
@@ -90,6 +122,10 @@ var (
 	metMemoLoad     = obs.FG("core.optimal.memo.load")
 	metMemoDiskHits = obs.C("core.optimal.memo.disk.hits")
 	metMemoDemotes  = obs.C("core.optimal.memo.disk.demotions")
+	// Bytes of bucket arrays currently mapped outside the Go heap,
+	// over every live table. Go's memstats cannot see this memory,
+	// nor can GOMEMLIMIT.
+	metMemoMapped = obs.G("core.optimal.memo.mapped_bytes")
 )
 
 // NewMemo allocates a table of at most the given byte budget (rounded
@@ -111,10 +147,30 @@ func NewMemo(bytes int64) *Memo {
 		mask:   pow - 1,
 		bytes:  int64(pow) * memoShardN * 2 * memoEntryCost,
 	}
+	per := int(pow)
+	buckets, arena := newMemoBuckets(per * memoShardN)
 	for i := range m.shards {
-		m.shards[i].buckets = make([]memoBucket, pow)
+		m.shards[i].buckets = buckets[i*per : (i+1)*per : (i+1)*per]
+		m.shards[i].arena = arena
 	}
 	return m
+}
+
+// newMemoBuckets returns n zeroed buckets. An array of at least
+// memoMapMin bytes comes from an anonymous mapping, with the arena
+// that unmaps it; a smaller one, or any one where the platform cannot
+// map, comes from the heap with a nil arena.
+func newMemoBuckets(n int) ([]memoBucket, *memoArena) {
+	size := n * int(unsafe.Sizeof(memoBucket{}))
+	if size >= memoMapMin {
+		if mem, err := mmapio.Anon(size); err == nil {
+			a := &memoArena{mem: mem}
+			metMemoMapped.Add(int64(size))
+			runtime.SetFinalizer(a, (*memoArena).release)
+			return unsafe.Slice((*memoBucket)(unsafe.Pointer(&mem[0])), n), a
+		}
+	}
+	return make([]memoBucket, n), nil
 }
 
 // memoAutoBytes sizes the default table for an n-wire search: the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -115,14 +116,18 @@ func TestNewMemoDegenerateBudgets(t *testing.T) {
 	cases := []struct {
 		name  string
 		bytes int64
+		// Pinned geometry (0 = unpinned): the daemon default must
+		// keep the size and slot count it had on the heap.
+		wantBytes, wantCapacity int64
 	}{
-		{"negative-large", -(1 << 40)},
-		{"negative-one", -1},
-		{"zero", 0},
-		{"one", 1},
-		{"just-below-min", MinMemoBytes - 1},
-		{"exactly-min", MinMemoBytes},
-		{"modest", 1 << 20},
+		{"negative-large", -(1 << 40), 0, 0},
+		{"negative-one", -1, 0, 0},
+		{"zero", 0, 0, 0},
+		{"one", 1, 0, 0},
+		{"just-below-min", MinMemoBytes - 1, 0, 0},
+		{"exactly-min", MinMemoBytes, 0, 0},
+		{"modest", 1 << 20, 0, 0},
+		{"serve-default", 64 << 20, 48 << 20, 4 << 20},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,6 +151,10 @@ func TestNewMemoDegenerateBudgets(t *testing.T) {
 			}
 			if tc.bytes > 0 && tc.bytes >= MinMemoBytes && st.Bytes > tc.bytes {
 				t.Fatalf("NewMemo(%d): realized %d bytes exceeds the budget", tc.bytes, st.Bytes)
+			}
+			if tc.wantBytes != 0 && (st.Bytes != tc.wantBytes || st.Capacity != tc.wantCapacity) {
+				t.Fatalf("NewMemo(%d): %d bytes, %d slots; want %d bytes, %d slots",
+					tc.bytes, st.Bytes, st.Capacity, tc.wantBytes, tc.wantCapacity)
 			}
 			// The table must actually work.
 			var ms memoStats
@@ -217,5 +226,103 @@ func TestOptimalMemoTinyTableEviction(t *testing.T) {
 		if err != nil || s != wantSize || !p.Equal(wantP) {
 			t.Fatalf("circuit %d: (%d,%v,%v) oracle (%d,%v)", ci, s, err, p, wantSize, wantP)
 		}
+	}
+}
+
+// mappedMemo builds a table large enough to be mapped and skips the
+// test where the platform cannot map one.
+func mappedMemo(t *testing.T) *Memo {
+	t.Helper()
+	m := NewMemo(4 * memoMapMin)
+	if m.shards[0].arena == nil {
+		t.Skip("no anonymous mappings on this platform")
+	}
+	return m
+}
+
+// TestMemoTableMappedShardEdges: the shards of a mapped table are cut
+// from one array, so a mis-cut (overlapping shards, a short or long
+// shard) would alias buckets of neighbouring shards. Fill both slots of
+// the first and the last bucket of every shard, then probe them all:
+// each entry must come back, and no store may have evicted another.
+func TestMemoTableMappedShardEdges(t *testing.T) {
+	m := mappedMemo(t)
+	per := m.mask + 1
+	for i := range m.shards {
+		if got := uint64(len(m.shards[i].buckets)); got != per {
+			t.Fatalf("shard %d has %d buckets, want %d", i, got, per)
+		}
+	}
+	type entry struct {
+		h1, h2 uint64
+		step   int
+		ub     uint8
+	}
+	var es []entry
+	for s := uint64(0); s < memoShardN; s++ {
+		for _, b := range []uint64{0, m.mask} {
+			h1 := s<<(64-memoShardBits) | b
+			for slot := uint64(0); slot < 2; slot++ {
+				es = append(es, entry{h1, h1<<1 | slot, int(s % 50), uint8(b+slot) % 64})
+			}
+		}
+	}
+	var st memoStats
+	for _, e := range es {
+		m.store(e.h1, e.h2, e.step, e.ub, &st)
+	}
+	for _, e := range es {
+		if ub, ok := m.probe(e.h1, e.h2, e.step, &st); !ok || ub != e.ub {
+			t.Fatalf("entry (h1=%#x, h2=%#x) read back (%d,%v), want (%d,true)", e.h1, e.h2, ub, ok, e.ub)
+		}
+	}
+	m.flush(&st)
+	if s := m.Stats(); s.Evictions != 0 || s.Entries != int64(len(es)) {
+		t.Fatalf("stats %+v: want %d entries and no evictions", s, len(es))
+	}
+}
+
+// TestMemoTableMappedRelease: dropped mapped tables are unmapped once
+// the collector finds them unreachable, and the mapped-bytes gauge
+// returns to where it started. No other test keeps a table, so the
+// gauge starts from zero once earlier tests' tables are collected.
+func TestMemoTableMappedRelease(t *testing.T) {
+	awaitMapped(t, 0)
+	tables := make([]*Memo, 16)
+	var st memoStats
+	for i := range tables {
+		tables[i] = mappedMemo(t)
+		tables[i].store(1, 2, 3, 4, &st) // touch a page
+	}
+	size := tables[0].Stats().Bytes
+	if got := metMemoMapped.Value(); got != 16*size {
+		t.Fatalf("gauge %d after mapping 16 tables of %d bytes", got, size)
+	}
+	// A reachable table stays mapped through collections: probing an
+	// unmapped one would fault.
+	runtime.GC()
+	runtime.GC()
+	for i, m := range tables {
+		if ub, ok := m.probe(1, 2, 3, &st); !ok || ub != 4 {
+			t.Fatalf("table %d lost its entry across a collection: (%d,%v)", i, ub, ok)
+		}
+	}
+	if got := metMemoMapped.Value(); got != 16*size {
+		t.Fatalf("gauge %d with 16 live tables of %d bytes", got, size)
+	}
+	awaitMapped(t, 0)
+}
+
+// awaitMapped runs the collector until the mapped-bytes gauge reads
+// want, failing after ten seconds.
+func awaitMapped(t *testing.T, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for metMemoMapped.Value() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("mapped-bytes gauge stuck at %d, want %d", metMemoMapped.Value(), want)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }

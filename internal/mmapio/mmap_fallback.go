@@ -2,7 +2,10 @@
 
 package mmapio
 
-import "os"
+import (
+	"errors"
+	"os"
+)
 
 // Fallback for platforms without syscall.Mmap (windows, js/wasm, and
 // unixes we have not wired): the file is read into an ordinary buffer
@@ -29,3 +32,7 @@ func (m *File) sync() error {
 }
 
 func (m *File) unmap() error { return nil }
+
+func mapAnon(int) ([]byte, error) { return nil, errors.ErrUnsupported }
+
+func unmapAnon([]byte) error { return errors.ErrUnsupported }

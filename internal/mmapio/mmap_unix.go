@@ -42,3 +42,10 @@ func (m *File) unmap() error {
 	}
 	return syscall.Munmap(m.data)
 }
+
+func mapAnon(size int) ([]byte, error) {
+	return syscall.Mmap(-1, 0, size,
+		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+}
+
+func unmapAnon(b []byte) error { return syscall.Munmap(b) }

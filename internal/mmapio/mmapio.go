@@ -2,20 +2,42 @@
 // structures — today the optimum search's spillable transposition table
 // (core.OpenSpillMemo). The package is deliberately tiny: create or
 // open a file of a fixed size, expose its contents as one writable
-// byte slice, sync on demand, unmap on close.
+// byte slice, sync on demand, unmap on close. Anon hands out
+// file-less memory the same way, for large tables that should cost
+// only the pages they touch (core.NewMemo).
 //
 // On unix the slice is a real shared mapping (MAP_SHARED), so stores
 // are visible to a later run of the same file even after a SIGKILL —
 // the kernel owns the dirty pages, not the process. Platforms without
 // syscall.Mmap (windows, js/wasm) get a read-into-memory fallback
 // whose writes reach the file only on Sync/Close; callers that promise
-// kill-durability should document that it is unix-only.
+// kill-durability should document that it is unix-only. Anon fails
+// there, and its callers fall back to the Go heap.
 package mmapio
 
 import (
 	"fmt"
 	"os"
 )
+
+// Anon returns size bytes of private, zero-filled memory outside the
+// Go heap. On unix it is an anonymous mapping: the call is one
+// syscall, and the kernel zero-fills each page the first time it is
+// touched, so the resident size grows only with the pages written.
+// The garbage collector neither scans nor frees it — it must hold no
+// Go pointers, and it stays mapped until FreeAnon, which must get
+// the slice Anon returned. Elsewhere Anon returns
+// errors.ErrUnsupported.
+func Anon(size int) ([]byte, error) {
+	if size <= 0 {
+		return nil, fmt.Errorf("mmapio: size must be positive (got %d)", size)
+	}
+	return mapAnon(size)
+}
+
+// FreeAnon unmaps memory obtained from Anon. The slice must not be
+// used afterwards.
+func FreeAnon(b []byte) error { return unmapAnon(b) }
 
 // File is a fixed-size file exposed as a byte slice.
 type File struct {

@@ -2,6 +2,7 @@ package mmapio
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -88,5 +89,32 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if err := nilFile.Close(); err != nil {
 		t.Fatalf("nil Close: %v", err)
+	}
+}
+
+func TestAnon(t *testing.T) {
+	if _, err := Anon(0); err == nil {
+		t.Fatal("Anon(0) should fail")
+	}
+	const size = 3 << 20
+	b, err := Anon(size)
+	if errors.Is(err, errors.ErrUnsupported) {
+		t.Skip("no anonymous mappings on this platform")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) != size {
+		t.Fatalf("len = %d, want %d", len(b), size)
+	}
+	// First, a middle and the last page: zero on first touch, writable.
+	for _, i := range []int{0, size / 2, size - 1} {
+		if b[i] != 0 {
+			t.Fatalf("fresh mapping not zero at %d", i)
+		}
+		b[i] = 0xa5
+	}
+	if err := FreeAnon(b); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -31,8 +31,15 @@ func (c *Network) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
-// newLineScanner builds the scanner all the text parsers share. Its
-// split function terminates a line at "\n", "\r\n", or a lone "\r":
+// maxLineBytes caps one line of a text, register or DOT body. A line
+// at or beyond it fails the parse with bufio.ErrTooLong.
+const maxLineBytes = 16 << 20
+
+// newLineScanner builds the scanner all the text parsers share. It
+// gets no initial buffer: the scanner starts at 4 KiB and doubles up
+// to the longest line, so a parse allocates in proportion to the body
+// rather than zeroing a fixed megabyte. Its split function terminates
+// a line at "\n", "\r\n", or a lone "\r":
 // network bodies arrive over HTTP from clients that send CRLF (and
 // occasionally bare-CR) line endings, and with the stock ScanLines a
 // bare-CR body collapses into a single "line" in which '\r' acts as a
@@ -43,7 +50,7 @@ func (c *Network) WriteText(w io.Writer) error {
 // style.
 func newLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, maxLineBytes)
 	sc.Split(func(data []byte, atEOF bool) (advance int, token []byte, err error) {
 		for i := 0; i < len(data); i++ {
 			switch data[i] {

@@ -1,7 +1,10 @@
 package network
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -143,6 +146,77 @@ func TestReadDOTRejects(t *testing.T) {
 	} {
 		if _, err := ReadDOT(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: want error, got nil", name)
+		}
+	}
+}
+
+// TestReadTextLongLine: the line scanner starts small and grows to the
+// longest line, so a level line past 1 MiB (one level of 2^18 wires)
+// still parses.
+func TestReadTextLongLine(t *testing.T) {
+	const n = 1 << 18
+	pairs := make([]int, n)
+	for i := range pairs {
+		pairs[i] = i
+	}
+	want := New(n).AddComparators(pairs...)
+	var buf bytes.Buffer
+	if err := want.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if line := strings.SplitN(buf.String(), "\n", 3)[1]; len(line) <= 1<<20 {
+		t.Fatalf("level line is %d bytes, want more than 1 MiB", len(line))
+	}
+	got, err := ReadText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("long level line did not round-trip")
+	}
+}
+
+// endlessLine reads as head followed by body repeated forever: a line
+// that never ends.
+type endlessLine struct {
+	head, body string
+	n          int // bytes read so far
+}
+
+func (r *endlessLine) Read(p []byte) (int, error) {
+	for i := range p {
+		if r.n < len(r.head) {
+			p[i] = r.head[r.n]
+		} else {
+			p[i] = r.body[(r.n-len(r.head))%len(r.body)]
+		}
+		r.n++
+	}
+	return len(p), nil
+}
+
+// TestReadLineTooLong: a line past the 16 MiB cap fails every parser
+// with bufio.ErrTooLong, having read about the cap and no further.
+func TestReadLineTooLong(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads 16 MiB per parser")
+	}
+	for _, tc := range []struct {
+		name  string
+		head  string
+		body  string
+		parse func(io.Reader) error
+	}{
+		{"text", "wires 4\nlevel", " 0:1", func(r io.Reader) error { _, err := ReadText(r); return err }},
+		{"register", "registers 4\nstep", " ++", func(r io.Reader) error { _, err := ReadRegisterText(r); return err }},
+		{"dot", "digraph \"x\" {\n  { rank=same;", " w0_0;", func(r io.Reader) error { _, err := ReadDOT(r); return err }},
+	} {
+		r := &endlessLine{head: tc.head, body: tc.body}
+		if err := tc.parse(r); !errors.Is(err, bufio.ErrTooLong) {
+			t.Errorf("%s: got %v, want bufio.ErrTooLong", tc.name, err)
+		}
+		if r.n > 2*maxLineBytes {
+			t.Errorf("%s: read %d bytes for a %d-byte cap", tc.name, r.n, maxLineBytes)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -139,6 +140,35 @@ func TestServeHappyPaths(t *testing.T) {
 			t.Fatalf("GET %s: %v %v", path, gr, err)
 		}
 		gr.Body.Close()
+	}
+}
+
+// TestServeMappedMemoGauge: the shared table lives in a mapping
+// outside the Go heap, which memstats cannot see; /debug/vars must
+// carry it as core.optimal.memo.mapped_bytes while the server is up.
+func TestServeMappedMemoGauge(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var vars struct {
+		Registry map[string]json.RawMessage `json:"shufflenet"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		t.Fatal(err)
+	}
+	raw, ok := vars.Registry["core.optimal.memo.mapped_bytes"]
+	if !ok {
+		t.Fatal("/debug/vars lacks core.optimal.memo.mapped_bytes")
+	}
+	var mapped int64
+	decode(t, raw, &mapped)
+	if table := s.MemoStats().Bytes; mapped < table && (runtime.GOOS == "linux" || runtime.GOOS == "darwin") {
+		t.Fatalf("mapped_bytes = %d with a live %d-byte table", mapped, table)
 	}
 }
 
