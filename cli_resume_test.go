@@ -2,9 +2,10 @@ package shufflenet_test
 
 // End-to-end tests of the durable optimum search: SIGKILL a
 // checkpointing run mid-frontier and resume it byte-identically,
-// reopen a spill-backed transposition table warm, and drive the
-// optcoord coordinator with two worker processes. These are the CLI
-// acceptance paths for DESIGN.md §4, decision 14.
+// reopen a spill-backed transposition table warm, also after a
+// SIGKILL, and drive the optcoord coordinator with two worker
+// processes. These are the CLI acceptance paths for DESIGN.md §4,
+// decision 14.
 
 import (
 	"bufio"
@@ -13,6 +14,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -71,6 +74,55 @@ func countPrefixDone(path string) int {
 	return bytes.Count(data, []byte(`"type":"prefix_done"`))
 }
 
+// killMidFrontier starts adversary with args plus -journal journal,
+// waits until at least min prefixes are retired, and SIGKILLs it — no
+// signal handler, no orderly flush. It returns the number of
+// prefix_done records the killed run left.
+func killMidFrontier(t *testing.T, bin, journal string, min int, args ...string) int {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(bin, "adversary"), append(args, "-journal", journal)...)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	deadline := time.After(60 * time.Second)
+	for countPrefixDone(journal) < min {
+		select {
+		case err := <-exited:
+			t.Fatalf("search finished before it could be killed (exit %v); the test circuit is too fast", err)
+		case <-deadline:
+			cmd.Process.Kill()
+			t.Fatalf("no prefix_done checkpoints after 60s; journal:\n%d records", countPrefixDone(journal))
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	<-exited
+	done := countPrefixDone(journal)
+	if done < min || done >= 81 {
+		t.Fatalf("killed run checkpointed %d prefixes, want mid-frontier (%d..80)", done, min)
+	}
+	return done
+}
+
+// tableMisses reads the miss count off adversary -optimal's
+// transposition-table line.
+func tableMisses(t *testing.T, out string) int64 {
+	t.Helper()
+	m := regexp.MustCompile(`transposition table: \d+ bytes, \d+ hits / (\d+) misses`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no transposition table counters in output:\n%s", out)
+	}
+	n, err := strconv.ParseInt(m[1], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // TestCLIOptimalKillResume is the durability acceptance test: a
 // checkpointing optimum search is SIGKILLed mid-frontier, resumed with
 // -resume, and must report byte-identical witness lines to an
@@ -88,37 +140,11 @@ func TestCLIOptimalKillResume(t *testing.T) {
 	}
 	ref := witnessLines(t, out)
 
-	// Start the same search with checkpointing, wait until at least two
-	// prefixes are retired, and SIGKILL it — no signal handler, no
-	// orderly flush; the journal's synced prefix_done records are all
+	// Start the same search with checkpointing and SIGKILL it
+	// mid-frontier; the journal's synced prefix_done records are all
 	// that survives.
 	killedJournal := filepath.Join(dir, "killed.jsonl")
-	cmd := exec.Command(filepath.Join(bin, "adversary"),
-		"-optimal", "-file", netPath, "-workers", "1", "-journal", killedJournal)
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	deadline := time.After(60 * time.Second)
-	for countPrefixDone(killedJournal) < 2 {
-		select {
-		case err := <-exited:
-			t.Fatalf("search finished before it could be killed (exit %v); the test circuit is too fast", err)
-		case <-deadline:
-			cmd.Process.Kill()
-			t.Fatalf("no prefix_done checkpoints after 60s; journal:\n%d records", countPrefixDone(killedJournal))
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	<-exited
-	done := countPrefixDone(killedJournal)
-	if done < 2 || done >= 81 {
-		t.Fatalf("killed run checkpointed %d prefixes, want mid-frontier (2..80)", done)
-	}
+	done := killMidFrontier(t, bin, killedJournal, 2, "-optimal", "-file", netPath, "-workers", "1")
 
 	// Resume. The skipped count must match the surviving checkpoints and
 	// the witness must be byte-identical to the uninterrupted run.
@@ -174,7 +200,7 @@ func TestCLIOptimalSpillWarm(t *testing.T) {
 	spill := filepath.Join(dir, "memo.spill")
 
 	out, err := run(t, "adversary", "-optimal", "-file", netPath, "-workers", "2",
-		"-spill", spill, "-spill-bytes", fmt.Sprint(1<<20))
+		"-spill", spill, "-memo", fmt.Sprint(1<<20))
 	if err != nil {
 		t.Fatalf("cold spill run failed: %v\n%s", err, out)
 	}
@@ -184,7 +210,7 @@ func TestCLIOptimalSpillWarm(t *testing.T) {
 	ref := witnessLines(t, out)
 
 	out, err = run(t, "adversary", "-optimal", "-file", netPath, "-workers", "2",
-		"-spill", spill, "-spill-bytes", fmt.Sprint(1<<20))
+		"-spill", spill, "-memo", fmt.Sprint(1<<20))
 	if err != nil {
 		t.Fatalf("warm spill run failed: %v\n%s", err, out)
 	}
@@ -193,6 +219,47 @@ func TestCLIOptimalSpillWarm(t *testing.T) {
 	}
 	if got := witnessLines(t, out); got != ref {
 		t.Fatalf("warm run result differs:\n--- warm\n%s--- cold\n%s", got, ref)
+	}
+}
+
+// TestCLIOptimalSpillSurvivesKill: the spill file is the table, so a
+// SIGKILLed search leaves behind every bound it stored, not only the
+// ones it evicted. A checkpointing run with -spill is killed
+// mid-frontier, then rerun on the same file without -resume: it must
+// reopen the file warm, report the uninterrupted run's witness, and
+// miss the table fewer times than a cold run does.
+func TestCLIOptimalSpillSurvivesKill(t *testing.T) {
+	bin := binaries(t)
+	dir := t.TempDir()
+	netPath := resumeNet(t, dir, 20, 12, 1)
+
+	out, err := run(t, "adversary", "-optimal", "-file", netPath, "-workers", "1", "-v")
+	if err != nil {
+		t.Fatalf("reference run failed: %v\n%s", err, out)
+	}
+	ref := witnessLines(t, out)
+	coldMisses := tableMisses(t, out)
+
+	// Prefixes 0-9 of this circuit retire within a millisecond without
+	// reaching the table, and prefix 10 searches for ~0.1 s: killing
+	// after 2 records would race that first store. After 12, at least
+	// prefixes 10 and 11 have stored their bounds.
+	spill := filepath.Join(dir, "memo.spill")
+	killMidFrontier(t, bin, filepath.Join(dir, "killed.jsonl"), 12,
+		"-optimal", "-file", netPath, "-workers", "1", "-spill", spill)
+
+	out, err = run(t, "adversary", "-optimal", "-file", netPath, "-workers", "1", "-v", "-spill", spill)
+	if err != nil {
+		t.Fatalf("rerun on the killed run's spill file failed: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "warm (reopened with the previous run's bounds)") {
+		t.Fatalf("rerun did not reopen the spill file warm:\n%s", out)
+	}
+	if got := witnessLines(t, out); got != ref {
+		t.Fatalf("rerun witness differs from uninterrupted run:\n--- rerun\n%s--- reference\n%s", got, ref)
+	}
+	if warm := tableMisses(t, out); warm >= coldMisses {
+		t.Fatalf("rerun missed the table %d times, a cold run %d: the killed run's bounds did not survive", warm, coldMisses)
 	}
 }
 

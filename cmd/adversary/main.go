@@ -13,7 +13,7 @@
 //	adversary -file net.txt [-l L] [-save cert.json]
 //	adversary -check cert.json -file net.txt
 //	adversary -optimal [-memo BYTES|auto|off] [-n 16 ... | -file net.txt]
-//	          [-spill table.spill [-spill-bytes N]] [-resume run.jsonl]
+//	          [-spill table.spill] [-resume run.jsonl]
 //	          [-coord URL]
 //
 // Topologies:
@@ -39,11 +39,13 @@
 //
 // Durability and distribution of -optimal:
 //
-//   - -spill attaches a disk tier to the transposition table
-//     (core.OpenSpillMemo): RAM evictions demote to the mmap'd file
-//     instead of being dropped, and an existing file reopens warm, so
-//     a later run starts with the previous run's bounds. -spill-bytes
-//     sizes the file (min 64 KiB; the stored geometry wins on reopen).
+//   - -spill keeps the transposition table in an mmap'd file
+//     (core.OpenSpillMemo): every bound the search stores lands in the
+//     file, even when the process is killed, and an existing file
+//     reopens warm, so a later run starts with the previous run's
+//     bounds. -memo sizes a new file; on reopen the stored geometry
+//     wins. Files written by an older format version are refused;
+//     delete them.
 //   - With -journal, the search checkpoints its 81-prefix frontier as
 //     typed records (frontier_init / prefix_done) in the same JSONL
 //     stream. -resume reads such a journal, skips the prefixes any
@@ -119,9 +121,8 @@ func main() {
 	progress := flag.Bool("progress", false, "emit live progress: stderr status line, plus journal heartbeats when -journal is set")
 	progressIvl := flag.Duration("progress-interval", time.Second, "cadence of -progress snapshots")
 	optimal := flag.Bool("optimal", false, "run the exact optimum search instead of the constructive adversary (n <= 26; with -file, any circuit)")
-	memoSpec := flag.String("memo", "auto", "transposition table for -optimal: byte size, \"auto\", or \"off\"")
-	spill := flag.String("spill", "", "with -optimal: spill file for the transposition table (created, or reopened warm)")
-	spillBytes := flag.Int64("spill-bytes", 256<<20, "with -spill: disk budget in bytes for a new spill file (min 64 KiB)")
+	memoSpec := flag.String("memo", "auto", "transposition table for -optimal: byte size, \"auto\", or \"off\" (with -spill: the size of a new file)")
+	spill := flag.String("spill", "", "with -optimal: keep the transposition table in this file (created, or reopened warm)")
 	resume := flag.String("resume", "", "with -optimal: resume from this journal's frontier records, skipping completed prefixes")
 	coordURL := flag.String("coord", "", "with -optimal: join the optimum-search coordinator at this URL as a worker (circuit comes from the coordinator)")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = none); partial per-block results are kept")
@@ -164,7 +165,7 @@ func main() {
 
 	ocfg := optimalConfig{
 		memoSpec: *memoSpec, workers: *workers, verbose: *verbose,
-		resume: *resume, spill: *spill, spillBytes: *spillBytes,
+		resume: *resume, spill: *spill,
 	}
 	if *coordURL != "" {
 		if !*optimal {
@@ -395,22 +396,21 @@ func loadCircuit(path string) *network.Network {
 
 // optimalConfig carries the -optimal flag cluster.
 type optimalConfig struct {
-	memoSpec   string
-	workers    int
-	verbose    bool
-	resume     string
-	spill      string
-	spillBytes int64
+	memoSpec string
+	workers  int
+	verbose  bool
+	resume   string
+	spill    string
 }
 
 // optimalMemo builds the transposition table for an n-wire -optimal
-// run: nil means "off"; with -spill the table is disk-backed via
-// core.OpenSpillMemo (reopened warm when the file already exists). The
-// spill tag is the build's git describe (falling back to the Go
-// version), so a file written by different code is refused rather than
-// misread.
+// run, sized by -memo: nil means "off"; with -spill the table lives in
+// the file via core.OpenSpillMemo (reopened warm when the file already
+// exists). The spill tag is the build's git describe (falling back to
+// the Go version), so a file written by different code is refused
+// rather than misread.
 func optimalMemo(n int, cfg optimalConfig) (m *core.Memo, warm bool) {
-	var ram int64
+	var bytes int64
 	switch cfg.memoSpec {
 	case "off":
 		if cfg.spill != "" {
@@ -418,22 +418,22 @@ func optimalMemo(n int, cfg optimalConfig) (m *core.Memo, warm bool) {
 		}
 		return nil, false
 	case "", "auto":
-		ram = core.AutoMemoBytes(n)
+		bytes = core.AutoMemoBytes(n)
 	default:
 		b, err := strconv.ParseInt(cfg.memoSpec, 10, 64)
 		if err != nil || b <= 0 {
 			fail(fmt.Sprintf("-memo must be a positive byte count, \"auto\", or \"off\" (got %q)", cfg.memoSpec))
 		}
-		ram = b
+		bytes = b
 	}
 	if cfg.spill == "" {
-		return core.NewMemo(ram), false
+		return core.NewMemo(bytes), false
 	}
 	tag := cli.Entry.Git
 	if tag == "" {
 		tag = runtime.Version()
 	}
-	m, warm, err := core.OpenSpillMemo(cfg.spill, ram, cfg.spillBytes, tag)
+	m, warm, err := core.OpenSpillMemo(cfg.spill, bytes, tag)
 	if err != nil {
 		fail(err.Error())
 	}
@@ -441,9 +441,9 @@ func optimalMemo(n int, cfg optimalConfig) (m *core.Memo, warm bool) {
 	if warm {
 		mode = "warm (reopened with the previous run's bounds)"
 	}
-	ms := m.Stats()
-	fmt.Printf("transposition table spill: %s, %d bytes on disk, %s\n", cfg.spill, ms.DiskBytes, mode)
-	cli.Entry.Set("spill", map[string]any{"path": cfg.spill, "disk_bytes": ms.DiskBytes, "warm": warm})
+	size := m.Stats().Bytes
+	fmt.Printf("transposition table spill: %s, %d bytes, %s\n", cfg.spill, size, mode)
+	cli.Entry.Set("spill", map[string]any{"path": cfg.spill, "bytes": size, "warm": warm})
 	return m, warm
 }
 
@@ -457,10 +457,6 @@ func printMemoStats(m *core.Memo, noMemo bool) {
 	ms := m.Stats()
 	fmt.Printf("transposition table: %d bytes, %d hits / %d misses / %d stores / %d evictions\n",
 		ms.Bytes, ms.Hits, ms.Misses, ms.Stores, ms.Evictions)
-	if ms.DiskBytes > 0 {
-		fmt.Printf("spill tier: %d bytes, %d disk hits / %d demotions\n",
-			ms.DiskBytes, ms.DiskHits, ms.Demotions)
-	}
 }
 
 // runOptimal runs the exact branch-and-bound optimum search on circ —

@@ -19,15 +19,16 @@ import (
 // workers — see DESIGN.md §4, decision 10.
 //
 // The table is sized in bytes at construction and never grows. All
-// shards are cut from one bucket array; a table of at least
-// memoMapMin bytes takes it from an anonymous mapping (see
-// newMemoBuckets). Each bucket holds two slots; on a full bucket the
-// slot whose residual subtree is shallower (the larger step index,
-// i.e. the cheaper recomputation) is sacrificed for the incoming
-// entry. A stored key is the 64-bit verifier hash plus the step, on
-// top of the shard and bucket index drawn from the first hash: ~91
-// bits of discrimination, so a wrong bound requires a full hash
-// collision.
+// shards are cut from one bucket array, which comes from one of three
+// backings: the Go heap, an anonymous mapping for a table of at least
+// memoMapMin bytes (see newMemoBuckets), or a spill file's mapping
+// (OpenSpillMemo). Probe and store do not know which. Each bucket
+// holds two slots; on a full bucket the slot whose residual subtree is
+// shallower (the larger step index, i.e. the cheaper recomputation) is
+// sacrificed for the incoming entry. A stored key is the 64-bit
+// verifier hash plus the step, on top of the shard and bucket index
+// drawn from the first hash: ~91 bits of discrimination, so a wrong
+// bound requires a full hash collision.
 //
 // A Memo may be shared between concurrent searches, including searches
 // on different networks (keys are salted per network): the A-series
@@ -36,19 +37,9 @@ type Memo struct {
 	shards []memoShard
 	mask   uint64 // buckets per shard - 1
 	bytes  int64
-
-	// Disk tier (nil without a spill file): per-shard bucket arrays
-	// viewed directly over the mmap'd spill file, guarded by the same
-	// shard mutexes as the RAM tier. RAM evictions demote the victim
-	// here instead of dropping it, and a RAM miss probes here before
-	// reporting a miss — see memospill.go.
-	disk      [][]memoBucket
-	diskMask  uint64 // disk buckets per shard - 1
-	diskBytes int64
-	spill     *mmapio.File
+	spill  *mmapio.File // backs the buckets of a spill table; nil otherwise
 
 	hits, misses, stores, evicts atomic.Int64
-	diskHits, demotions          atomic.Int64
 }
 
 type memoShard struct {
@@ -74,11 +65,21 @@ func (a *memoArena) release() {
 	}
 }
 
-// memoBucket packs two entries: key[i] is the verifier hash, meta[i]
-// is occupied<<16 | step<<8 | ub.
+// memoBucket packs two entries: meta[i] is occupied<<16 | step<<8 |
+// ub, and key[i] is the verifier hash entangled with it,
+// h2 ^ memoMix(meta[i]). A key and a meta word that did not come from
+// the same store fail verification and read as a miss, so a torn
+// write — a spill file's pages flushed mid-store by a SIGKILL — loses
+// the entry but never lends it another entry's bound.
 type memoBucket struct {
 	key  [2]uint64
 	meta [2]uint32
+}
+
+// memoMix is the meta word's contribution to a slot's stored key.
+func memoMix(meta uint32) uint64 {
+	h := (uint64(meta) + 0x9e3779b97f4a7c15) * 0xc6a4a7935bd1e995
+	return h ^ h>>29
 }
 
 const (
@@ -114,14 +115,12 @@ const (
 )
 
 var (
-	metMemoHits     = obs.C("core.optimal.memo.hits")
-	metMemoMisses   = obs.C("core.optimal.memo.misses")
-	metMemoStores   = obs.C("core.optimal.memo.stores")
-	metMemoEvicts   = obs.C("core.optimal.memo.evictions")
-	metMemoEntries  = obs.G("core.optimal.memo.entries")
-	metMemoLoad     = obs.FG("core.optimal.memo.load")
-	metMemoDiskHits = obs.C("core.optimal.memo.disk.hits")
-	metMemoDemotes  = obs.C("core.optimal.memo.disk.demotions")
+	metMemoHits    = obs.C("core.optimal.memo.hits")
+	metMemoMisses  = obs.C("core.optimal.memo.misses")
+	metMemoStores  = obs.C("core.optimal.memo.stores")
+	metMemoEvicts  = obs.C("core.optimal.memo.evictions")
+	metMemoEntries = obs.G("core.optimal.memo.entries")
+	metMemoLoad    = obs.FG("core.optimal.memo.load")
 	// Bytes of bucket arrays currently mapped outside the Go heap,
 	// over every live table. Go's memstats cannot see this memory,
 	// nor can GOMEMLIMIT.
@@ -134,21 +133,33 @@ var (
 // to it, so a degenerate server flag or env value yields a small
 // working table instead of a degenerate one.
 func NewMemo(bytes int64) *Memo {
+	per := memoBucketsPerShard(bytes)
+	buckets, arena := newMemoBuckets(per * memoShardN)
+	return newMemo(buckets, per, arena)
+}
+
+// memoBucketsPerShard is the one table geometry: the budget clamped up
+// to MinMemoBytes, then rounded down to a power-of-two bucket count
+// per shard.
+func memoBucketsPerShard(bytes int64) int {
 	if bytes < MinMemoBytes {
 		bytes = MinMemoBytes
 	}
-	perShard := bytes / (2 * memoEntryCost) / memoShardN
-	pow := uint64(1)
-	for pow*2 <= uint64(perShard) {
+	per := bytes / (2 * memoEntryCost) / memoShardN
+	pow := 1
+	for int64(pow)*2 <= per {
 		pow *= 2
 	}
+	return pow
+}
+
+// newMemo cuts memoShardN shards of per buckets each from buckets.
+func newMemo(buckets []memoBucket, per int, arena *memoArena) *Memo {
 	m := &Memo{
 		shards: make([]memoShard, memoShardN),
-		mask:   pow - 1,
-		bytes:  int64(pow) * memoShardN * 2 * memoEntryCost,
+		mask:   uint64(per - 1),
+		bytes:  int64(per) * memoShardN * 2 * memoEntryCost,
 	}
-	per := int(pow)
-	buckets, arena := newMemoBuckets(per * memoShardN)
 	for i := range m.shards {
 		m.shards[i].buckets = buckets[i*per : (i+1)*per : (i+1)*per]
 		m.shards[i].arena = arena
@@ -203,7 +214,6 @@ func AutoMemoBytes(n int) int64 {
 // totals and the obs registry once per search.
 type memoStats struct {
 	hits, misses, stores, evicts int64
-	dhits, demotes               int64
 }
 
 func (m *Memo) flush(st *memoStats) {
@@ -214,14 +224,10 @@ func (m *Memo) flush(st *memoStats) {
 	m.misses.Add(st.misses)
 	m.stores.Add(st.stores)
 	m.evicts.Add(st.evicts)
-	m.diskHits.Add(st.dhits)
-	m.demotions.Add(st.demotes)
 	metMemoHits.Add(st.hits)
 	metMemoMisses.Add(st.misses)
 	metMemoStores.Add(st.stores)
 	metMemoEvicts.Add(st.evicts)
-	metMemoDiskHits.Add(st.dhits)
-	metMemoDemotes.Add(st.demotes)
 	// Occupancy gauges: entries = stores − evictions (a store either
 	// fills a free slot or replaces an occupied one). When several
 	// tables share the registry the gauges track the most recently
@@ -247,19 +253,10 @@ func (m *Memo) probe(h1, h2 uint64, t int, st *memoStats) (uint8, bool) {
 	s.mu.Lock()
 	b := &s.buckets[i]
 	for k := 0; k < 2; k++ {
-		if b.key[k] == h2 && b.meta[k]&^0xff == want {
-			ub := uint8(b.meta[k])
+		if meta := b.meta[k]; meta&^0xff == want && b.key[k] == h2^memoMix(meta) {
 			s.mu.Unlock()
 			st.hits++
-			return ub, true
-		}
-	}
-	if m.disk != nil {
-		si := int(h1 >> (64 - memoShardBits))
-		if ub, ok := m.diskProbe(si, h2, want); ok {
-			s.mu.Unlock()
-			st.dhits++
-			return ub, true
+			return uint8(meta), true
 		}
 	}
 	s.mu.Unlock()
@@ -273,34 +270,28 @@ func (m *Memo) probe(h1, h2 uint64, t int, st *memoStats) (uint8, bool) {
 func (m *Memo) store(h1, h2 uint64, t int, ub uint8, st *memoStats) {
 	s, i := m.slot(h1)
 	want := uint32(1)<<16 | uint32(t)<<8
+	meta := want | uint32(ub)
+	key := h2 ^ memoMix(meta)
 	s.mu.Lock()
 	b := &s.buckets[i]
 	victim, victimStep := -1, -1
 	for k := 0; k < 2; k++ {
-		if b.key[k] == h2 && b.meta[k]&^0xff == want {
-			if uint8(b.meta[k]) > ub {
-				b.meta[k] = want | uint32(ub)
+		km := b.meta[k]
+		if km&^0xff == want && b.key[k] == h2^memoMix(km) {
+			if uint8(km) > ub {
+				b.key[k], b.meta[k] = key, meta
 			}
 			s.mu.Unlock()
 			return
 		}
-		if b.meta[k]&(1<<16) == 0 {
+		if km&(1<<16) == 0 {
 			victim, victimStep = k, 1<<30
-		} else if step := int(b.meta[k] >> 8 & 0xff); step > victimStep {
+		} else if step := int(km >> 8 & 0xff); step > victimStep {
 			victim, victimStep = k, step
 		}
 	}
 	evict := b.meta[victim]&(1<<16) != 0
-	if evict && m.disk != nil {
-		// Spill path: the sacrificed entry demotes to the disk tier
-		// (still under the shard lock — both tiers share it) instead of
-		// being forgotten; a warm reopen serves it back.
-		si := int(h1 >> (64 - memoShardBits))
-		m.diskStore(si, b.key[victim], b.meta[victim])
-		st.demotes++
-	}
-	b.key[victim] = h2
-	b.meta[victim] = want | uint32(ub)
+	b.key[victim], b.meta[victim] = key, meta
 	s.mu.Unlock()
 	st.stores++
 	if evict {
@@ -323,12 +314,6 @@ type MemoStats struct {
 	Entries    int64   `json:"entries"`
 	Capacity   int64   `json:"capacity"`
 	LoadFactor float64 `json:"load_factor"`
-	// Spill-tier activity (zero without a spill file): the disk tier's
-	// byte size, probe hits served from it, and RAM evictions demoted
-	// into it instead of dropped.
-	DiskBytes int64 `json:"disk_bytes,omitempty"`
-	DiskHits  int64 `json:"disk_hits,omitempty"`
-	Demotions int64 `json:"demotions,omitempty"`
 }
 
 // Stats reports the table size and cumulative counters. Counters are
@@ -346,9 +331,6 @@ func (m *Memo) Stats() MemoStats {
 		Stores:    m.stores.Load(),
 		Evictions: m.evicts.Load(),
 		Capacity:  m.bytes / memoEntryCost,
-		DiskBytes: m.diskBytes,
-		DiskHits:  m.diskHits.Load(),
-		Demotions: m.demotions.Load(),
 	}
 	s.Entries = s.Stores - s.Evictions
 	if s.Capacity > 0 {

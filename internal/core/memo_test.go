@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -244,26 +245,59 @@ func mappedMemo(t *testing.T) *Memo {
 // from one array, so a mis-cut (overlapping shards, a short or long
 // shard) would alias buckets of neighbouring shards. Fill both slots of
 // the first and the last bucket of every shard, then probe them all:
-// each entry must come back, and no store may have evicted another.
+// each entry must come back, and no store may have evicted another. A
+// spill table's array starts after the file header, where a mis-cut
+// could hide behind the offset, so that table is closed and reopened
+// after the fill: the header must still validate and every entry must
+// come back again.
 func TestMemoTableMappedShardEdges(t *testing.T) {
-	m := mappedMemo(t)
+	t.Run("anon", func(t *testing.T) {
+		m := mappedMemo(t)
+		checkShardEdges(t, m, fillShardEdges(t, m))
+	})
+	t.Run("file", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "edges.spill")
+		m, _, err := OpenSpillMemo(path, 4*memoMapMin, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		es := fillShardEdges(t, m)
+		checkShardEdges(t, m, es)
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m, warm, err := OpenSpillMemo(path, 4*memoMapMin, "test")
+		if err != nil || !warm {
+			t.Fatalf("reopen: warm = %v, err = %v", warm, err)
+		}
+		defer m.Close()
+		checkShardEdges(t, m, es)
+	})
+}
+
+// memoEntry is one stored state: its hashes, step and bound.
+type memoEntry struct {
+	h1, h2 uint64
+	step   int
+	ub     uint8
+}
+
+// fillShardEdges stores both slots of the first and the last bucket of
+// every shard and returns the entries stored.
+func fillShardEdges(t *testing.T, m *Memo) []memoEntry {
+	t.Helper()
 	per := m.mask + 1
 	for i := range m.shards {
 		if got := uint64(len(m.shards[i].buckets)); got != per {
 			t.Fatalf("shard %d has %d buckets, want %d", i, got, per)
 		}
 	}
-	type entry struct {
-		h1, h2 uint64
-		step   int
-		ub     uint8
-	}
-	var es []entry
+	var es []memoEntry
 	for s := uint64(0); s < memoShardN; s++ {
 		for _, b := range []uint64{0, m.mask} {
 			h1 := s<<(64-memoShardBits) | b
 			for slot := uint64(0); slot < 2; slot++ {
-				es = append(es, entry{h1, h1<<1 | slot, int(s % 50), uint8(b+slot) % 64})
+				es = append(es, memoEntry{h1, h1<<1 | slot, int(s % 50), uint8(b+slot) % 64})
 			}
 		}
 	}
@@ -271,14 +305,21 @@ func TestMemoTableMappedShardEdges(t *testing.T) {
 	for _, e := range es {
 		m.store(e.h1, e.h2, e.step, e.ub, &st)
 	}
+	m.flush(&st)
+	if s := m.Stats(); s.Evictions != 0 || s.Entries != int64(len(es)) {
+		t.Fatalf("stats %+v: want %d entries and no evictions", s, len(es))
+	}
+	return es
+}
+
+// checkShardEdges probes every entry fillShardEdges stored.
+func checkShardEdges(t *testing.T, m *Memo, es []memoEntry) {
+	t.Helper()
+	var st memoStats
 	for _, e := range es {
 		if ub, ok := m.probe(e.h1, e.h2, e.step, &st); !ok || ub != e.ub {
 			t.Fatalf("entry (h1=%#x, h2=%#x) read back (%d,%v), want (%d,true)", e.h1, e.h2, ub, ok, e.ub)
 		}
-	}
-	m.flush(&st)
-	if s := m.Stats(); s.Evictions != 0 || s.Entries != int64(len(es)) {
-		t.Fatalf("stats %+v: want %d entries and no evictions", s, len(es))
 	}
 }
 

@@ -9,62 +9,42 @@ import (
 	"shufflenet/internal/mmapio"
 )
 
-// Spillable transposition table: a second, disk-resident bucket tier
-// under the in-RAM Memo, mmap'd from a versioned on-disk file. The RAM
-// tier stays exactly as decision 10 built it (bounded, lock-striped,
-// two slots per bucket); what changes is the fate of an evicted entry —
-// with a spill attached it demotes into the disk tier instead of being
-// dropped, and a RAM miss probes the disk tier before giving up. Both
-// tiers of a shard share one mutex, so there is no new lock order.
+// Spill-backed transposition table: the Memo's one bucket array,
+// mapped from a versioned file instead of taken from the heap or an
+// anonymous mapping. Nothing else changes — the shards are cut from it
+// exactly as NewMemo cuts them, and probe and store run the same code
+// under the same shard mutexes. Because the mapping is MAP_SHARED,
+// every store lands in the page cache as it is made, so a SIGKILLed
+// run leaves every bound it stored for the next run to reopen.
 //
-// Soundness is inherited, not re-proven: every entry in either tier is
-// a true upper bound keyed by the canonical, structure-salted residual
-// state, so serving it from disk — or from a *previous run's* file
-// reopened warm — can only prune subtrees that provably cannot beat
-// the final incumbent. The one genuinely new hazard is a torn bucket:
-// a SIGKILL can flush the mmap'd pages of a bucket's key and meta
-// words from different stores (a bucket may straddle a page boundary).
-// The disk tier therefore never stores the verifier hash raw; it
-// stores key = h2 XOR spillMix(meta), so a key and meta that did not
-// come from the same store fail verification and read as a miss —
-// corruption degrades the cache, never the bound.
+// Soundness is inherited, not re-proven: every entry is a true upper
+// bound keyed by the canonical, structure-salted residual state, so
+// serving it from a *previous run's* file can only prune subtrees that
+// provably cannot beat the final incumbent. The one genuinely new
+// hazard is a torn slot: a SIGKILL or crash can flush the pages of a
+// slot's key and meta words from different stores (a bucket may
+// straddle a page boundary). Every table stores the key entangled with
+// its meta word (memoBucket, memoMix), so such a pair fails
+// verification and reads as a miss — corruption degrades the cache,
+// never the bound.
 //
 // File layout (little endian):
 //
 //	[0,64)  header: magic, version, shard geometry, tag hash, checksum
-//	[64,…)  memoShardN shard arrays, bucketsPerShard 24-byte buckets each
+//	[64,…)  the bucket array: memoShardN shards of bucketsPerShard
+//	        24-byte buckets each, in shard order
 //
 // The header is checksummed (FNV-1a) and carries a caller tag (git
 // describe / version string, hashed) so a file written by incompatible
 // code or for a different deployment is rejected as *SpillFormatError
-// rather than silently misread.
+// rather than silently misread. Version 2 indexes buckets by the first
+// hash, as every table does; a file of any other version is refused.
 
 const (
 	spillMagic   = "SNSPILL\x01"
-	spillVersion = 1
+	spillVersion = 2
 	spillHdrSize = 64
-
-	// MinSpillMemoBytes is the smallest disk budget OpenSpillMemo
-	// accepts: 64 KiB gives every one of the memoShardN shards at
-	// least 16 buckets. Unlike NewMemo's silent clamp — where any
-	// budget can degrade to a small working RAM table — an undersized
-	// *disk* budget is a misconfiguration worth surfacing (the caller
-	// asked for persistence that could not hold one shard), so budgets
-	// below the floor fail with *SpillBudgetError instead of producing
-	// a degenerate or corrupt mapping.
-	MinSpillMemoBytes = 1 << 16
 )
-
-// SpillBudgetError reports a spill budget below MinSpillMemoBytes
-// (including zero and negative values).
-type SpillBudgetError struct {
-	Requested int64
-	Min       int64
-}
-
-func (e *SpillBudgetError) Error() string {
-	return fmt.Sprintf("core: spill budget %d bytes is below the %d-byte floor (one bucket row per shard plus the header); raise the budget or drop the spill file", e.Requested, e.Min)
-}
 
 // SpillFormatError reports a spill file that exists but cannot be
 // reopened: wrong magic/version, checksum mismatch, a different tag,
@@ -76,13 +56,6 @@ type SpillFormatError struct {
 
 func (e *SpillFormatError) Error() string {
 	return fmt.Sprintf("core: spill file %s: %s", e.Path, e.Reason)
-}
-
-// spillMix entangles a bucket's meta word into its stored verifier so
-// a torn (key, meta) pair from different stores cannot verify.
-func spillMix(meta uint32) uint64 {
-	h := (uint64(meta) + 0x9e3779b97f4a7c15) * 0xc6a4a7935bd1e995
-	return h ^ h>>29
 }
 
 func spillChecksum(b []byte) uint64 {
@@ -97,75 +70,54 @@ func spillTagHash(tag string) uint64 {
 	return spillChecksum([]byte("tag:" + tag))
 }
 
-// spillGeometry rounds a disk budget down to the largest power-of-two
-// buckets-per-shard that fits under it alongside the header.
-func spillGeometry(diskBytes int64) (perShard int64) {
-	per := (diskBytes - spillHdrSize) / (2 * memoEntryCost) / memoShardN
-	pow := int64(1)
-	for pow*2 <= per {
-		pow *= 2
-	}
-	return pow
+func spillFileSize(perShard int) int64 {
+	return spillHdrSize + int64(perShard)*memoShardN*2*memoEntryCost
 }
 
-func spillFileSize(perShard int64) int64 {
-	return spillHdrSize + perShard*memoShardN*2*memoEntryCost
-}
-
-// OpenSpillMemo builds a Memo whose RAM tier has ramBytes of budget
-// (clamped as NewMemo does) and attaches a disk tier mapped from the
-// spill file at path, sized by diskBytes. If the file already exists
-// its header is validated against tag and the stored geometry wins
-// (diskBytes is ignored); warm reports that case — the table starts
-// pre-populated with the previous run's demoted bounds. diskBytes
-// below MinSpillMemoBytes fails with *SpillBudgetError; an existing
-// file with a bad header fails with *SpillFormatError. The caller owns
-// Close, which syncs the mapping.
-func OpenSpillMemo(path string, ramBytes, diskBytes int64, tag string) (m *Memo, warm bool, err error) {
-	if diskBytes < MinSpillMemoBytes {
-		return nil, false, &SpillBudgetError{Requested: diskBytes, Min: MinSpillMemoBytes}
-	}
-
+// OpenSpillMemo builds a Memo whose bucket array is the spill file at
+// path. A new file is sized by bytes, as NewMemo sizes a table
+// (clamped and rounded down to a power-of-two bucket count per shard).
+// If the file already exists its header is validated against tag and
+// the stored geometry wins (bytes is ignored); warm reports that case
+// — the table starts with every bound the previous run stored. An
+// existing file with a bad header fails with *SpillFormatError. The
+// caller owns Close, which syncs the mapping.
+func OpenSpillMemo(path string, bytes int64, tag string) (m *Memo, warm bool, err error) {
 	var f *mmapio.File
-	var perShard int64
-	if _, statErr := os.Stat(path); statErr == nil {
+	var per int
+	if st, statErr := os.Stat(path); statErr == nil {
+		if st.Size() < spillHdrSize {
+			return nil, false, &SpillFormatError{Path: path, Reason: "shorter than the header"}
+		}
 		f, err = mmapio.Open(path)
 		if err != nil {
 			return nil, false, err
 		}
-		perShard, err = validateSpillHeader(path, f.Bytes(), f.Size(), tag)
+		per, err = validateSpillHeader(path, f.Bytes(), tag)
 		if err != nil {
 			f.Close()
 			return nil, false, err
 		}
 		warm = true
 	} else {
-		perShard = spillGeometry(diskBytes)
-		f, err = mmapio.Create(path, spillFileSize(perShard))
+		per = memoBucketsPerShard(bytes)
+		f, err = mmapio.Create(path, spillFileSize(per))
 		if err != nil {
 			return nil, false, err
 		}
-		writeSpillHeader(f.Bytes(), perShard, tag)
+		writeSpillHeader(f.Bytes(), per, tag)
 		if err := f.Sync(); err != nil {
 			f.Close()
 			return nil, false, err
 		}
 	}
-
-	m = NewMemo(ramBytes)
+	data := f.Bytes()[spillHdrSize:]
+	m = newMemo(unsafe.Slice((*memoBucket)(unsafe.Pointer(&data[0])), per*memoShardN), per, nil)
 	m.spill = f
-	m.diskBytes = f.Size() - spillHdrSize
-	m.diskMask = uint64(perShard - 1)
-	m.disk = make([][]memoBucket, memoShardN)
-	data := f.Bytes()
-	for s := 0; s < memoShardN; s++ {
-		off := spillHdrSize + int64(s)*perShard*2*memoEntryCost
-		m.disk[s] = unsafe.Slice((*memoBucket)(unsafe.Pointer(&data[off])), perShard)
-	}
 	return m, warm, nil
 }
 
-func writeSpillHeader(b []byte, perShard int64, tag string) {
+func writeSpillHeader(b []byte, perShard int, tag string) {
 	copy(b[0:8], spillMagic)
 	binary.LittleEndian.PutUint32(b[8:12], spillVersion)
 	binary.LittleEndian.PutUint32(b[12:16], memoShardBits)
@@ -175,8 +127,10 @@ func writeSpillHeader(b []byte, perShard int64, tag string) {
 	binary.LittleEndian.PutUint64(b[56:64], spillChecksum(b[0:56]))
 }
 
-func validateSpillHeader(path string, b []byte, size int64, tag string) (perShard int64, err error) {
-	bad := func(reason string) (int64, error) {
+// validateSpillHeader checks a mapped file's header and returns its
+// buckets per shard.
+func validateSpillHeader(path string, b []byte, tag string) (int, error) {
+	bad := func(reason string) (int, error) {
 		return 0, &SpillFormatError{Path: path, Reason: reason}
 	}
 	if int64(len(b)) < spillHdrSize {
@@ -197,86 +151,35 @@ func validateSpillHeader(path string, b []byte, size int64, tag string) (perShar
 	if th := binary.LittleEndian.Uint64(b[24:32]); th != spillTagHash(tag) {
 		return bad("tag mismatch (written by a different build or deployment)")
 	}
-	perShard = int64(binary.LittleEndian.Uint64(b[16:24]))
-	if perShard < 1 || perShard&(perShard-1) != 0 {
-		return bad(fmt.Sprintf("buckets per shard %d is not a positive power of two", perShard))
+	per := binary.LittleEndian.Uint64(b[16:24])
+	if per < 1 || per&(per-1) != 0 {
+		return bad(fmt.Sprintf("buckets per shard %d is not a positive power of two", per))
 	}
-	if want := spillFileSize(perShard); size != want {
-		return bad(fmt.Sprintf("file is %d bytes, header geometry needs %d", size, want))
+	// Compare bucket counts, not byte sizes: a huge per would wrap the
+	// multiplication.
+	size := int64(len(b))
+	if have := uint64(size-spillHdrSize) / (memoShardN * 2 * memoEntryCost); per != have ||
+		size != spillFileSize(int(per)) {
+		return bad(fmt.Sprintf("file is %d bytes, header geometry needs %d buckets per shard", size, per))
 	}
-	return perShard, nil
+	return int(per), nil
 }
 
-// diskProbe looks the (h2, step) verifier pair up in shard si's disk
-// tier. Caller holds the shard lock.
-func (m *Memo) diskProbe(si int, h2 uint64, want uint32) (uint8, bool) {
-	b := &m.disk[si][h2&m.diskMask]
-	for k := 0; k < 2; k++ {
-		meta := b.meta[k]
-		if meta&^0xff == want && b.key[k] == h2^spillMix(meta) {
-			return uint8(meta), true
-		}
-	}
-	return 0, false
-}
-
-// diskStore demotes an evicted RAM entry (raw verifier h2, full meta
-// word) into shard si's disk tier, evicting by the same
-// shallower-subtree rule as the RAM tier. Caller holds the shard lock.
-func (m *Memo) diskStore(si int, h2 uint64, meta uint32) {
-	b := &m.disk[si][h2&m.diskMask]
-	step := int(meta >> 8 & 0xff)
-	victim, victimStep := -1, -1
-	for k := 0; k < 2; k++ {
-		km := b.meta[k]
-		if km&(1<<16) == 0 {
-			victim, victimStep = k, 1<<30
-			continue
-		}
-		if km&^0xff == meta&^0xff && b.key[k] == h2^spillMix(km) {
-			// Same state and step: keep the tighter bound. Rewriting
-			// meta re-entangles the key.
-			if uint8(km) > uint8(meta) {
-				b.key[k] = h2 ^ spillMix(meta)
-				b.meta[k] = meta
-			}
-			return
-		}
-		if ks := int(km >> 8 & 0xff); ks > victimStep {
-			victim, victimStep = k, ks
-		}
-	}
-	// Prefer keeping the deeper (more expensive to recompute) entry:
-	// only displace an occupied slot whose step is not shallower than
-	// the incoming one's.
-	if victimStep != 1<<30 && victimStep < step {
-		return
-	}
-	b.key[victim] = h2 ^ spillMix(meta)
-	b.meta[victim] = meta
-}
-
-// Spilling reports whether a disk tier is attached.
-func (m *Memo) Spilling() bool { return m != nil && m.disk != nil }
-
-// SyncSpill flushes the disk tier's mapping to the file. A no-op
-// without a spill (and on nil).
-func (m *Memo) SyncSpill() error {
-	if m == nil || m.spill == nil {
-		return nil
-	}
-	return m.spill.Sync()
-}
-
-// Close syncs and unmaps the spill file, if any. The Memo must not be
-// probed or stored to afterwards. Nil-safe and idempotent; a Memo
-// without a spill closes trivially.
+// Close syncs and unmaps a spill table's file. The shard slices are
+// dropped first, so a probe or store after Close panics on an index
+// rather than faulting on unmapped memory. Nil-safe and idempotent; a
+// table without a spill closes trivially.
 func (m *Memo) Close() error {
 	if m == nil || m.spill == nil {
 		return nil
 	}
+	for i := range m.shards {
+		s := &m.shards[i]
+		s.mu.Lock()
+		s.buckets = nil
+		s.mu.Unlock()
+	}
 	err := m.spill.Close()
 	m.spill = nil
-	m.disk = nil
 	return err
 }

@@ -24,8 +24,8 @@ import (
 // automorphism group is trivial (see EXPERIMENTS.md, "Symmetry
 // reduction" and A3). A single process handles n=26 at moderate depth
 // in minutes; what moved the cap past 24 is that a search can now be
-// checkpointed (frontier records + -resume), its table spilled to
-// disk and reopened warm (OpenSpillMemo), and its prefix frontier
+// checkpointed (frontier records + -resume), its table kept in a file
+// and reopened warm (OpenSpillMemo), and its prefix frontier
 // sharded across worker processes (internal/coord) — runs no longer
 // have to fit one uninterrupted process. Friendly circuits
 // (butterflies, sparse levels, RDN stacks) finish n=26 in seconds.

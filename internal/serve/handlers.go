@@ -185,6 +185,14 @@ type adversaryResponse struct {
 	Note            string             `json:"note,omitempty"`
 }
 
+// maxAdversaryWires caps /v1/adversary's width. The header alone
+// declares it, so a body of a few bytes can ask for any n, and the
+// adversary's work and certificate grow with n: 2^20 wires cost
+// ~650 MB of allocation and a 22.9 MB certificate. 2^16 is the widest
+// full one-block reverse delta network an 8 MiB body can carry, and
+// the widest circuit any endpoint accepts.
+const maxAdversaryWires = 1 << 16
+
 func (s *Server) handleAdversary(ctx context.Context, req *request) (handlerResult, error) {
 	c, err := parseNetwork(req)
 	if err != nil {
@@ -195,6 +203,10 @@ func (s *Server) handleAdversary(ctx context.Context, req *request) (handlerResu
 	if !bits.IsPow2(n) {
 		return res, errf(http.StatusUnprocessableEntity,
 			"the adversary needs a power-of-two wire count; the network has %d", n)
+	}
+	if n > maxAdversaryWires {
+		return res, errf(http.StatusUnprocessableEntity,
+			"the adversary handles at most %d wires; the network has %d", maxAdversaryWires, n)
 	}
 	if req.K < 0 || req.K > core.MaxK {
 		return res, errf(http.StatusUnprocessableEntity,

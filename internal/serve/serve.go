@@ -396,6 +396,12 @@ func parseNetwork(req *request) (*network.Network, error) {
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "parse (register): %v", err)
 		}
+		// Converting allocates per register, and the header alone
+		// declares the count: refuse what no endpoint accepts first.
+		if n := reg.Registers(); n > maxAdversaryWires {
+			return nil, errf(http.StatusUnprocessableEntity,
+				"%d registers is wider than any endpoint accepts (at most %d)", n, maxAdversaryWires)
+		}
 		circ, place := network.FromRegister(reg)
 		return relabel(circ, place.Inverse()), nil
 	default:

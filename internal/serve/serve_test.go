@@ -244,6 +244,29 @@ func TestServeMalformedRequests(t *testing.T) {
 		}
 	}
 
+	// A few header bytes declare a circuit's width, so the width caps
+	// must answer before anything is allocated per wire or register:
+	// under 1 MiB per request, the client's share included.
+	for _, tc := range []struct {
+		name, path, network, format string
+	}{
+		{"2^20-wire adversary", "/v1/adversary", "wires 1048576\n", ""},
+		{"2^24-wire adversary", "/v1/adversary", "wires 16777216\n", ""},
+		{"2^20-register check", "/v1/check", "registers 1048576\n", "register"},
+		{"10^17-register check", "/v1/check", "registers 100000000000000000\n", "register"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, raw := post(t, ts, tc.path, map[string]any{"network": tc.network, "format": tc.format})
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != 422 {
+			t.Errorf("%s: status %d want 422 (%.200s)", tc.name, resp.StatusCode, raw)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes to answer, want under 1 MiB", tc.name, grew)
+		}
+	}
+
 	// Wrong method and unknown path.
 	gr, err := http.Get(ts.URL + "/v1/check")
 	if err != nil || gr.StatusCode != 405 {
