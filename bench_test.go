@@ -166,6 +166,24 @@ func BenchmarkOptimalCanonMemo(b *testing.B) {
 	})
 }
 
+var sinkNets []*network.Network
+
+// BenchmarkBuildLevels builds the perfbench search workload's circuit
+// set: 1024 dense random circuits of randnet.Levels(11, 8) from one
+// seed, 8,192 AddLevel calls per op. It is the layer the workload's
+// setup_s times, and it is dominated by checking each level.
+func BenchmarkBuildLevels(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(1))
+		set := make([]*network.Network, 1024)
+		for j := range set {
+			set[j] = randnet.Levels(11, 8, rng)
+		}
+		sinkNets = set
+	}
+}
+
 // BenchmarkParse measures the first layer of every daemon request, the
 // body parser, in its three formats, on the 16-wire circuit shape of
 // perfbench's serve-repeat check requests: one random level ahead of

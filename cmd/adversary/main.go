@@ -45,7 +45,10 @@
 //     reopens warm, so a later run starts with the previous run's
 //     bounds. -memo sizes a new file; on reopen the stored geometry
 //     wins. Files written by an older format version are refused;
-//     delete them.
+//     delete them. The printed and journaled table counters cover
+//     this run only: a warm reopen reports 0 entries for the bounds
+//     it inherited, and its load is this run's net fill
+//     (core.MemoStats.Entries).
 //   - With -journal, the search checkpoints its 81-prefix frontier as
 //     typed records (frontier_init / prefix_done) in the same JSONL
 //     stream. -resume reads such a journal, skips the prefixes any

@@ -76,12 +76,13 @@ type Doc struct {
 // user-facing fast path (PR 6), the daemon's end-to-end request
 // legs — the coalesced probe and warm-memo optimum paths (PR 8) —
 // and its first layers, the body parsers and the table mount, the
-// durable-search machinery: the spill-backed transposition
+// construction of the search workload's circuit set (AddLevel's level
+// check), the durable-search machinery: the spill-backed transposition
 // table and the checkpoint/resume paths of the optimum search —
 // the vertical batch sorting entry points plus their raw columnar
 // kernels, and the optimum search itself: warm, without a table, and
 // cold on the dense circuits of the perfbench search workload.
-const defaultGuard = `Benchmark(ZeroOneScalarVsBits|HalverEpsilon)/(fraction-)?bits$|BenchmarkGeneratedSort/|BenchmarkSortDispatch/|BenchmarkServe|BenchmarkParse/|BenchmarkNewMemo/|BenchmarkMemoSpill/|BenchmarkOptimalResume/|BenchmarkOptimalCanonMemo/|BenchmarkSortBatch/|BenchmarkBatchKernel/`
+const defaultGuard = `Benchmark(ZeroOneScalarVsBits|HalverEpsilon)/(fraction-)?bits$|BenchmarkGeneratedSort/|BenchmarkSortDispatch/|BenchmarkServe|BenchmarkParse/|BenchmarkBuildLevels$|BenchmarkNewMemo/|BenchmarkMemoSpill/|BenchmarkOptimalResume/|BenchmarkOptimalCanonMemo/|BenchmarkSortBatch/|BenchmarkBatchKernel/`
 
 func main() {
 	out := flag.String("o", "", "output path (default stdout)")

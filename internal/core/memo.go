@@ -228,10 +228,11 @@ func (m *Memo) flush(st *memoStats) {
 	metMemoMisses.Add(st.misses)
 	metMemoStores.Add(st.stores)
 	metMemoEvicts.Add(st.evicts)
-	// Occupancy gauges: entries = stores − evictions (a store either
-	// fills a free slot or replaces an occupied one). When several
-	// tables share the registry the gauges track the most recently
-	// flushed table — the one actively searching.
+	// Occupancy gauges: entries = stores − evictions since the table
+	// was opened (a store either fills a free slot or replaces an
+	// occupied one; see MemoStats.Entries for a warm spill table).
+	// When several tables share the registry the gauges track the
+	// most recently flushed table — the one actively searching.
 	entries := m.stores.Load() - m.evicts.Load()
 	metMemoEntries.Set(entries)
 	if slots := m.bytes / memoEntryCost; slots > 0 {
@@ -307,10 +308,15 @@ type MemoStats struct {
 	Misses    int64 `json:"misses"`
 	Stores    int64 `json:"stores"`
 	Evictions int64 `json:"evictions"`
-	// Entries is the number of occupied slots (stores − evictions),
-	// Capacity the total slot count, and LoadFactor their ratio — how
-	// full the bounded table is, i.e. how close the search is to
-	// eviction churn.
+	// Entries is stores − evictions, Capacity the total slot count,
+	// and LoadFactor their ratio — how full the bounded table is, i.e.
+	// how close the search is to eviction churn. Like every counter
+	// here, Entries counts from the moment this Memo was opened: a
+	// spill table reopened warm reports 0 entries for the bounds it
+	// inherited from earlier runs (counting them would read the whole
+	// file at open), so on such a table Entries and LoadFactor are
+	// this run's net fill, not the file's occupancy. The
+	// core.optimal.memo.entries and .load gauges mean the same.
 	Entries    int64   `json:"entries"`
 	Capacity   int64   `json:"capacity"`
 	LoadFactor float64 `json:"load_factor"`

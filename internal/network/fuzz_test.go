@@ -18,6 +18,7 @@ func FuzzReadText(f *testing.F) {
 	f.Add("wires 4\rlevel 0:1\r")                      // lone CR
 	f.Add("wires 4 \nlevel 0:1 2:3\t\n")               // trailing whitespace
 	f.Add("wires 4\r\n\r\nlevel 0:1\r\n")              // blank CRLF lines
+	f.Add("wires 100000000000000000\nlevel 0:1\n")     // any width, linear in the level
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := ReadText(strings.NewReader(src))
 		if err != nil {
@@ -40,7 +41,13 @@ func FuzzReadText(f *testing.F) {
 	})
 }
 
+// maxProbeRegisters is the widest register machine FuzzReadRegisterText
+// evaluates: 2^16, the widest circuit the daemon accepts.
+const maxProbeRegisters = 1 << 16
+
 // FuzzReadRegisterText: same contract for the register-model parser.
+// testdata/fuzz/FuzzReadRegisterText holds a 10^17-register header,
+// which the parser accepts.
 func FuzzReadRegisterText(f *testing.F) {
 	f.Add("registers 4\nstep ++ pi shuffle\nstep .\n")
 	f.Add("registers 2\nstep 1\n")
@@ -64,8 +71,13 @@ func FuzzReadRegisterText(f *testing.F) {
 		if back.Registers() != r.Registers() || back.Depth() != r.Depth() || back.Size() != r.Size() {
 			t.Fatal("round trip changed the network shape")
 		}
-		// Behavioral agreement on one probe.
+		// Behavioral agreement on one probe, up to the daemon's width
+		// cap: the header alone declares the count, and a probe of
+		// 10^17 registers cannot be allocated.
 		n := r.Registers()
+		if n > maxProbeRegisters {
+			return
+		}
 		in := make([]int, n)
 		for i := range in {
 			in[i] = i

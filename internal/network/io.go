@@ -109,22 +109,22 @@ func ReadText(r io.Reader) (*Network, error) {
 			if net == nil {
 				return nil, fmt.Errorf("line %d: level before wires declaration", lineNo)
 			}
-			lv := make(Level, 0, len(fields)-1)
-			for _, f := range fields[1:] {
-				parts := strings.SplitN(f, ":", 2)
-				if len(parts) != 2 {
+			lv := make(Level, len(fields)-1)
+			for i, f := range fields[1:] {
+				a, b, ok := strings.Cut(f, ":")
+				if !ok {
 					return nil, fmt.Errorf("line %d: bad comparator %q", lineNo, f)
 				}
-				a, err1 := strconv.Atoi(parts[0])
-				b, err2 := strconv.Atoi(parts[1])
+				x, err1 := strconv.Atoi(a)
+				y, err2 := strconv.Atoi(b)
 				if err1 != nil || err2 != nil {
 					return nil, fmt.Errorf("line %d: bad comparator %q", lineNo, f)
 				}
-				lv = append(lv, Comparator{Min: a, Max: b})
+				lv[i] = Comparator{Min: x, Max: y}
 			}
-			tmp := New(net.n)
-			tmp.levels = append(tmp.levels, lv)
-			if err := tmp.Validate(); err != nil {
+			// Each line is checked as level 0 of its own, so a fault
+			// reads "line N: level 0: …".
+			if err := levelError(0, lv, net.n); err != nil {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
 			net.levels = append(net.levels, lv)

@@ -73,24 +73,18 @@ func (c *Network) Levels() []Level { return c.levels }
 // Level returns level i.
 func (c *Network) Level(i int) Level { return c.levels[i] }
 
-// AddLevel appends a level of comparators. It panics if any comparator
-// references an out-of-range wire or if a wire is used twice within the
-// level. An empty level is allowed (a pass-through stage).
+// AddLevel appends a level of comparators. It panics on the first
+// fault checkLevel finds: a comparator that connects a wire to itself,
+// a wire out of range, or a wire used twice within the level. An empty
+// level is allowed (a pass-through stage).
 func (c *Network) AddLevel(lv Level) *Network {
-	used := make(map[int]bool, 2*len(lv))
-	for _, cm := range lv {
-		for _, w := range [2]int{cm.Min, cm.Max} {
-			if w < 0 || w >= c.n {
-				panic(fmt.Sprintf("network.AddLevel: wire %d out of range [0,%d)", w, c.n))
-			}
-			if used[w] {
-				panic(fmt.Sprintf("network.AddLevel: wire %d used twice in one level", w))
-			}
-			used[w] = true
-		}
-		if cm.Min == cm.Max {
-			panic(fmt.Sprintf("network.AddLevel: comparator connects wire %d to itself", cm.Min))
-		}
+	switch f, w := checkLevel(lv, c.n); f {
+	case faultSelfLoop:
+		panic(fmt.Sprintf("network.AddLevel: comparator connects wire %d to itself", w))
+	case faultRange:
+		panic(fmt.Sprintf("network.AddLevel: wire %d out of range [0,%d)", w, c.n))
+	case faultTwice:
+		panic(fmt.Sprintf("network.AddLevel: wire %d used twice in one level", w))
 	}
 	own := make(Level, len(lv))
 	copy(own, lv)
@@ -296,23 +290,75 @@ func (c *Network) Validate() error {
 		return fmt.Errorf("network: %d wires", c.n)
 	}
 	for li, lv := range c.levels {
-		used := make(map[int]bool, 2*len(lv))
-		for _, cm := range lv {
-			if cm.Min == cm.Max {
-				return fmt.Errorf("level %d: comparator connects wire %d to itself", li, cm.Min)
-			}
-			for _, w := range [2]int{cm.Min, cm.Max} {
-				if w < 0 || w >= c.n {
-					return fmt.Errorf("level %d: wire %d out of range [0,%d)", li, w, c.n)
-				}
-				if used[w] {
-					return fmt.Errorf("level %d: wire %d used twice", li, w)
-				}
-				used[w] = true
-			}
+		if err := levelError(li, lv, c.n); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// levelError reports checkLevel's verdict on level li in Validate's
+// words; ReadText prefixes it with the line.
+func levelError(li int, lv Level, n int) error {
+	switch f, w := checkLevel(lv, n); f {
+	case faultSelfLoop:
+		return fmt.Errorf("level %d: comparator connects wire %d to itself", li, w)
+	case faultRange:
+		return fmt.Errorf("level %d: wire %d out of range [0,%d)", li, w, n)
+	case faultTwice:
+		return fmt.Errorf("level %d: wire %d used twice", li, w)
+	}
+	return nil
+}
+
+// levelFault names the first fault checkLevel finds in a level.
+type levelFault uint8
+
+const (
+	levelOK       levelFault = iota
+	faultSelfLoop            // a comparator connects a wire to itself
+	faultRange               // a wire outside [0, n)
+	faultTwice               // a wire used by two comparators
+)
+
+// checkLevel is the one level checker behind AddLevel, Validate and
+// ReadText. It scans lv as a sequence of wires — per comparator a
+// self-loop test, then for Min and then Max a range test followed by a
+// reuse test — and returns the first fault with the wire it names.
+//
+// Up to 256 wires the wires seen so far are a bitset on the stack, and
+// the check allocates nothing. Above that they are a map sized to the
+// level, never to n, because a header of a few bytes can declare any
+// width ("wires 100000000000000000").
+func checkLevel(lv Level, n int) (levelFault, int) {
+	var small [4]uint64
+	var wide map[int]bool
+	if n > 64*len(small) {
+		wide = make(map[int]bool, 2*len(lv))
+	}
+	for _, cm := range lv {
+		if cm.Min == cm.Max {
+			return faultSelfLoop, cm.Min
+		}
+		for _, w := range [2]int{cm.Min, cm.Max} {
+			if uint(w) >= uint(n) {
+				return faultRange, w
+			}
+			if wide != nil {
+				if wide[w] {
+					return faultTwice, w
+				}
+				wide[w] = true
+				continue
+			}
+			bit := uint64(1) << (uint(w) & 63)
+			if small[w>>6]&bit != 0 {
+				return faultTwice, w
+			}
+			small[w>>6] |= bit
+		}
+	}
+	return levelOK, 0
 }
 
 func (c *Network) checkedCopy(input []int) []int {

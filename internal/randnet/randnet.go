@@ -92,9 +92,10 @@ func TruncatedBitonic(n, steps int) *network.Register {
 // has to earn its keep.
 func Levels(n, depth int, rng *rand.Rand) *network.Network {
 	c := network.New(n)
+	lv := make(network.Level, 0, n/2) // AddLevel copies it
 	for d := 0; d < depth; d++ {
 		p := perm.Random(n, rng)
-		lv := make(network.Level, 0, n/2)
+		lv = lv[:0]
 		for i := 0; i+1 < n; i += 2 {
 			a, b := p[i], p[i+1]
 			if rng.Intn(2) == 0 {

@@ -3,8 +3,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 
 	"shufflenet/internal/network"
@@ -24,16 +23,20 @@ var (
 // and certificates are cached under this key, which is also why two
 // clients submitting the same circuit warm each other's caches.
 func canonicalKey(c *network.Network) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "wires %d\n", c.Wires())
+	text := []byte("wires ")
+	text = strconv.AppendInt(text, int64(c.Wires()), 10)
+	text = append(text, '\n')
 	for _, lv := range c.Levels() {
-		sb.WriteString("level")
+		text = append(text, "level"...)
 		for _, cm := range network.CanonicalLevel(lv) {
-			fmt.Fprintf(&sb, " %d:%d", cm.Min, cm.Max)
+			text = append(text, ' ')
+			text = strconv.AppendInt(text, int64(cm.Min), 10)
+			text = append(text, ':')
+			text = strconv.AppendInt(text, int64(cm.Max), 10)
 		}
-		sb.WriteByte('\n')
+		text = append(text, '\n')
 	}
-	sum := sha256.Sum256([]byte(sb.String()))
+	sum := sha256.Sum256(text)
 	return hex.EncodeToString(sum[:])
 }
 

@@ -282,6 +282,10 @@ type optimalResponse struct {
 	Set      []int  `json:"set"`
 }
 
+// optimalSearch is the search /v1/optimal runs; a test swaps it to
+// forge a result the witness check must refuse.
+var optimalSearch = core.OptimalNoncollidingPacked
+
 func (s *Server) handleOptimal(ctx context.Context, req *request) (handlerResult, error) {
 	c, err := parseNetwork(req)
 	if err != nil {
@@ -305,12 +309,19 @@ func (s *Server) handleOptimal(ctx context.Context, req *request) (handlerResult
 	// canonical residual state salted with the network's structure, so
 	// repeat submissions of the same circuit (from any client) probe
 	// warm, and different circuits cannot collide.
-	size, p, set, err := core.OptimalNoncollidingOpt(ctx, c, core.OptimalOptions{
+	packed, err := optimalSearch(ctx, c, core.OptimalOptions{
 		Workers: s.cfg.Workers, Memo: s.memo,
 	})
 	if err != nil {
 		return res, err
 	}
+	// The witness is checked against the circuit before it can be
+	// cached: a cached body is replayed to every later client, and the
+	// check costs one pattern simulation.
+	if verr := core.VerifyOptimalWitness(c, packed); verr != nil {
+		return res, fmt.Errorf("search result failed verification: %v", verr)
+	}
+	size, p, set := core.DecodeOptimalWitness(n, packed)
 	body, err := json.Marshal(optimalResponse{
 		N: n, Depth: c.Depth(), Size: c.Size(),
 		OptimalD: size, Pattern: p.String(), Set: set,

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,10 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"shufflenet/internal/core"
 	"shufflenet/internal/delta"
 	"shufflenet/internal/netbuild"
 	"shufflenet/internal/network"
 	"shufflenet/internal/obs"
+	"shufflenet/internal/randnet"
 )
 
 func netText(t testing.TB, c *network.Network) string {
@@ -254,6 +258,8 @@ func TestServeMalformedRequests(t *testing.T) {
 		{"2^24-wire adversary", "/v1/adversary", "wires 16777216\n", ""},
 		{"2^20-register check", "/v1/check", "registers 1048576\n", "register"},
 		{"10^17-register check", "/v1/check", "registers 100000000000000000\n", "register"},
+		{"10^17-wire check", "/v1/check", "wires 100000000000000000\nlevel 0:1\n", ""},
+		{"2^24-wire adversary with a level", "/v1/adversary", "wires 16777216\nlevel 0:1\n", ""},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -435,6 +441,33 @@ func TestServeOptimalDeterminism(t *testing.T) {
 	}
 }
 
+// TestServeOptimalRefusesBadWitness: a search result that is no
+// witness on the circuit answers 500 and is not cached, so the next
+// request for the circuit computes afresh.
+func TestServeOptimalRefusesBadWitness(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	circ := netText(t, netbuild.OddEvenTransposition(8))
+	search := optimalSearch
+	defer func() { optimalSearch = search }()
+	// Size 8, every key digit M: a well-formed witness whose pattern
+	// the sorter's first comparator already collides.
+	optimalSearch = func(context.Context, *network.Network, core.OptimalOptions) (uint64, error) {
+		return 8<<16 | 0xffff, nil
+	}
+	resp, raw := post(t, ts, "/v1/optimal", map[string]any{"network": circ})
+	var eb errorBody
+	decode(t, raw, &eb)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(eb.Error, "collides on the circuit") {
+		t.Fatalf("forged witness: %d %s", resp.StatusCode, raw)
+	}
+	optimalSearch = search
+	resp, raw = post(t, ts, "/v1/optimal", map[string]any{"network": circ})
+	if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("after the refusal: %d X-Cache=%q %s", resp.StatusCode, resp.Header.Get("X-Cache"), raw)
+	}
+}
+
 // TestServeCanonicalCacheKey: two textual spellings of the same
 // network (levels listed in different comparator order) share one
 // cache entry — the second spelling hits.
@@ -450,6 +483,31 @@ func TestServeCanonicalCacheKey(t *testing.T) {
 	resp, _ = post(t, ts, "/v1/check", map[string]any{"network": b})
 	if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "hit" {
 		t.Fatalf("second spelling should hit the canonical cache: %d %q", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+}
+
+// TestCanonicalKeyGolden pins the bytes canonicalKey hashes. The
+// response caches are addressed by it, so a change to the canonical
+// text would make every warm cache miss without failing anything else.
+// The keys were computed by the Fprintf-per-comparator implementation
+// this one replaced.
+func TestCanonicalKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    *network.Network
+		want string
+	}{
+		{"unsorted-level",
+			network.New(8).AddComparators(6, 7, 0, 1, 4, 5, 2, 3).AddComparators(5, 7, 1, 3, 0, 2, 4, 6),
+			"c75f9734d2bb2dbfe6eb05186ec3f8b4a5e7bd1c30f82fe4f8582cdeb9086a2d"},
+		{"reversed-comparator",
+			network.New(6).AddComparators(5, 0, 3, 1).AddComparators(2, 4, 1, 0).AddLevel(nil),
+			"96c2c231a627705d208ad4c4136dd1e3bef385fff6a510ebfb6490cbc701dfef"},
+		{"1024-wire", randnet.Levels(1024, 3, rand.New(rand.NewSource(1))), "05c44216ee82c6fe9ef6b57d2087f8550488a6473dc896f8949476a17d235ec8"},
+	} {
+		if got := canonicalKey(tc.c); got != tc.want {
+			t.Errorf("%s: key %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -515,6 +573,35 @@ func BenchmarkServeCheckProbe(b *testing.B) {
 		if resp.StatusCode != 200 {
 			b.Fatalf("%d %s", resp.StatusCode, buf.Bytes())
 		}
+	}
+}
+
+// BenchmarkServeCacheHit measures the daemon's front layers alone: a
+// full /v1/check whose body is cached, served through Handler() into
+// an httptest.ResponseRecorder, so no socket is timed — JSON decode,
+// body parse, canonical key and the cache lookup. The circuit is the
+// shape of perfbench's serve-repeat check requests: one random level
+// ahead of the 16-wire bitonic sorter.
+func BenchmarkServeCacheHit(b *testing.B) {
+	h := New(Config{}).Handler()
+	c := randnet.Levels(16, 1, rand.New(rand.NewSource(1))).Append(netbuild.Bitonic(16))
+	body, _ := json.Marshal(map[string]any{"network": netText(b, c)})
+	hit := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body)))
+		if w.Code != 200 {
+			b.Fatalf("%d %s", w.Code, w.Body.Bytes())
+		}
+		return w
+	}
+	hit() // fill
+	if w := hit(); w.Header().Get("X-Cache") != "hit" {
+		b.Fatalf("X-Cache %q, want hit", w.Header().Get("X-Cache"))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit()
 	}
 }
 
