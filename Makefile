@@ -215,16 +215,17 @@ coord-smoke:
 
 # Short fuzz pass over the three network body parsers (text, register,
 # DOT: they share one line scanner), the parsers / compiled-kernel
-# round trip, the optimum search's canonical keys under wire
-# relabeling, a bit-flipped and truncated spill file on reopen, the
-# Sort dispatcher vs slices.Sort differential, the batch façades
-# (numeric and []string lanes) vs slices.Sort, and the resume-journal
-# parser.
+# round trip, the bit-sliced ε readout vs the scalar oracle, the
+# optimum search's canonical keys under wire relabeling, a bit-flipped
+# and truncated spill file on reopen, the Sort dispatcher vs
+# slices.Sort differential, the batch façades (numeric and []string
+# lanes) vs slices.Sort, and the resume-journal parser.
 fuzz:
 	$(GO) test ./internal/network/ -run FuzzReadText -fuzz FuzzReadText -fuzztime 20s
 	$(GO) test ./internal/network/ -run FuzzReadRegisterText -fuzz FuzzReadRegisterText -fuzztime 20s
 	$(GO) test ./internal/network/ -run FuzzReadDOT -fuzz FuzzReadDOT -fuzztime 20s
 	$(GO) test ./internal/network/ -run FuzzCompileEval -fuzz FuzzCompileEval -fuzztime 20s
+	$(GO) test ./internal/halver/ -run FuzzEpsilon -fuzz FuzzEpsilon -fuzztime 20s
 	$(GO) test ./internal/core/ -run FuzzCanonicalRelabel -fuzz FuzzCanonicalRelabel -fuzztime 20s
 	$(GO) test ./internal/core/ -run FuzzSpillReopen -fuzz FuzzSpillReopen -fuzztime 20s
 	$(GO) test . -run FuzzSortT -fuzz FuzzSortT -fuzztime 20s

@@ -495,9 +495,13 @@ func BenchmarkBenesRouting(b *testing.B) {
 	}
 }
 
-// BenchmarkHalverEpsilon measures exact ε computation (2^16 inputs) on
-// the bit-sliced kernel. The scalar oracle's leg of the same name lives
-// next to the oracle, in internal/halver.
+// BenchmarkHalverEpsilon measures exact ε computation on the
+// bit-sliced kernel: bits at n = 16 with 4 cross-matching passes (2^16
+// inputs), serve at the /v1/halver shape of perfbench's serve-repeat
+// workload (n = 16, 2 passes, cycling through 8 seeded circuits), and
+// n20 at n = 20 with 4 passes, whose 2^14 blocks take the parallel
+// path. The scalar oracle's leg of the same name lives next to the
+// oracle, in internal/halver.
 func BenchmarkHalverEpsilon(b *testing.B) {
 	c := halver.CrossMatchings(16, 4, rand.New(rand.NewSource(10)))
 	b.Run("bits", func(b *testing.B) {
@@ -505,6 +509,24 @@ func BenchmarkHalverEpsilon(b *testing.B) {
 			halver.Epsilon(c, 0)
 		}
 		reportInputsPerSec(b, 1<<16)
+	})
+	rng := rand.New(rand.NewSource(1))
+	var pool [8]*network.Network
+	for i := range pool {
+		pool[i] = halver.CrossMatchings(16, 2, rng)
+	}
+	b.Run("serve", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			halver.Epsilon(pool[i%len(pool)], 0)
+		}
+		reportInputsPerSec(b, 1<<16)
+	})
+	wide := halver.CrossMatchings(20, 4, rand.New(rand.NewSource(20)))
+	b.Run("n20", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			halver.Epsilon(wide, 0)
+		}
+		reportInputsPerSec(b, 1<<20)
 	})
 }
 

@@ -71,7 +71,8 @@ type Doc struct {
 
 // defaultGuard protects the perf-critical kernels: the bit-sliced
 // (SWAR) 0-1 evaluation kernels — a regression there slows every
-// exhaustive sorting check in the repo — the generated sorting
+// exhaustive sorting check in the repo — with the ε readout at the
+// daemon's halver shape and on the parallel path, the generated sorting
 // kernels plus their shufflenet.Sort dispatch path, the library's
 // user-facing fast path (PR 6), the daemon's end-to-end request
 // legs — the coalesced probe and warm-memo optimum paths (PR 8) —
@@ -82,7 +83,7 @@ type Doc struct {
 // the vertical batch sorting entry points plus their raw columnar
 // kernels, and the optimum search itself: warm, without a table, and
 // cold on the dense circuits of the perfbench search workload.
-const defaultGuard = `Benchmark(ZeroOneScalarVsBits|HalverEpsilon)/(fraction-)?bits$|BenchmarkGeneratedSort/|BenchmarkSortDispatch/|BenchmarkServe|BenchmarkParse/|BenchmarkBuildLevels$|BenchmarkNewMemo/|BenchmarkMemoSpill/|BenchmarkOptimalResume/|BenchmarkOptimalCanonMemo/|BenchmarkSortBatch/|BenchmarkBatchKernel/`
+const defaultGuard = `BenchmarkZeroOneScalarVsBits/(fraction-)?bits$|BenchmarkHalverEpsilon/(bits|serve|n20)$|BenchmarkGeneratedSort/|BenchmarkSortDispatch/|BenchmarkServe|BenchmarkParse/|BenchmarkBuildLevels$|BenchmarkNewMemo/|BenchmarkMemoSpill/|BenchmarkOptimalResume/|BenchmarkOptimalCanonMemo/|BenchmarkSortBatch/|BenchmarkBatchKernel/`
 
 func main() {
 	out := flag.String("o", "", "output path (default stdout)")

@@ -40,8 +40,9 @@ func TestEpsilonCtxPreCanceled(t *testing.T) {
 
 // TestEpsilonCtxDeadlineMidScan cancels a 2^22-mask scan by deadline.
 // Either outcome of the race is checked: a canceled scan must report a
-// partial mask count and an eps within [0, 1] (a valid lower bound on
-// the true ε), a completed scan must agree with the plain API.
+// partial mask count and an eps within [0, 1] that is at most the full
+// scan's ε (the documented lower bound), a completed scan must agree
+// with the plain API.
 func TestEpsilonCtxDeadlineMidScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	c := CrossMatchings(22, 1, rng)
@@ -63,5 +64,8 @@ func TestEpsilonCtxDeadlineMidScan(t *testing.T) {
 	}
 	if ce.MasksChecked < 0 || ce.MasksChecked >= 1<<22 {
 		t.Fatalf("MasksChecked = %d, want a proper partial count", ce.MasksChecked)
+	}
+	if full := Epsilon(c, 0); eps > full {
+		t.Fatalf("partial eps = %v exceeds the full scan's %v", eps, full)
 	}
 }

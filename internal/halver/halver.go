@@ -67,13 +67,24 @@ func CrossMatchings(n, passes int, rng *rand.Rand) *network.Network {
 // widths this large practical (the cap was 24 before the kernel).
 const MaxEpsilonWires = 28
 
+// laneClass[c] has bit j set when j has c ones. Lane j of block b
+// carries mask 64b+j, so for n >= 6 its ones count is popcount(b) + c
+// with c = popcount(j): each class is one ones count per block.
+var laneClass = func() (cl [7]uint64) {
+	for j := uint(0); j < 64; j++ {
+		cl[mathbits.OnesCount(j)] |= 1 << j
+	}
+	return cl
+}()
+
 // Epsilon returns the exact halving quality of the network: the
 // smallest ε such that c is an ε-halver, computed by exhausting all
 // 2^n 0-1 inputs in parallel on the bit-sliced kernel: 64 masks per
-// block, with the per-lane misplacement counts (ones in the lower
-// half, zeros in the upper half) accumulated in vertical bit-plane
-// counters rather than per-mask loops. A perfect halver has ε = 0; a
-// network that does nothing has ε = 1. n must be at most
+// block, with each lane's count of ones in the lower half (which also
+// fixes its count of zeros in the upper half) accumulated in vertical
+// bit-plane counters rather than per-mask loops, and read back once
+// per popcount class of lanes (see EpsilonCtx). A perfect halver has
+// ε = 0; a network that does nothing has ε = 1. n must be at most
 // MaxEpsilonWires. Epsilon is EpsilonCtx under context.Background().
 func Epsilon(c *network.Network, workers int) float64 {
 	eps, _ := EpsilonCtx(context.Background(), c, workers)
@@ -82,9 +93,16 @@ func Epsilon(c *network.Network, workers int) float64 {
 
 // EpsilonCtx is Epsilon under a context. Cancellation is observed once
 // per worker chunk. On cancellation the returned value is the maximum
-// misplacement ratio over the masks settled so far — a valid *lower*
+// misplacement ratio over the chunks that finished — a valid *lower*
 // bound on the true ε (ε can only grow as more masks are seen) — and
 // the *par.ErrCanceled reports how many masks were settled.
+//
+// The readout keeps, per denominator k (the ones count of a mask whose
+// lower half is read, or the zeros count of one whose upper half is),
+// the largest misplacement count seen, and divides once per k when the
+// scan ends. ε is bit-identical to a per-mask maximum of count/k: for
+// a fixed k > 0 a correctly rounded divide is monotone in the count,
+// so max(count)/k == max(count/k).
 func EpsilonCtx(ctx context.Context, c *network.Network, workers int) (float64, error) {
 	n := c.Wires()
 	if n > MaxEpsilonWires {
@@ -97,61 +115,62 @@ func EpsilonCtx(ctx context.Context, c *network.Network, workers int) (float64, 
 	prog := c.Compile()
 	blocks, laneMask := network.ZeroOneBlocks(n)
 	lanes := mathbits.OnesCount64(laneMask)
+	var classes [len(laneClass)]uint64
+	for i, cl := range laneClass {
+		classes[i] = cl & laneMask
+	}
 	var mu sync.Mutex
-	eps := 0.0
+	var worst counts
 	var scanned int64
 	cerr := par.ForEachChunk(ctx, blocks, workers, par.DefaultGrain, func(lo, hi int) {
 		bb := network.NewBitBatch(prog)
 		defer bb.FlushMetrics()
-		local := 0.0
+		var local counts
 		for b := lo; b < hi; b++ {
 			bb.LoadBlock(uint64(b))
 			out := bb.Eval()
 			// Vertical counters: plane p of low[ ] holds bit p of the
-			// per-lane count of ones on the lower-half wires; highZ
-			// likewise counts zeros on the upper-half wires. m <= 14 <
+			// per-lane count of ones on the lower-half wires. m <= 14 <
 			// 2^5, so five planes cannot overflow.
-			var low, highZ [5]uint64
+			var low [5]uint64
 			for i := 0; i < m; i++ {
 				addPlane(&low, out[i])
 			}
-			for i := m; i < n; i++ {
-				addPlane(&highZ, ^out[i])
-			}
-			base := uint64(b) * 64
-			for j := 0; j < lanes; j++ {
-				ones := mathbits.OnesCount64(base + uint64(j))
-				if ones == 0 || ones == n {
+			// Wires 6 and up are constant across the block, so a
+			// class's ones count is the block's share plus the class.
+			top := mathbits.OnesCount64(uint64(b))
+			for cl, sel := range classes {
+				ones := top + cl
+				if sel == 0 || ones == 0 || ones == n {
 					continue
 				}
 				// k largest = the `ones` 1-values; misplaced = ones in
 				// the lower half. Meaningful when ones <= m.
-				if ones <= m {
-					if r := float64(planeCount(&low, j)) / float64(ones); r > local {
-						local = r
-					}
+				k, misplaced := ones, maxCount(&low, sel)
+				if ones > m {
+					// k smallest = the zeros; misplaced = zeros in the
+					// upper half. Comparators move values and never
+					// make them, so a lane with c ones in the lower
+					// half holds c + zeros - m zeros in the upper one:
+					// the lane with the most ones below has the most
+					// zeros above. (At ones == m both sides read the
+					// same count.)
+					k = n - ones
+					misplaced += k - m
 				}
-				// k smallest = the zeros; misplaced = zeros in the
-				// upper half. Meaningful when zeros <= m.
-				if zeros := n - ones; zeros <= m {
-					if r := float64(planeCount(&highZ, j)) / float64(zeros); r > local {
-						local = r
-					}
-				}
+				local[k] = max(local[k], misplaced)
 			}
 		}
 		mu.Lock()
-		if local > eps {
-			eps = local
+		for k, v := range local {
+			worst[k] = max(worst[k], v)
 		}
 		mu.Unlock()
 		atomic.AddInt64(&scanned, int64(hi-lo))
 	})
+	eps := worst.ratio() // ForEachChunk has waited for every chunk
 	if cerr != nil {
-		mu.Lock()
-		partial := eps
-		mu.Unlock()
-		return partial, &par.ErrCanceled{
+		return eps, &par.ErrCanceled{
 			Op:           "halver.Epsilon",
 			Cause:        cerr,
 			MasksChecked: atomic.LoadInt64(&scanned) * int64(lanes),
@@ -161,6 +180,22 @@ func EpsilonCtx(ctx context.Context, c *network.Network, workers int) (float64, 
 	metEpsMasks.Add(int64(1) << uint(n))
 	metEpsLast.Set(eps)
 	return eps, nil
+}
+
+// counts[k] is the largest misplacement count seen among the masks
+// whose denominator is k (1 <= k <= m); index 0 is unused.
+type counts [MaxEpsilonWires/2 + 1]int
+
+// ratio divides each denominator's largest count once and returns the
+// largest quotient: ε over the masks the counts cover.
+func (w *counts) ratio() float64 {
+	eps := 0.0
+	for k := 1; k < len(w); k++ {
+		if r := float64(w[k]) / float64(k); r > eps {
+			eps = r
+		}
+	}
+	return eps
 }
 
 // addPlane ripple-carry adds one bit per lane (the set bits of w) into
@@ -173,11 +208,16 @@ func addPlane(planes *[5]uint64, w uint64) {
 	}
 }
 
-// planeCount reads lane j's count back out of the vertical planes.
-func planeCount(planes *[5]uint64, j int) int {
+// maxCount returns the largest count among the lanes in sel, read top
+// plane first: when some lane still in the running has plane p set,
+// the maximum has bit p and only those lanes stay in the running.
+func maxCount(planes *[5]uint64, sel uint64) int {
 	c := 0
-	for i := 0; i < len(planes); i++ {
-		c |= int(planes[i]>>uint(j)&1) << uint(i)
+	for p := len(planes) - 1; p >= 0; p-- {
+		if t := sel & planes[p]; t != 0 {
+			sel = t
+			c |= 1 << p
+		}
 	}
 	return c
 }

@@ -8,6 +8,7 @@ import (
 	"shufflenet/internal/netbuild"
 	"shufflenet/internal/network"
 	"shufflenet/internal/par"
+	"shufflenet/internal/randnet"
 	"shufflenet/internal/sortcheck"
 )
 
@@ -149,17 +150,30 @@ func TestGuards(t *testing.T) {
 
 // TestEpsilonBitsMatchesScalar: the bit-sliced Epsilon and the scalar
 // oracle must agree exactly (identical float divisions, max over the
-// same set) across random cross-matchings, cascades, and degenerate
-// networks.
+// same set) across random cross-matchings, random-direction circuits,
+// cascades, and degenerate networks, at every even width from 2 (fewer
+// than 64 lanes per block) to 18 (the parallel path), and at every
+// worker count.
 func TestEpsilonBitsMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{2, 4, 6, 8, 12, 16} {
+	dirs := rand.New(rand.NewSource(12))
+	for n := 2; n <= 18; n += 2 {
 		for passes := 0; passes <= 4; passes++ {
 			c := CrossMatchings(n, passes, rng)
 			got := Epsilon(c, 0)
 			want := epsilonScalar(c, 0)
 			if got != want {
 				t.Errorf("CrossMatchings(n=%d, passes=%d): Epsilon %v != scalar %v", n, passes, got, want)
+			}
+		}
+		// randnet.Levels moves values both ways: a cross-matching
+		// always sends the minimum to the lower half.
+		for depth := 1; depth <= 4; depth++ {
+			c := randnet.Levels(n, depth, dirs)
+			got := Epsilon(c, 0)
+			want := epsilonScalar(c, 0)
+			if got != want {
+				t.Errorf("randnet.Levels(n=%d, depth=%d): Epsilon %v != scalar %v", n, depth, got, want)
 			}
 		}
 	}
@@ -171,14 +185,61 @@ func TestEpsilonBitsMatchesScalar(t *testing.T) {
 			t.Errorf("Cascade(n=%d): Epsilon %v != scalar %v", n, got, want)
 		}
 	}
-	// Workers must not change the result.
-	c := CrossMatchings(12, 3, rng)
-	want := epsilonScalar(c, 1)
-	for _, w := range []int{1, 2, 4} {
-		if got := Epsilon(c, w); got != want {
-			t.Errorf("workers=%d: Epsilon %v != scalar %v", w, got, want)
+	// Workers must not change the result, on one chunk (n = 12) or
+	// several (n = 18: 4096 blocks split across workers).
+	for _, c := range []*network.Network{CrossMatchings(12, 3, rng), randnet.Levels(18, 3, dirs)} {
+		want := epsilonScalar(c, 1)
+		for _, w := range []int{1, 2, 4} {
+			if got := Epsilon(c, w); got != want {
+				t.Errorf("n=%d, workers=%d: Epsilon %v != scalar %v", c.Wires(), w, got, want)
+			}
 		}
 	}
+}
+
+// FuzzEpsilon: on circuits of at most 12 wires and 8 levels whose
+// comparators point either way, Epsilon at 1 and 2 workers equals the
+// scalar oracle. The first byte picks the width; each later byte is a
+// comparator (high nibble to low nibble, mod n), and a byte that
+// cannot join the current level closes it.
+func FuzzEpsilon(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{5, 0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0x00, 0x10, 0x32})
+	f.Add([]byte{3, 0x70, 0x61, 0x52, 0x43, 0x11, 0x07, 0x16, 0x25, 0x34})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		const maxDepth = 8
+		n := 2 + 2*int(data[0]%6)
+		c := network.New(n)
+		var lv network.Level
+		var used uint64
+		for _, x := range data[1:] {
+			a, b := int(x>>4)%n, int(x&15)%n
+			if a != b && used>>a&1 == 0 && used>>b&1 == 0 {
+				lv = append(lv, network.Comparator{Min: a, Max: b})
+				used |= 1<<a | 1<<b
+				continue
+			}
+			if len(lv) > 0 {
+				c.AddLevel(lv)
+				lv, used = nil, 0
+			}
+			if c.Depth() == maxDepth {
+				break
+			}
+		}
+		if len(lv) > 0 && c.Depth() < maxDepth {
+			c.AddLevel(lv)
+		}
+		want := epsilonScalar(c, 1)
+		for _, w := range []int{1, 2} {
+			if got := Epsilon(c, w); got != want {
+				t.Fatalf("workers=%d on %v: Epsilon %v != scalar %v", w, c.Levels(), got, want)
+			}
+		}
+	})
 }
 
 // epsilonScalar computes Epsilon by scalar enumeration (one Eval per

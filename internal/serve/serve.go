@@ -34,8 +34,10 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"shufflenet/internal/core"
 	"shufflenet/internal/network"
@@ -392,21 +394,70 @@ func parseNetwork(req *request) (*network.Network, error) {
 		}
 		return c, nil
 	case "register":
+		// Parsing allocates per register for every step (a named
+		// shuffle is built and cloned at the declared count), and the
+		// header alone declares that count: refuse by the body's shape
+		// before parsing what no endpoint accepts or what costs more
+		// than the body is worth.
+		n, steps := registerShape(req.Network)
+		if n > maxAdversaryWires {
+			return nil, errf(http.StatusUnprocessableEntity,
+				"%d registers is wider than any endpoint accepts (at most %d)", n, maxAdversaryWires)
+		}
+		if budget := registerStepsPerByte * int64(len(req.Network)); int64(n)*int64(steps) > budget {
+			return nil, errf(http.StatusUnprocessableEntity,
+				"%d registers × %d steps exceeds the %d register-steps a %d-byte body may declare (%d per byte)",
+				n, steps, budget, len(req.Network), registerStepsPerByte)
+		}
 		reg, err := network.ReadRegisterText(rd)
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "parse (register): %v", err)
-		}
-		// Converting allocates per register, and the header alone
-		// declares the count: refuse what no endpoint accepts first.
-		if n := reg.Registers(); n > maxAdversaryWires {
-			return nil, errf(http.StatusUnprocessableEntity,
-				"%d registers is wider than any endpoint accepts (at most %d)", n, maxAdversaryWires)
 		}
 		circ, place := network.FromRegister(reg)
 		return relabel(circ, place.Inverse()), nil
 	default:
 		return nil, errf(http.StatusBadRequest, "unknown format %q (want text, dot, or register)", req.Format)
 	}
+}
+
+// registerStepsPerByte bounds a register body's work by its size:
+// registers × steps may not exceed 64 per body byte. A step whose ops
+// are written out spends n/2 bytes on n registers, so every such body
+// is 32 times under the budget (a one-block reverse delta network on
+// 2^16 registers, about 512 KiB, uses 2 per byte); only steps whose
+// ops are "." with a named permutation are cheaper, and those stay
+// below about 1,200 registers.
+const registerStepsPerByte = 64
+
+// registerShape reads a register body's declared count (the first
+// "registers" line) and counts its "step" lines without parsing either
+// and without allocating. A count that does not parse reads as 0: the
+// parser reports it.
+func registerShape(body string) (registers, steps int) {
+	seen := false
+	for body != "" {
+		line := body
+		if i := strings.IndexAny(body, "\r\n"); i >= 0 {
+			line, body = body[:i], body[i+1:]
+		} else {
+			body = ""
+		}
+		line = strings.TrimSpace(line)
+		word, rest := line, ""
+		if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
+			word, rest = line[:i], strings.TrimSpace(line[i:])
+		}
+		switch word {
+		case "registers":
+			if !seen {
+				seen = true
+				registers, _ = strconv.Atoi(rest)
+			}
+		case "step":
+			steps++
+		}
+	}
+	return registers, steps
 }
 
 // relabel renames circuit wires by q. Used to fold a register

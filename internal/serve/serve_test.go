@@ -250,13 +250,19 @@ func TestServeMalformedRequests(t *testing.T) {
 
 	// A few header bytes declare a circuit's width, so the width caps
 	// must answer before anything is allocated per wire or register:
-	// under 1 MiB per request, the client's share included.
+	// under 1 MiB per request, the client's share included. A register
+	// body is also refused by its shape before it is parsed, since
+	// every step allocates per register: above 2^16 registers, or
+	// above 64 register-steps per body byte.
 	for _, tc := range []struct {
 		name, path, network, format string
 	}{
 		{"2^20-wire adversary", "/v1/adversary", "wires 1048576\n", ""},
 		{"2^24-wire adversary", "/v1/adversary", "wires 16777216\n", ""},
 		{"2^20-register check", "/v1/check", "registers 1048576\n", "register"},
+		{"2^20-register check with a shuffle step", "/v1/check", "registers 1048576\nstep . pi shuffle\n", "register"},
+		{"2^16 registers × 100 shuffle steps", "/v1/check",
+			"registers 65536\n" + strings.Repeat("step . pi shuffle\n", 100), "register"},
 		{"10^17-register check", "/v1/check", "registers 100000000000000000\n", "register"},
 		{"10^17-wire check", "/v1/check", "wires 100000000000000000\nlevel 0:1\n", ""},
 		{"2^24-wire adversary with a level", "/v1/adversary", "wires 16777216\nlevel 0:1\n", ""},
@@ -284,6 +290,39 @@ func TestServeMalformedRequests(t *testing.T) {
 		t.Fatalf("GET /v1/nope: %v %v", gr.StatusCode, err)
 	}
 	gr.Body.Close()
+}
+
+// TestRegisterShape pins the pre-parse scan of register bodies: it
+// reads the first declared count and counts step lines under every
+// line ending the parser accepts, and the register-step budget admits
+// the widest network the daemon takes with its ops written out, a
+// one-block shuffle network on 2^16 registers.
+func TestRegisterShape(t *testing.T) {
+	for _, tc := range []struct {
+		body        string
+		regs, steps int
+	}{
+		{"registers 8\nstep ++++ pi shuffle\nstep .\n", 8, 2},
+		{"# c\r\nregisters\t8\r\nstep . pi shuffle\rstep ++++\n  step .  \n", 8, 3},
+		{"registers 8\nregisters 1048576\nstep .\n", 8, 1},
+		{"registers x\nstep .\n", 0, 1},
+		{"steps 4\nstepper\n", 0, 0},
+	} {
+		if regs, steps := registerShape(tc.body); regs != tc.regs || steps != tc.steps {
+			t.Errorf("registerShape(%q) = %d, %d; want %d, %d", tc.body, regs, steps, tc.regs, tc.steps)
+		}
+	}
+	var b bytes.Buffer
+	if err := randnet.ButterflyPasses(maxAdversaryWires, 1).WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	regs, steps := registerShape(b.String())
+	if regs != maxAdversaryWires || steps != 16 {
+		t.Fatalf("one-block network on 2^16 registers reads as %d registers, %d steps", regs, steps)
+	}
+	if budget := registerStepsPerByte * int64(b.Len()); int64(regs)*int64(steps) > budget {
+		t.Fatalf("%d registers × %d steps exceeds the %d-byte body's budget %d", regs, steps, b.Len(), budget)
+	}
 }
 
 // TestServeDeadlinePartial: a request whose deadline expires answers
@@ -320,10 +359,11 @@ func TestServeDeadlinePartial(t *testing.T) {
 // request is answered 429 immediately — the server sheds load instead
 // of queueing it.
 func TestServeAdmissionControl(t *testing.T) {
-	ts := httptest.NewServer(New(Config{
+	s := New(Config{
 		MaxInFlight:    1,
 		CoalesceWindow: 500 * time.Millisecond,
-	}).Handler())
+	})
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	sorter := netText(t, netbuild.Bitonic(8))
 
@@ -335,7 +375,13 @@ func TestServeAdmissionControl(t *testing.T) {
 			t.Errorf("parked probe: %d %s", resp.StatusCode, raw)
 		}
 	}()
-	time.Sleep(100 * time.Millisecond) // let the probe take the slot and park
+	// Wait until the probe holds the only slot (it then parks for the
+	// coalescing window) instead of guessing how long that takes.
+	for deadline := time.Now().Add(5 * time.Second); len(s.sem) != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the probe never took the admission slot")
+		}
+	}
 
 	start := time.Now()
 	resp, raw := post(t, ts, "/v1/check", map[string]any{"network": sorter})
