@@ -11,12 +11,12 @@ BENCH_BASE ?= BENCH_PR9.json
 
 # The benchmarks bench-diff/bench-smoke re-run: the guarded SWAR 0-1
 # kernels, the daemon's end-to-end request legs and its first layers —
-# the body parsers and the table mount — building the search
-# workload's circuit set, the durable optimum-search paths — spill
-# table and checkpoint/resume — the optimum search itself, and the
-# vertical batch sorting entry points and raw columnar kernels (see
-# cmd/benchjson defaultGuard).
-BENCH_GUARDED = ZeroOneScalarVsBits|HalverEpsilon|GeneratedSort|SortDispatch|BenchmarkServe|BenchmarkParse|BenchmarkBuildLevels|BenchmarkNewMemo|MemoSpill|OptimalResume|OptimalCanonMemo|SortBatch|BatchKernel
+# the body parsers and the table mount — the adversary's structure
+# recovery, building the search workload's circuit set, the durable
+# optimum-search paths — spill table and checkpoint/resume — the
+# optimum search itself, and the vertical batch sorting entry points
+# and raw columnar kernels (see cmd/benchjson defaultGuard).
+BENCH_GUARDED = ZeroOneScalarVsBits|HalverEpsilon|GeneratedSort|SortDispatch|BenchmarkServe|BenchmarkParse|BenchmarkDecomposeIterated|BenchmarkBuildLevels|BenchmarkNewMemo|MemoSpill|OptimalResume|OptimalCanonMemo|SortBatch|BatchKernel
 
 build:
 	$(GO) build ./...

@@ -262,6 +262,34 @@ func BenchmarkE3IteratedSurvival(b *testing.B) {
 	}
 }
 
+// BenchmarkDecomposeIterated measures delta.DecomposeIterated, which
+// recovers the iterated reverse delta structure /v1/adversary runs
+// Theorem 4.1 on: n16 cycles through 8 seeded one-block networks
+// behind a random permutation (perfbench serve-repeat's adversary
+// shape), n1024 and n4096 decompose one such circuit, where a step
+// that scanned whole levels would dominate.
+func BenchmarkDecomposeIterated(b *testing.B) {
+	for _, leg := range []struct {
+		name    string
+		n, pool int
+	}{{"n16", 16, 8}, {"n1024", 1024, 1}, {"n4096", 4096, 1}} {
+		rng := rand.New(rand.NewSource(1))
+		pool := make([]*network.Network, leg.pool)
+		for i := range pool {
+			it := delta.NewIterated(leg.n)
+			it.AddBlock(perm.Random(leg.n, rng), delta.Random(bits.Lg(leg.n), 1, rng))
+			pool[i], _ = it.ToNetwork()
+		}
+		b.Run(leg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := delta.DecomposeIterated(pool[i%len(pool)], bits.Lg(leg.n)); !ok {
+					b.Fatal("not an iterated reverse delta network")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkE4Certificate measures the full Corollary 4.1.1 pipeline:
 // adversary, certificate extraction, and verification by replay.
 func BenchmarkE4Certificate(b *testing.B) {

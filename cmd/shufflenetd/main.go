@@ -55,7 +55,7 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline (body timeout_ms overrides)")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "ceiling on client-requested deadlines")
 	memoBytes := flag.Int64("memo", 64<<20, "process-wide /v1/optimal transposition table budget in bytes (degenerate values clamp to core.MinMemoBytes)")
-	cacheEntries := flag.Int("cache", 256, "response-cache entries per endpoint family")
+	cacheEntries := flag.Int("cache", 256, "response-cache entries, over all endpoints (the cache also holds at most 64 MiB of bodies)")
 	coalesceWindow := flag.Duration("coalesce-window", 2*time.Millisecond, "how long /v1/check probes wait to share SWAR words with concurrent probes of the same network")
 	journal := flag.String("journal", "", "append per-request records and the run entry to this JSONL path")
 	metrics := flag.Bool("metrics", false, "dump the metric registry to stderr at shutdown")

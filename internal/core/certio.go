@@ -21,10 +21,9 @@ type certJSON struct {
 	PiPrime []int  `json:"piPrime"`
 }
 
-// WriteJSON serializes the certificate. The format is stable and
-// self-contained: a certificate written by one run can be verified
-// against the network by another (see cmd/adversary -save/-check).
-func (c *Certificate) WriteJSON(w io.Writer) error {
+// MarshalJSON encodes the certificate compactly, in the format
+// WriteJSON indents.
+func (c *Certificate) MarshalJSON() ([]byte, error) {
 	syms := make([]byte, len(c.P))
 	for i, s := range c.P {
 		switch s {
@@ -35,15 +34,23 @@ func (c *Certificate) WriteJSON(w io.Writer) error {
 		case pattern.L(0):
 			syms[i] = 'L'
 		default:
-			return fmt.Errorf("core: certificate pattern contains %v; cannot serialize", s)
+			return nil, fmt.Errorf("core: certificate pattern contains %v; cannot serialize", s)
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(certJSON{
+	return json.Marshal(certJSON{
 		Pattern: string(syms), D: c.D, W0: c.W0, W1: c.W1, M: c.M,
 		Pi: c.Pi, PiPrime: c.PiPrime,
 	})
+}
+
+// WriteJSON serializes the certificate, indented and newline-terminated.
+// The format is stable and self-contained: a certificate written by one
+// run can be verified against the network by another (see
+// cmd/adversary -save/-check).
+func (c *Certificate) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(c)
 }
 
 // ReadCertificateJSON parses a certificate written by WriteJSON and

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -56,6 +57,48 @@ func TestReadCertificateJSONErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := ReadCertificateJSON(strings.NewReader(src)); err == nil {
 			t.Errorf("accepted %q", src)
+		}
+	}
+}
+
+// TestCertificateMarshalJSON: MarshalJSON is WriteJSON's format,
+// compact, and both forms read back to a certificate that verifies.
+func TestCertificateMarshalJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(102))
+	const n = 16
+	it := delta.NewIterated(n)
+	it.AddBlock(perm.Random(n, rng), delta.Random(4, 1, rng))
+	it.AddBlock(perm.Random(n, rng), delta.Butterfly(4))
+	an, _ := Theorem41Ctx(context.Background(), it, 2)
+	cert, err := an.Certificate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, err := cert.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented, want bytes.Buffer
+	if err := cert.WriteJSON(&indented); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&want, indented.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(compact, want.Bytes()) {
+		t.Fatalf("MarshalJSON is not WriteJSON compacted:\n%s\n%s", compact, want.Bytes())
+	}
+	circ, _ := it.ToNetwork()
+	for _, raw := range [][]byte{compact, indented.Bytes()} {
+		back, err := ReadCertificateJSON(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := back.Verify(circ); err != nil {
+			t.Fatalf("read-back certificate rejected: %v", err)
+		}
+		if again, _ := back.MarshalJSON(); !bytes.Equal(again, compact) {
+			t.Fatalf("round trip changed the certificate:\n%s\n%s", compact, again)
 		}
 	}
 }

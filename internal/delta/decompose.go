@@ -1,6 +1,8 @@
 package delta
 
 import (
+	"slices"
+
 	"shufflenet/internal/bits"
 	"shufflenet/internal/network"
 	"shufflenet/internal/perm"
@@ -16,23 +18,18 @@ import (
 // where slotView(x)[s] = x[railOf[s]]. ok is false when the circuit is
 // not a reverse delta network (same criterion as IsReverseDelta).
 //
+// The result is canonical: every choice the recovery makes (which
+// bipartition, which side is first) is taken in rail order, so one
+// circuit always yields the same structure and rail assignment.
+//
 // Decompose is what lets the lower-bound adversary attack networks
 // given only as circuits (e.g. loaded from a file): the adversary
 // recurses on the recovered structure.
 func Decompose(c *network.Network) (d *Network, railOf []int, ok bool) {
-	n := c.Wires()
-	if !bits.IsPow2(n) {
+	if !bits.IsPow2(c.Wires()) {
 		return nil, nil, false
 	}
-	l := bits.Lg(n)
-	if c.Depth() != l {
-		return nil, nil, false
-	}
-	rails := make([]int, n)
-	for i := range rails {
-		rails[i] = i
-	}
-	return decompose(c, rails, l)
+	return decomposeLevels(c.Levels(), c.Wires())
 }
 
 // DecomposeIterated recovers a (k, l)-iterated reverse delta structure
@@ -46,7 +43,7 @@ func Decompose(c *network.Network) (d *Network, railOf []int, ok bool) {
 //	correspondence; inputs are taken rail-indexed directly.
 //
 // ok is false if the depth is not a multiple of l or any segment is not
-// a reverse delta network.
+// a reverse delta network. Like Decompose, the result is canonical.
 func DecomposeIterated(c *network.Network, l int) (*Iterated, bool) {
 	n := c.Wires()
 	if !bits.IsPow2(n) || l < 1 || c.Depth()%l != 0 {
@@ -56,8 +53,7 @@ func DecomposeIterated(c *network.Network, l int) (*Iterated, bool) {
 	it := NewIterated(n)
 	prevRailOf := perm.Identity(n) // block 0 receives rail-indexed data
 	for b := 0; b < blocks; b++ {
-		seg := c.Slice(b*l, (b+1)*l)
-		d, railOf, ok := Decompose(seg)
+		d, railOf, ok := decomposeLevels(c.Levels()[b*l:(b+1)*l], n)
 		if !ok {
 			return nil, false
 		}
@@ -72,187 +68,253 @@ func DecomposeIterated(c *network.Network, l int) (*Iterated, bool) {
 			pre[s] = inv[prevRailOf[s]]
 		}
 		it.AddBlock(pre, d)
-		prevRailOf = perm.Perm(railOf).Clone()
+		prevRailOf = railOf
 	}
 	return it, true
 }
 
-// decompose mirrors rdnCheck but builds the structure on success.
-func decompose(c *network.Network, rails []int, l int) (*Network, []int, bool) {
+// decomposeLevels decomposes the l = len(levels) levels of a circuit
+// on n = 2^l wires.
+func decomposeLevels(levels []network.Level, n int) (*Network, []int, bool) {
+	l := len(levels)
+	if 1<<uint(l) != n {
+		return nil, nil, false
+	}
+	dc := &decomposer{
+		levels: levels,
+		n:      n,
+		at:     make([]int32, l*n),
+		mark:   make([]int, n),
+		uf:     make([]int32, n),
+		comp:   make([]int32, n),
+		slot:   make([]int32, n),
+	}
+	for i := range dc.at {
+		dc.at[i] = -1
+	}
+	for li, lv := range levels {
+		at := dc.at[li*n : (li+1)*n]
+		for j, cm := range lv {
+			at[cm.Min], at[cm.Max] = int32(j), int32(j)
+		}
+	}
+	rails := make([]int, n)
+	for i := range rails {
+		rails[i] = i
+	}
+	return dc.decompose(rails, l)
+}
+
+// decomposer holds one circuit's comparators indexed by wire, so that
+// each step of the recursion visits only its own rails' comparators,
+// and per-wire scratch that the steps share. Sibling steps own disjoint
+// rails. A step uses its rails' entries of mark, uf and comp before it
+// recurses, and slot and a fresh mark stamp only after its children
+// return, so the children may overwrite what it no longer reads.
+type decomposer struct {
+	levels []network.Level
+	n      int
+	at     []int32 // at[li*n+w]: index in levels[li] of w's comparator, or -1
+	mark   []int   // mark[w] == stamp: w is a rail of the current step
+	stamp  int
+	uf     []int32 // union-find parent of each rail
+	comp   []int32 // component number of each union-find root
+	slot   []int32 // slot of each rail within its sub-network
+}
+
+func (dc *decomposer) find(x int) int {
+	for int(dc.uf[x]) != x {
+		dc.uf[x] = dc.uf[dc.uf[x]]
+		x = int(dc.uf[x])
+	}
+	return x
+}
+
+// partner returns the rail that w's comparator at level li connects it
+// to and the comparator's index in the level, or -1, -1 if w idles
+// there.
+func (dc *decomposer) partner(li, w int) (other, j int) {
+	j = int(dc.at[li*dc.n+w])
+	if j < 0 {
+		return -1, -1
+	}
+	cm := dc.levels[li][j]
+	return cm.Min + cm.Max - w, j
+}
+
+// decompose recovers an l-level RDN on the given rails: the first l-1
+// levels must join the rails into components that the last level's
+// comparators 2-colour, and some choice of colour per connected group
+// must split the rails in half, each half an (l-1)-level RDN.
+// Components are numbered, and groups explored, in the order of their
+// first rail; the last level is read in level order.
+func (dc *decomposer) decompose(rails []int, l int) (*Network, []int, bool) {
 	if l == 0 {
 		if len(rails) != 1 {
 			return nil, nil, false
 		}
-		return Leaf(), []int{rails[0]}, true
+		return Leaf(), rails[:1:1], true
 	}
 	if len(rails) != 1<<uint(l) {
 		return nil, nil, false
 	}
-	inSet := make(map[int]bool, len(rails))
+	dc.stamp++
 	for _, r := range rails {
-		inSet[r] = true
+		dc.mark[r] = dc.stamp
+		dc.uf[r] = int32(r)
 	}
-
-	parent := make(map[int]int, len(rails))
-	var find func(x int) int
-	find = func(x int) int {
-		p, okP := parent[x]
-		if !okP || p == x {
-			parent[x] = x
-			return x
-		}
-		root := find(p)
-		parent[x] = root
-		return root
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
 	for li := 0; li < l-1; li++ {
-		for _, cm := range c.Level(li) {
-			a, b := cm.Min, cm.Max
-			if inSet[a] != inSet[b] {
+		for _, r := range rails {
+			other, _ := dc.partner(li, r)
+			if other < 0 {
+				continue
+			}
+			if dc.mark[other] != dc.stamp {
 				return nil, nil, false
 			}
-			if inSet[a] {
-				union(a, b)
-			}
+			dc.uf[dc.find(r)] = int32(dc.find(other))
 		}
 	}
-
-	type edge struct{ a, b int }
-	var cross []edge
-	for _, cm := range c.Level(l - 1) {
-		a, b := cm.Min, cm.Max
-		if inSet[a] != inSet[b] {
-			return nil, nil, false
-		}
-		if !inSet[a] {
+	var last []int // the last level's comparators on these rails, by index
+	for _, r := range rails {
+		other, j := dc.partner(l-1, r)
+		if other < 0 {
 			continue
 		}
-		ra, rb := find(a), find(b)
-		if ra == rb {
+		if dc.mark[other] != dc.stamp {
 			return nil, nil, false
 		}
-		cross = append(cross, edge{ra, rb})
+		if r < other {
+			last = append(last, j)
+		}
 	}
+	slices.Sort(last)
+	lastLv := dc.levels[l-1]
 
-	members := map[int][]int{}
+	// members[k] are component k's rails, in rail order; components
+	// are numbered in the order of their first rail.
 	for _, r := range rails {
-		members[find(r)] = append(members[find(r)], r)
+		dc.comp[dc.find(r)] = -1
+	}
+	var members [][]int
+	for _, r := range rails {
+		root := dc.find(r)
+		if dc.comp[root] < 0 {
+			dc.comp[root] = int32(len(members))
+			members = append(members, nil)
+		}
+		k := dc.comp[root]
+		members[k] = append(members[k], r)
+	}
+	// adj[k] are the components the last level joins component k to,
+	// in level order.
+	adj := make([][]int32, len(members))
+	for _, j := range last {
+		a, b := dc.comp[dc.find(lastLv[j].Min)], dc.comp[dc.find(lastLv[j].Max)]
+		if a == b {
+			return nil, nil, false
+		}
+		adj[a] = append(adj[a], b)
+		adj[b] = append(adj[b], a)
 	}
 
-	color := map[int]int{}
-	adj := map[int][]int{}
-	for _, e := range cross {
-		adj[e.a] = append(adj[e.a], e.b)
-		adj[e.b] = append(adj[e.b], e.a)
-	}
+	// 2-colour each connected group breadth first; order lists the
+	// components group by group, groupAt[g] where group g starts.
+	color := make([]int8, len(members))
+	visited := make([]bool, len(members))
+	order := make([]int32, 0, len(members))
+	groupAt := []int{0}
 	type group struct{ size0, size1 int }
 	var groups []group
-	var groupRoots [][]int
-	visited := map[int]bool{}
-	for root := range members {
-		if visited[root] {
+	for k := range members {
+		if visited[k] {
 			continue
 		}
+		visited[k] = true
+		color[k] = 0
 		g := group{}
-		var roots []int
-		queue := []int{root}
-		visited[root] = true
-		color[root] = 0
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			roots = append(roots, x)
-			if color[x] == 0 {
-				g.size0 += len(members[x])
+		head := len(order)
+		order = append(order, int32(k))
+		for ; head < len(order); head++ {
+			x := order[head]
+			if size := len(members[x]); color[x] == 0 {
+				g.size0 += size
 			} else {
-				g.size1 += len(members[x])
+				g.size1 += size
 			}
 			for _, y := range adj[x] {
 				if !visited[y] {
 					visited[y] = true
 					color[y] = 1 - color[x]
-					queue = append(queue, y)
+					order = append(order, y)
 				} else if color[y] == color[x] {
 					return nil, nil, false
 				}
 			}
 		}
 		groups = append(groups, g)
-		groupRoots = append(groupRoots, roots)
+		groupAt = append(groupAt, len(order))
 	}
 
 	half := len(rails) / 2
+	// most[i] is the largest number of rails groups i.. can put on side 0.
+	most := make([]int, len(groups)+1)
+	for i := len(groups) - 1; i >= 0; i-- {
+		most[i] = most[i+1] + max(groups[i].size0, groups[i].size1)
+	}
 	flips := make([]bool, len(groups))
 	var result *Network
 	var resultRails []int
 	var try func(i, side0 int) bool
 	try = func(i, side0 int) bool {
-		if side0 > half {
-			return false
-		}
-		rest := 0
-		for j := i; j < len(groups); j++ {
-			m := groups[j].size0
-			if groups[j].size1 > m {
-				m = groups[j].size1
-			}
-			rest += m
-		}
-		if side0+rest < half {
+		if side0 > half || side0+most[i] < half {
 			return false
 		}
 		if i == len(groups) {
 			if side0 != half {
 				return false
 			}
-			var side [2][]int
-			for gi, roots := range groupRoots {
-				for _, root := range roots {
-					s := color[root]
-					if flips[gi] {
+			side := [2][]int{make([]int, 0, half), make([]int, 0, half)}
+			for gi, flip := range flips {
+				for _, x := range order[groupAt[gi]:groupAt[gi+1]] {
+					s := color[x]
+					if flip {
 						s = 1 - s
 					}
-					side[s] = append(side[s], members[root]...)
+					side[s] = append(side[s], members[x]...)
 				}
 			}
-			sub0, rails0, ok0 := decompose(c, side[0], l-1)
+			sub0, rails0, ok0 := dc.decompose(side[0], l-1)
 			if !ok0 {
 				return false
 			}
-			sub1, rails1, ok1 := decompose(c, side[1], l-1)
+			sub1, rails1, ok1 := dc.decompose(side[1], l-1)
 			if !ok1 {
 				return false
 			}
-			// Output-slot index of each rail within each sub-network.
-			slotOf := map[int]int{}
+			// Output-slot index of each rail within its sub-network; a
+			// fresh stamp marks side 1.
+			dc.stamp++
 			for s, r := range rails0 {
-				slotOf[r] = s
+				dc.slot[r] = int32(s)
 			}
 			for s, r := range rails1 {
-				slotOf[r] = s
+				dc.slot[r] = int32(s)
+				dc.mark[r] = dc.stamp
 			}
-			in1 := map[int]bool{}
-			for _, r := range rails1 {
-				in1[r] = true
-			}
-			var final []Comp
-			for _, cm := range c.Level(l - 1) {
-				if !inSet[cm.Min] {
-					continue
-				}
+			final := make([]Comp, 0, len(last))
+			for _, j := range last {
 				// One endpoint per side (guaranteed above).
-				r0, r1 := cm.Min, cm.Max
+				r0, r1 := lastLv[j].Min, lastLv[j].Max
 				minFirst := true
-				if in1[r0] {
+				if dc.mark[r0] == dc.stamp {
 					r0, r1 = r1, r0
 					minFirst = false
 				}
-				final = append(final, Comp{O0: slotOf[r0], O1: slotOf[r1], MinFirst: minFirst})
+				final = append(final, Comp{O0: int(dc.slot[r0]), O1: int(dc.slot[r1]), MinFirst: minFirst})
 			}
 			result = Combine(sub0, sub1, final)
-			resultRails = append(append([]int{}, rails0...), rails1...)
+			resultRails = append(append(make([]int, 0, len(rails)), rails0...), rails1...)
 			return true
 		}
 		flips[i] = false

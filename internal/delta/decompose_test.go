@@ -2,6 +2,7 @@ package delta
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"shufflenet/internal/perm"
@@ -130,5 +131,38 @@ func TestDecomposeIteratedRejects(t *testing.T) {
 	}
 	if _, ok := DecomposeIterated(c, 0); ok {
 		t.Error("accepted l = 0")
+	}
+}
+
+// TestDecomposeIteratedCanonical: repeated calls on one circuit recover
+// the same structure, the same Pre permutations and the same blocks
+// comparator for comparator, on seeded one- and two-block networks.
+// The adversary's answer is computed on this structure, so it must not
+// change from call to call.
+func TestDecomposeIteratedCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	for trial := 0; trial < 24; trial++ {
+		l := 4 + trial%3
+		n := 1 << uint(l)
+		it := NewIterated(n)
+		for b := 0; b <= trial%2; b++ {
+			it.AddBlock(perm.Random(n, rng), Random(l, 0.5+0.5*rng.Float64(), rng))
+		}
+		c, _ := it.ToNetwork()
+		first, ok := DecomposeIterated(c, l)
+		if !ok {
+			t.Fatalf("trial %d: DecomposeIterated rejected an iterated RDN", trial)
+		}
+		for rep := 0; rep < 5; rep++ {
+			again, _ := DecomposeIterated(c, l)
+			for b := 0; b < first.Blocks(); b++ {
+				if !again.Pre(b).Equal(first.Pre(b)) {
+					t.Fatalf("trial %d, call %d: block %d's Pre changed:\n%v\n%v", trial, rep, b, first.Pre(b), again.Pre(b))
+				}
+				if !reflect.DeepEqual(again.Block(b), first.Block(b)) {
+					t.Fatalf("trial %d, call %d: block %d changed", trial, rep, b)
+				}
+			}
+		}
 	}
 }

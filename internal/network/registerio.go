@@ -62,10 +62,13 @@ func (r *Register) WriteText(w io.Writer) error {
 
 // ReadRegisterText parses the format written by Register.WriteText.
 // Lines may end in "\n", "\r\n", or a lone "\r", and may carry trailing
-// whitespace; parse errors report 1-based line numbers.
+// whitespace; parse errors report 1-based line numbers. Every "pi
+// shuffle" step shares one permutation, as does every "pi unshuffle"
+// step, so a named step costs no allocation per register.
 func ReadRegisterText(rd io.Reader) (*Register, error) {
 	sc := newLineScanner(rd)
 	var reg *Register
+	var sh, unsh perm.Perm
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -113,12 +116,18 @@ func ReadRegisterText(rd io.Reader) (*Register, error) {
 					if !pow2 {
 						return nil, fmt.Errorf("line %d: shuffle needs a power-of-two register count", lineNo)
 					}
-					st.Pi = perm.Shuffle(reg.n)
+					if sh == nil {
+						sh = perm.Shuffle(reg.n)
+					}
+					st.Pi = sh
 				case len(rest) == 2 && rest[1] == "unshuffle":
 					if !pow2 {
 						return nil, fmt.Errorf("line %d: unshuffle needs a power-of-two register count", lineNo)
 					}
-					st.Pi = perm.Unshuffle(reg.n)
+					if unsh == nil {
+						unsh = perm.Unshuffle(reg.n)
+					}
+					st.Pi = unsh
 				default:
 					if len(rest)-1 != reg.n {
 						return nil, fmt.Errorf("line %d: permutation has %d entries, want %d", lineNo, len(rest)-1, reg.n)
@@ -137,7 +146,10 @@ func ReadRegisterText(rd io.Reader) (*Register, error) {
 					st.Pi = p
 				}
 			}
-			reg.AddStep(st)
+			// st's Pi and Ops are freshly parsed and checked, or a shared
+			// named permutation no Register method modifies, so AddStep's
+			// check and copy are not needed.
+			reg.steps = append(reg.steps, st)
 		default:
 			return nil, fmt.Errorf("line %d: unknown directive %q", lineNo, fields[0])
 		}

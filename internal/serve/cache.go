@@ -40,26 +40,35 @@ func canonicalKey(c *network.Network) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// cacheBytes bounds the bodies the response cache holds, as the daemon's
+// default memo budget bounds its table: a certificate at the 2^16-wire
+// cap is about 831 KB, so 256 of them would pin ~213 MB.
+const cacheBytes = 64 << 20
+
 // respCache is a bounded FIFO map from request keys to marshaled
-// response bodies. FIFO (not LRU) keeps eviction O(1) with no
-// per-get bookkeeping; the daemon's working set is "the handful of
-// circuits under study", far below any reasonable bound, so the
-// replacement policy is not load-bearing. Storing the marshaled bytes
-// rather than the response struct is what makes the warm-vs-cold
-// determinism guarantee trivially auditable: a cache hit is the
-// byte-identical body of the miss that filled it.
+// response bodies, shared by every endpoint (keys carry the endpoint as
+// a prefix). It holds at most maxEntries bodies of at most maxBytes in
+// total; a body larger than maxBytes is served but never stored. FIFO
+// (not LRU) keeps eviction O(1) with no per-get bookkeeping; the
+// daemon's working set is "the handful of circuits under study", far
+// below any reasonable bound, so the replacement policy is not
+// load-bearing. Storing the marshaled bytes rather than the response
+// struct is what makes the warm-vs-cold determinism guarantee
+// trivially auditable: a cache hit is the byte-identical body of the
+// miss that filled it.
 type respCache struct {
-	mu    sync.Mutex
-	max   int
-	m     map[string][]byte
-	order []string
+	mu              sync.Mutex
+	maxEntries      int
+	maxBytes, bytes int64
+	m               map[string][]byte
+	order           []string
 }
 
-func newRespCache(max int) *respCache {
-	if max < 1 {
-		max = 1
+func newRespCache(maxEntries int, maxBytes int64) *respCache {
+	if maxEntries < 1 {
+		maxEntries = 1
 	}
-	return &respCache{max: max, m: make(map[string][]byte, max)}
+	return &respCache{maxEntries: maxEntries, maxBytes: maxBytes, m: make(map[string][]byte, maxEntries)}
 }
 
 func (c *respCache) get(key string) ([]byte, bool) {
@@ -74,19 +83,26 @@ func (c *respCache) get(key string) ([]byte, bool) {
 	return b, ok
 }
 
+// put stores body under key, then evicts the oldest entries until both
+// bounds hold. A key already present keeps its body: a concurrent miss
+// of the same request stored the same bytes.
 func (c *respCache) put(key string, body []byte) {
+	if int64(len(body)) > c.maxBytes {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[key]; ok {
-		c.m[key] = body
 		return
-	}
-	if len(c.order) >= c.max {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, oldest)
-		metCacheEvicts.Inc()
 	}
 	c.m[key] = body
 	c.order = append(c.order, key)
+	c.bytes += int64(len(body))
+	for len(c.order) > c.maxEntries || c.bytes > c.maxBytes {
+		oldest := c.order[0]
+		c.order = c.order[1:]
+		c.bytes -= int64(len(c.m[oldest]))
+		delete(c.m, oldest)
+		metCacheEvicts.Inc()
+	}
 }

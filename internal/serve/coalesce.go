@@ -25,9 +25,12 @@ var (
 	metProbeShared  = obs.C("serve.check.probe.shared_requests")
 )
 
+// coalesceLanes flushes a probe group before its window closes once
+// this many lanes (64 kernel words) are pending.
+const coalesceLanes = 4096
+
 type coalescer struct {
-	window   time.Duration
-	maxLanes int
+	window time.Duration
 
 	mu     sync.Mutex
 	groups map[string]*probeGroup
@@ -45,21 +48,15 @@ type probeWait struct {
 	ch     chan []bool
 }
 
-func newCoalescer(window time.Duration, maxLanes int) *coalescer {
-	if window <= 0 {
-		window = 2 * time.Millisecond
-	}
-	if maxLanes < 64 {
-		maxLanes = 64
-	}
-	return &coalescer{window: window, maxLanes: maxLanes, groups: make(map[string]*probeGroup)}
+func newCoalescer(window time.Duration) *coalescer {
+	return &coalescer{window: window, groups: make(map[string]*probeGroup)}
 }
 
 // submit queues masks for evaluation against prog (grouped by the
 // network's canonical key) and returns a channel that receives the
 // per-mask sorted verdicts, in input order. The first submission for a
 // key opens the coalescing window; the group flushes when the window
-// closes or the pending lanes reach maxLanes, whichever is first.
+// closes or the pending lanes reach coalesceLanes, whichever is first.
 func (co *coalescer) submit(key string, prog *network.Program, masks []uint64) <-chan []bool {
 	ch := make(chan []bool, 1)
 	co.mu.Lock()
@@ -71,7 +68,7 @@ func (co *coalescer) submit(key string, prog *network.Program, masks []uint64) <
 	}
 	g.waiters = append(g.waiters, probeWait{off: len(g.masks), n: len(masks), ch: ch})
 	g.masks = append(g.masks, masks...)
-	full := len(g.masks) >= co.maxLanes
+	full := len(g.masks) >= coalesceLanes
 	co.mu.Unlock()
 	if full {
 		co.flush(key, g)

@@ -62,16 +62,13 @@ type Config struct {
 	// /v1/optimal requests (default 64 MiB; core.NewMemo clamps
 	// degenerate values).
 	MemoBytes int64
-	// CacheEntries bounds each response cache (default 256 bodies).
+	// CacheEntries bounds the response cache, which every endpoint
+	// shares (default 256 bodies; it also holds at most cacheBytes).
 	CacheEntries int
 	// CoalesceWindow is how long a /v1/check probe waits for other
-	// probes of the same network to share its SWAR words (default 2ms);
-	// CoalesceLanes flushes a group early once this many lanes are
-	// pending (default 4096).
+	// probes of the same network to share its SWAR words (default 2ms;
+	// a group flushes early once coalesceLanes lanes are pending).
 	CoalesceWindow time.Duration
-	CoalesceLanes  int
-	// MaxBodyBytes bounds request bodies (default 8 MiB).
-	MaxBodyBytes int64
 	// Journal, when non-nil, receives one RequestRecord per request
 	// (endpoint, status, latency, cache state, partial-progress fields
 	// on timeouts).
@@ -97,14 +94,11 @@ func (c Config) withDefaults() Config {
 	if c.CoalesceWindow <= 0 {
 		c.CoalesceWindow = 2 * time.Millisecond
 	}
-	if c.CoalesceLanes <= 0 {
-		c.CoalesceLanes = 4096
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 	return c
 }
+
+// maxBodyBytes bounds request bodies.
+const maxBodyBytes = 8 << 20
 
 // Server is the daemon's request-handling core. It is self-contained
 // and mountable under httptest for end-to-end tests.
@@ -113,8 +107,7 @@ type Server struct {
 	sem   chan struct{}
 	memo  *core.Memo
 	co    *coalescer
-	resp  *respCache // full /v1/check and /v1/optimal bodies
-	certs *respCache // /v1/adversary bodies (certificates inline)
+	cache *respCache // every endpoint's bodies, keys prefixed by endpoint
 }
 
 // New builds a Server from cfg (zero fields defaulted).
@@ -124,9 +117,8 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		sem:   make(chan struct{}, cfg.MaxInFlight),
 		memo:  core.NewMemo(cfg.MemoBytes),
-		co:    newCoalescer(cfg.CoalesceWindow, cfg.CoalesceLanes),
-		resp:  newRespCache(cfg.CacheEntries),
-		certs: newRespCache(cfg.CacheEntries),
+		co:    newCoalescer(cfg.CoalesceWindow),
+		cache: newRespCache(cfg.CacheEntries, cacheBytes),
 	}
 }
 
@@ -204,13 +196,16 @@ type errorBody struct {
 	Partial map[string]any `json:"partial,omitempty"`
 }
 
+// epMetrics is one endpoint's name and counters.
 type epMetrics struct {
+	name       string
 	reqs, errs *obs.Counter
 	latUS      *obs.Histogram
 }
 
 func newEPMetrics(name string) epMetrics {
 	return epMetrics{
+		name:  name,
 		reqs:  obs.C("serve." + name + ".requests"),
 		errs:  obs.C("serve." + name + ".errors"),
 		latUS: obs.H("serve."+name+".latency_us", obs.Pow2Bounds(30)),
@@ -248,26 +243,21 @@ type RequestRecord struct {
 	Partial  map[string]any `json:"partial,omitempty"`
 }
 
-// handlerResult is what an endpoint handler returns to the shared
-// wrapper: either a response body or an error, plus journal fields.
-type handlerResult struct {
-	body  []byte // marshaled response (cache hits replay these bytes)
-	n     int    // network width, for the journal
-	cache string // "hit" | "miss" | "" (uncached path)
-}
-
-type handlerFunc func(ctx context.Context, req *request) (handlerResult, error)
+// handlerFunc is one endpoint's part of the pipeline: given the parsed
+// network, it checks the endpoint's caps and answers through
+// Server.cached with the endpoint's cache key and engine call.
+type handlerFunc func(ctx context.Context, req *request, c *network.Network) (body []byte, cache string, err error)
 
 // endpoint wraps a handler with the shared pipeline: method check,
-// admission control, body limit + parse, per-request deadline, error
-// mapping, metrics, and the journal record.
+// admission control, body limit + decode, per-request deadline, parse,
+// error mapping, metrics, and the journal record.
 func (s *Server) endpoint(name string, fn handlerFunc) http.Handler {
-	met := epMet[name]
+	ep := epMet[name]
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		met.reqs.Inc()
+		ep.reqs.Inc()
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			s.fail(w, name, met, time.Now(), 0, errf(http.StatusMethodNotAllowed, "use POST"))
+			s.fail(w, ep, time.Now(), 0, errf(http.StatusMethodNotAllowed, "use POST"))
 			return
 		}
 		select {
@@ -275,7 +265,7 @@ func (s *Server) endpoint(name string, fn handlerFunc) http.Handler {
 			defer func() { <-s.sem }()
 		default:
 			metThrottled.Inc()
-			s.fail(w, name, met, time.Now(), 0, errf(http.StatusTooManyRequests,
+			s.fail(w, ep, time.Now(), 0, errf(http.StatusTooManyRequests,
 				"server at capacity (%d in-flight requests); retry later", s.cfg.MaxInFlight))
 			return
 		}
@@ -284,10 +274,10 @@ func (s *Server) endpoint(name string, fn handlerFunc) http.Handler {
 		start := time.Now()
 
 		var req request
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			s.fail(w, name, met, start, 0, errf(http.StatusBadRequest, "bad request body: %v", err))
+			s.fail(w, ep, start, 0, errf(http.StatusBadRequest, "bad request body: %v", err))
 			return
 		}
 
@@ -301,34 +291,27 @@ func (s *Server) endpoint(name string, fn handlerFunc) http.Handler {
 		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()
 
-		res, err := s.call(ctx, fn, &req)
+		body, n, cache, err := s.call(ctx, fn, &req)
 		if err != nil {
-			s.fail(w, name, met, start, res.n, err)
+			s.fail(w, ep, start, n, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if res.cache != "" {
-			w.Header().Set("X-Cache", res.cache)
+		if cache != "" {
+			w.Header().Set("X-Cache", cache)
 		}
 		w.Header().Set("X-Served-In", time.Since(start).String())
-		w.Write(res.body)
-		met.latUS.Observe(time.Since(start).Microseconds())
-		if j := s.cfg.Journal; j != nil {
-			_ = j.Write(&RequestRecord{ // a failing journal must not fail the request it records
-				Header:   obs.Header{Type: RecRequest},
-				Endpoint: name, Status: http.StatusOK,
-				MS: float64(time.Since(start)) / float64(time.Millisecond),
-				N:  res.n, Cache: res.cache,
-			})
-		}
+		w.Write(body)
+		s.record(ep, start, http.StatusOK, n, cache, errorBody{})
 	})
 }
 
-// call runs the handler with a panic guard: a handler bug answers 500
-// instead of killing the daemon's connection (the engines' width caps
-// are all pre-checked, so a panic here is a genuine bug, and the
-// journal line preserves its trace head).
-func (s *Server) call(ctx context.Context, fn handlerFunc, req *request) (res handlerResult, err error) {
+// call parses the request's network and runs the handler on it, with a
+// panic guard: a parser or handler bug answers 500 instead of killing
+// the daemon's connection (the engines' width caps are all pre-checked,
+// so a panic here is a genuine bug, and the journal line preserves its
+// trace head). n is the network's width, for the journal.
+func (s *Server) call(ctx context.Context, fn handlerFunc, req *request) (body []byte, n int, cache string, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			trace := string(debug.Stack())
@@ -338,14 +321,46 @@ func (s *Server) call(ctx context.Context, fn handlerFunc, req *request) (res ha
 			err = errf(http.StatusInternalServerError, "internal error: %v (%s)", p, trace)
 		}
 	}()
-	return fn(ctx, req)
+	c, err := parseNetwork(req)
+	if err != nil {
+		return nil, 0, "", err
+	}
+	n = c.Wires()
+	body, cache, err = fn(ctx, req, c)
+	return body, n, cache, err
+}
+
+// cached answers a request from the response cache, or runs compute
+// and marshals what it returns. It is the only code that reads or
+// writes the cache and the only marshal of a success body, so a hit
+// replays the byte-identical body of the miss that filled it. An empty
+// key (probe mode) or a nocache request bypasses the cache: cache is
+// then "", else "hit" or "miss". A failed computation is not cached.
+func (s *Server) cached(req *request, key string, compute func() (any, error)) (body []byte, cache string, err error) {
+	if key != "" && !req.NoCache {
+		if hit, ok := s.cache.get(key); ok {
+			return hit, "hit", nil
+		}
+		cache = "miss"
+	}
+	v, err := compute()
+	if err != nil {
+		return nil, cache, err
+	}
+	if body, err = json.Marshal(v); err != nil {
+		return nil, cache, err
+	}
+	if cache != "" {
+		s.cache.put(key, body)
+	}
+	return body, cache, nil
 }
 
 // fail maps an error to its HTTP response and journal record.
 // *par.ErrCanceled from an expired request deadline becomes 504 with
 // the partial-progress fields as the error body.
-func (s *Server) fail(w http.ResponseWriter, name string, met epMetrics, start time.Time, n int, err error) {
-	met.errs.Inc()
+func (s *Server) fail(w http.ResponseWriter, ep epMetrics, start time.Time, n int, err error) {
+	ep.errs.Inc()
 	status := http.StatusInternalServerError
 	body := errorBody{Error: err.Error()}
 	var he *httpError
@@ -362,13 +377,21 @@ func (s *Server) fail(w http.ResponseWriter, name string, met epMetrics, start t
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(body)
-	met.latUS.Observe(time.Since(start).Microseconds())
+	s.record(ep, start, status, n, "", body)
+}
+
+// record observes a request's latency and, with a journal attached,
+// writes its line. The record is built only inside that branch: built
+// outside it, it would be allocated on every request.
+func (s *Server) record(ep epMetrics, start time.Time, status, n int, cache string, eb errorBody) {
+	took := time.Since(start)
+	ep.latUS.Observe(took.Microseconds())
 	if j := s.cfg.Journal; j != nil {
 		_ = j.Write(&RequestRecord{ // a failing journal must not fail the request it records
 			Header:   obs.Header{Type: RecRequest},
-			Endpoint: name, Status: status,
-			MS: float64(time.Since(start)) / float64(time.Millisecond),
-			N:  n, Error: body.Error, Partial: body.Partial,
+			Endpoint: ep.name, Status: status,
+			MS: float64(took) / float64(time.Millisecond),
+			N:  n, Cache: cache, Error: eb.Error, Partial: eb.Partial,
 		})
 	}
 }
@@ -394,11 +417,10 @@ func parseNetwork(req *request) (*network.Network, error) {
 		}
 		return c, nil
 	case "register":
-		// Parsing allocates per register for every step (a named
-		// shuffle is built and cloned at the declared count), and the
-		// header alone declares that count: refuse by the body's shape
-		// before parsing what no endpoint accepts or what costs more
-		// than the body is worth.
+		// Converting the register machine to a circuit walks every
+		// register at every step, and the header alone declares the
+		// count: refuse by the body's shape before parsing what no
+		// endpoint accepts or what costs more than the body is worth.
 		n, steps := registerShape(req.Network)
 		if n > maxAdversaryWires {
 			return nil, errf(http.StatusUnprocessableEntity,

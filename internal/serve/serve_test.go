@@ -3,22 +3,28 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"shufflenet/internal/bits"
 	"shufflenet/internal/core"
 	"shufflenet/internal/delta"
+	"shufflenet/internal/halver"
 	"shufflenet/internal/netbuild"
 	"shufflenet/internal/network"
 	"shufflenet/internal/obs"
+	"shufflenet/internal/perm"
 	"shufflenet/internal/randnet"
 )
 
@@ -252,21 +258,32 @@ func TestServeMalformedRequests(t *testing.T) {
 	// must answer before anything is allocated per wire or register:
 	// under 1 MiB per request, the client's share included. A register
 	// body is also refused by its shape before it is parsed, since
-	// every step allocates per register: above 2^16 registers, or
-	// above 64 register-steps per body byte.
+	// converting it walks every register at every step: above 2^16
+	// registers, or above 64 register-steps per body byte. A body
+	// within that budget is parsed in full before the check's width
+	// cap refuses it, and its named-permutation steps must cost no
+	// allocation per register: the last row holds 3.7M register-steps
+	// in 64,815 bytes.
 	for _, tc := range []struct {
 		name, path, network, format string
+		budget                      uint64 // bytes allocated to answer; 0 means 1 MiB
 	}{
-		{"2^20-wire adversary", "/v1/adversary", "wires 1048576\n", ""},
-		{"2^24-wire adversary", "/v1/adversary", "wires 16777216\n", ""},
-		{"2^20-register check", "/v1/check", "registers 1048576\n", "register"},
-		{"2^20-register check with a shuffle step", "/v1/check", "registers 1048576\nstep . pi shuffle\n", "register"},
+		{"2^20-wire adversary", "/v1/adversary", "wires 1048576\n", "", 0},
+		{"2^24-wire adversary", "/v1/adversary", "wires 16777216\n", "", 0},
+		{"2^20-register check", "/v1/check", "registers 1048576\n", "register", 0},
+		{"2^20-register check with a shuffle step", "/v1/check", "registers 1048576\nstep . pi shuffle\n", "register", 0},
 		{"2^16 registers × 100 shuffle steps", "/v1/check",
-			"registers 65536\n" + strings.Repeat("step . pi shuffle\n", 100), "register"},
-		{"10^17-register check", "/v1/check", "registers 100000000000000000\n", "register"},
-		{"10^17-wire check", "/v1/check", "wires 100000000000000000\nlevel 0:1\n", ""},
-		{"2^24-wire adversary with a level", "/v1/adversary", "wires 16777216\nlevel 0:1\n", ""},
+			"registers 65536\n" + strings.Repeat("step . pi shuffle\n", 100), "register", 0},
+		{"10^17-register check", "/v1/check", "registers 100000000000000000\n", "register", 0},
+		{"10^17-wire check", "/v1/check", "wires 100000000000000000\nlevel 0:1\n", "", 0},
+		{"2^24-wire adversary with a level", "/v1/adversary", "wires 16777216\nlevel 0:1\n", "", 0},
+		{"1024 registers × 3600 shuffle steps", "/v1/check",
+			"registers 1024\n" + strings.Repeat("step . pi shuffle\n", 3600), "register", 4 << 20},
 	} {
+		budget := tc.budget
+		if budget == 0 {
+			budget = 1 << 20
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		resp, raw := post(t, ts, tc.path, map[string]any{"network": tc.network, "format": tc.format})
@@ -274,8 +291,8 @@ func TestServeMalformedRequests(t *testing.T) {
 		if resp.StatusCode != 422 {
 			t.Errorf("%s: status %d want 422 (%.200s)", tc.name, resp.StatusCode, raw)
 		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-			t.Errorf("%s: allocated %d bytes to answer, want under 1 MiB", tc.name, grew)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= budget {
+			t.Errorf("%s: allocated %d bytes to answer, want under %d", tc.name, grew, budget)
 		}
 	}
 
@@ -323,6 +340,37 @@ func TestRegisterShape(t *testing.T) {
 	if budget := registerStepsPerByte * int64(b.Len()); int64(regs)*int64(steps) > budget {
 		t.Fatalf("%d registers × %d steps exceeds the %d-byte body's budget %d", regs, steps, b.Len(), budget)
 	}
+}
+
+// TestServeAdversaryWide: a one-block reverse delta network on 2^14
+// wires is answered in seconds. Each step of the decomposition visits
+// only its own rails' comparators; one that scanned whole levels took
+// minutes at the 2^16 cap, past the request's deadline.
+func TestServeAdversaryWide(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and decomposes a 2^14-wire circuit")
+	}
+	const n = 1 << 14
+	rng := rand.New(rand.NewSource(1))
+	it := delta.NewIterated(n)
+	it.AddBlock(perm.Random(n, rng), delta.Random(14, 1, rng))
+	c, _ := it.ToNetwork()
+	body, err := json.Marshal(map[string]any{"network": netText(t, c)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(Config{}).Handler()
+	start := time.Now()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/adversary", bytes.NewReader(body)))
+	took := time.Since(start)
+	if w.Code != 200 {
+		t.Fatalf("status %d (%.300s)", w.Code, w.Body.Bytes())
+	}
+	if took > 3*time.Second {
+		t.Fatalf("a 2^14-wire adversary request took %v, want under 3s", took)
+	}
+	t.Logf("2^14-wire adversary: %d-byte body in %v", w.Body.Len(), took)
 }
 
 // TestServeDeadlinePartial: a request whose deadline expires answers
@@ -514,6 +562,113 @@ func TestServeOptimalRefusesBadWitness(t *testing.T) {
 	}
 }
 
+// stableRequests is TestServeBodiesStable's request list: every
+// endpoint on cacheable, nocache and probe requests, and each 4xx
+// class.
+func stableRequests(t *testing.T) []struct{ method, path, body string } {
+	t.Helper()
+	type rq = struct{ method, path, body string }
+	js := func(v map[string]any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	text := func(c *network.Network) string { return netText(t, c) }
+	reg, _ := network.ToRegister(netbuild.Bitonic(8))
+	var regText bytes.Buffer
+	if err := reg.WriteText(&regText); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	rdn := func(n, blocks int) string {
+		it := delta.NewIterated(n)
+		for b := 0; b < blocks; b++ {
+			it.AddBlock(perm.Random(n, rng), delta.Random(bits.Lg(n), 1, rng))
+		}
+		c, _ := it.ToNetwork()
+		return text(c)
+	}
+	reqs := []rq{
+		{"POST", "/v1/check", js(map[string]any{"network": text(netbuild.Bitonic(8))})},
+		{"POST", "/v1/check", js(map[string]any{"network": text(network.New(4).AddComparators(0, 1, 2, 3))})},
+		{"POST", "/v1/check", js(map[string]any{"network": regText.String(), "format": "register"})},
+		{"POST", "/v1/check", js(map[string]any{"network": text(netbuild.Bitonic(16)), "nocache": true})},
+		{"POST", "/v1/check", js(map[string]any{"network": text(netbuild.Bitonic(16)), "inputs": []uint64{0x5a5a, 0x00ff, 1}})},
+		{"POST", "/v1/check", js(map[string]any{"network": text(network.New(4).AddComparators(0, 1)), "inputs": []uint64{2, 3}})},
+		{"POST", "/v1/halver", js(map[string]any{"network": text(netbuild.HalfCleaner(8))})},
+		{"POST", "/v1/halver", js(map[string]any{"network": text(halver.CrossMatchings(16, 2, rng))})},
+		{"POST", "/v1/optimal", js(map[string]any{"network": text(netbuild.OddEvenTransposition(10))})},
+		{"POST", "/v1/optimal", js(map[string]any{"network": text(randnet.Levels(10, 6, rng)), "nocache": true})},
+		{"POST", "/v1/adversary", js(map[string]any{"network": text(butterflyRDN(t, 16, 4))})},
+		{"POST", "/v1/adversary", js(map[string]any{"network": rdn(64, 2), "k": 2})},
+		{"POST", "/v1/adversary", js(map[string]any{"network": rdn(16, 1), "nocache": true})},
+		{"GET", "/v1/check", ""},
+		{"POST", "/v1/check", `{not json`},
+		{"POST", "/v1/check", `{"network":"wires 2\n","bogus":1}`},
+		{"POST", "/v1/check", js(map[string]any{})},
+		{"POST", "/v1/check", js(map[string]any{"network": "wires 4\nlevel 9:1\n"})},
+		{"POST", "/v1/check", js(map[string]any{"network": "wires 2\n", "format": "yaml"})},
+		{"POST", "/v1/check", js(map[string]any{"network": "wires 40\n"})},
+		{"POST", "/v1/check", js(map[string]any{"network": "wires 4\nlevel 0:1\n", "inputs": []uint64{99}})},
+		{"POST", "/v1/halver", js(map[string]any{"network": "wires 5\n"})},
+		{"POST", "/v1/optimal", js(map[string]any{"network": "wires 30\n"})},
+		{"POST", "/v1/adversary", js(map[string]any{"network": "wires 6\n"})},
+		{"POST", "/v1/adversary", js(map[string]any{"network": text(netbuild.OddEvenTransposition(8))})},
+		{"POST", "/v1/adversary", js(map[string]any{"network": text(butterflyRDN(t, 8, 3)), "k": 65})},
+		{"POST", "/v1/check", js(map[string]any{"network": "registers 1048576\n", "format": "register"})},
+	}
+	for i := 0; i < 8; i++ {
+		reqs = append(reqs, rq{"POST", "/v1/adversary", js(map[string]any{"network": rdn(16, 1)})})
+	}
+	return reqs
+}
+
+// TestServeBodiesStable: two fresh servers answer one request list,
+// each request sent twice, with the same status, X-Cache value and
+// body, and every cache hit replays its miss byte for byte. The
+// adversary's bodies depend on the decomposition it recovers, which
+// must not change from call to call.
+func TestServeBodiesStable(t *testing.T) {
+	reqs := stableRequests(t)
+	type answer struct {
+		status int
+		cache  string
+		body   string
+	}
+	serve := func() []answer {
+		h := New(Config{}).Handler()
+		var out []answer
+		for _, rq := range reqs {
+			for i := 0; i < 2; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(rq.method, rq.path, strings.NewReader(rq.body)))
+				out = append(out, answer{w.Code, w.Header().Get("X-Cache"), w.Body.String()})
+			}
+		}
+		return out
+	}
+	a, b := serve(), serve()
+	sum := sha256.New()
+	for i, rq := range reqs {
+		miss, hit := a[2*i], a[2*i+1]
+		if a[2*i] != b[2*i] || a[2*i+1] != b[2*i+1] {
+			t.Errorf("%s %s %.80s: fresh servers answered differently:\n%+.300v\n%+.300v", rq.method, rq.path, rq.body, a[2*i], b[2*i])
+		}
+		if miss.cache == "miss" {
+			miss.cache = "hit"
+		}
+		if miss != hit {
+			t.Errorf("%s %s %.80s: the repeat answered differently:\n%+.300v\n%+.300v", rq.method, rq.path, rq.body, a[2*i], hit)
+		}
+		for _, x := range a[2*i : 2*i+2] {
+			fmt.Fprintf(sum, "%d %q %q\n", x.status, x.cache, x.body)
+		}
+	}
+	t.Logf("%d answers, sha256 %x", len(a), sum.Sum(nil))
+}
+
 // TestServeCanonicalCacheKey: two textual spellings of the same
 // network (levels listed in different comparator order) share one
 // cache entry — the second spelling hits.
@@ -533,7 +688,7 @@ func TestServeCanonicalCacheKey(t *testing.T) {
 }
 
 // TestCanonicalKeyGolden pins the bytes canonicalKey hashes. The
-// response caches are addressed by it, so a change to the canonical
+// response cache is addressed by it, so a change to the canonical
 // text would make every warm cache miss without failing anything else.
 // The keys were computed by the Fprintf-per-comparator implementation
 // this one replaced.
@@ -554,6 +709,44 @@ func TestCanonicalKeyGolden(t *testing.T) {
 		if got := canonicalKey(tc.c); got != tc.want {
 			t.Errorf("%s: key %s, want %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestRespCacheByteBound: the cache evicts its oldest bodies until
+// both its entry and its byte bound hold, and never stores a body
+// larger than the byte bound.
+func TestRespCacheByteBound(t *testing.T) {
+	c := newRespCache(3, 100)
+	body := func(n int) []byte { return bytes.Repeat([]byte{'x'}, n) }
+	has := func(keys ...string) {
+		t.Helper()
+		for _, k := range []string{"a", "b", "c", "d", "e", "big"} {
+			_, ok := c.m[k]
+			if want := slices.Contains(keys, k); ok != want {
+				t.Fatalf("key %q cached %v, want %v (cache holds %d bytes)", k, ok, want, c.bytes)
+			}
+		}
+		if len(c.order) != len(keys) {
+			t.Fatalf("%d keys in FIFO order, want %d", len(c.order), len(keys))
+		}
+	}
+	c.put("a", body(40))
+	c.put("b", body(40))
+	has("a", "b")
+	c.put("c", body(30)) // 110 bytes: a goes
+	has("b", "c")
+	c.put("big", body(101)) // over the bound: served, never stored
+	has("b", "c")
+	c.put("d", body(10))
+	c.put("e", body(10)) // 4 entries: b goes
+	has("c", "d", "e")
+	c.put("a", body(100)) // 150 bytes: c, d and e go
+	has("a")
+	if c.bytes != 100 {
+		t.Fatalf("cache holds %d bytes, want 100", c.bytes)
+	}
+	if got, ok := c.get("a"); !ok || len(got) != 100 {
+		t.Fatalf("get(a) = %d bytes, %v", len(got), ok)
 	}
 }
 
