@@ -43,14 +43,16 @@ cross:
 	GOOS=linux GOARCH=386 $(GO) build ./...
 
 # check-ctx stresses the cancellation and durability paths: the
-# ctx-aware par/core/sortcheck/halver entry points, the CLI -timeout
-# flows, and the kill/resume + spill + coordinator machinery (SIGKILL
-# mid-frontier is the adversarial interleaving those paths must
-# survive), under the race detector, twice (cancellation is inherently
-# racy — a second run shifts the interleavings).
+# ctx-aware par/core/sortcheck/halver/delta entry points, the daemon's
+# request deadlines, the CLI -timeout flows, and the kill/resume +
+# spill + coordinator machinery (SIGKILL mid-frontier is the
+# adversarial interleaving those paths must survive), under the race
+# detector, twice (cancellation is inherently racy — a second run
+# shifts the interleavings).
 check-ctx:
-	$(GO) test -race -count=2 -timeout 10m -run 'Ctx|Cancel|Canceled|Timeout|Resume|Spill|Coord' \
-		./internal/par ./internal/core ./internal/sortcheck ./internal/halver ./internal/coord .
+	$(GO) test -race -count=2 -timeout 10m -run 'Ctx|Cancel|Canceled|Timeout|Deadline|Resume|Spill|Coord' \
+		./internal/par ./internal/core ./internal/sortcheck ./internal/halver ./internal/delta \
+		./internal/serve ./internal/coord .
 
 # perfbench-check compiles, vets and short-tests the end-to-end
 # benchmark against this tree. perfbench/ is its own module, so
@@ -215,7 +217,9 @@ coord-smoke:
 
 # Short fuzz pass over the three network body parsers (text, register,
 # DOT: they share one line scanner), the parsers / compiled-kernel
-# round trip, the bit-sliced ε readout vs the scalar oracle, the
+# round trip, the first-level image scans of the 0-1 check and the
+# sorted fraction vs the scalar path, the bit-sliced ε readout vs the
+# scalar oracle, the
 # optimum search's canonical keys under wire relabeling, a bit-flipped
 # and truncated spill file on reopen, the Sort dispatcher vs
 # slices.Sort differential, the batch façades (numeric and []string
@@ -225,6 +229,7 @@ fuzz:
 	$(GO) test ./internal/network/ -run FuzzReadRegisterText -fuzz FuzzReadRegisterText -fuzztime 20s
 	$(GO) test ./internal/network/ -run FuzzReadDOT -fuzz FuzzReadDOT -fuzztime 20s
 	$(GO) test ./internal/network/ -run FuzzCompileEval -fuzz FuzzCompileEval -fuzztime 20s
+	$(GO) test ./internal/sortcheck/ -run FuzzZeroOne -fuzz FuzzZeroOne -fuzztime 20s
 	$(GO) test ./internal/halver/ -run FuzzEpsilon -fuzz FuzzEpsilon -fuzztime 20s
 	$(GO) test ./internal/core/ -run FuzzCanonicalRelabel -fuzz FuzzCanonicalRelabel -fuzztime 20s
 	$(GO) test ./internal/core/ -run FuzzSpillReopen -fuzz FuzzSpillReopen -fuzztime 20s

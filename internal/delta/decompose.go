@@ -1,10 +1,12 @@
 package delta
 
 import (
+	"context"
 	"slices"
 
 	"shufflenet/internal/bits"
 	"shufflenet/internal/network"
+	"shufflenet/internal/par"
 	"shufflenet/internal/perm"
 )
 
@@ -29,7 +31,8 @@ func Decompose(c *network.Network) (d *Network, railOf []int, ok bool) {
 	if !bits.IsPow2(c.Wires()) {
 		return nil, nil, false
 	}
-	return decomposeLevels(c.Levels(), c.Wires())
+	d, railOf, ok, _ = decomposeLevels(context.Background(), c.Levels(), c.Wires())
+	return d, railOf, ok
 }
 
 // DecomposeIterated recovers a (k, l)-iterated reverse delta structure
@@ -44,18 +47,33 @@ func Decompose(c *network.Network) (d *Network, railOf []int, ok bool) {
 //
 // ok is false if the depth is not a multiple of l or any segment is not
 // a reverse delta network. Like Decompose, the result is canonical.
+// DecomposeIterated is DecomposeIteratedCtx under context.Background().
 func DecomposeIterated(c *network.Network, l int) (*Iterated, bool) {
+	it, ok, _ := DecomposeIteratedCtx(context.Background(), c, l)
+	return it, ok
+}
+
+// DecomposeIteratedCtx is DecomposeIterated under a context, checked
+// once per recursive step of a segment's decomposition: the split
+// search backtracks over bipartition choices, which can take minutes
+// on sparse blocks. On cancellation it returns a *par.ErrCanceled
+// (Op "delta.DecomposeIterated", BlocksDone the segments decomposed)
+// and no structure.
+func DecomposeIteratedCtx(ctx context.Context, c *network.Network, l int) (*Iterated, bool, error) {
 	n := c.Wires()
 	if !bits.IsPow2(n) || l < 1 || c.Depth()%l != 0 {
-		return nil, false
+		return nil, false, nil
 	}
 	blocks := c.Depth() / l
 	it := NewIterated(n)
 	prevRailOf := perm.Identity(n) // block 0 receives rail-indexed data
 	for b := 0; b < blocks; b++ {
-		d, railOf, ok := decomposeLevels(c.Levels()[b*l:(b+1)*l], n)
+		d, railOf, ok, err := decomposeLevels(ctx, c.Levels()[b*l:(b+1)*l], n)
+		if err != nil {
+			return nil, false, &par.ErrCanceled{Op: "delta.DecomposeIterated", Cause: err, BlocksDone: b}
+		}
 		if !ok {
-			return nil, false
+			return nil, false, nil
 		}
 		// pre[s] = slot of this block receiving the value that block
 		// b-1 left at its slot s (which lives on rail prevRailOf[s]).
@@ -70,17 +88,20 @@ func DecomposeIterated(c *network.Network, l int) (*Iterated, bool) {
 		it.AddBlock(pre, d)
 		prevRailOf = railOf
 	}
-	return it, true
+	return it, true, nil
 }
 
 // decomposeLevels decomposes the l = len(levels) levels of a circuit
-// on n = 2^l wires.
-func decomposeLevels(levels []network.Level, n int) (*Network, []int, bool) {
+// on n = 2^l wires. err is the context's error when it ended the
+// search.
+func decomposeLevels(ctx context.Context, levels []network.Level, n int) (*Network, []int, bool, error) {
 	l := len(levels)
 	if 1<<uint(l) != n {
-		return nil, nil, false
+		return nil, nil, false, nil
 	}
 	dc := &decomposer{
+		ctx:    ctx,
+		done:   ctx.Done(),
 		levels: levels,
 		n:      n,
 		at:     make([]int32, l*n),
@@ -102,7 +123,8 @@ func decomposeLevels(levels []network.Level, n int) (*Network, []int, bool) {
 	for i := range rails {
 		rails[i] = i
 	}
-	return dc.decompose(rails, l)
+	d, railOf, ok := dc.decompose(rails, l)
+	return d, railOf, ok, dc.err
 }
 
 // decomposer holds one circuit's comparators indexed by wire, so that
@@ -112,6 +134,9 @@ func decomposeLevels(levels []network.Level, n int) (*Network, []int, bool) {
 // recurses, and slot and a fresh mark stamp only after its children
 // return, so the children may overwrite what it no longer reads.
 type decomposer struct {
+	ctx    context.Context
+	done   <-chan struct{} // nil for a context that is never done
+	err    error           // the context's error once a step saw it done
 	levels []network.Level
 	n      int
 	at     []int32 // at[li*n+w]: index in levels[li] of w's comparator, or -1
@@ -120,6 +145,25 @@ type decomposer struct {
 	uf     []int32 // union-find parent of each rail
 	comp   []int32 // component number of each union-find root
 	slot   []int32 // slot of each rail within its sub-network
+}
+
+// stopped reports whether the search must end. Each recursive step,
+// of the decomposition or of a split search within it, checks the
+// context once (a nil check for a context that is never done), and
+// the first step to see it done records its error.
+func (dc *decomposer) stopped() bool { return dc.done != nil && dc.ctxDone() }
+
+func (dc *decomposer) ctxDone() bool {
+	if dc.err != nil {
+		return true
+	}
+	select {
+	case <-dc.done:
+		dc.err = dc.ctx.Err()
+		return true
+	default:
+		return false
+	}
 }
 
 func (dc *decomposer) find(x int) int {
@@ -147,8 +191,17 @@ func (dc *decomposer) partner(li, w int) (other, j int) {
 // comparators 2-colour, and some choice of colour per connected group
 // must split the rails in half, each half an (l-1)-level RDN.
 // Components are numbered, and groups explored, in the order of their
-// first rail; the last level is read in level order.
+// first rail; the last level is read in level order. A canceled search
+// fails every step from the one that saw the context done.
+//
+// The split search backtracks over the groups' colourings, a subset
+// sum with no bound on its dead ends: on sparse blocks, with many
+// small groups, it can run for minutes between two decomposition
+// steps.
 func (dc *decomposer) decompose(rails []int, l int) (*Network, []int, bool) {
+	if dc.stopped() {
+		return nil, nil, false
+	}
 	if l == 0 {
 		if len(rails) != 1 {
 			return nil, nil, false
@@ -267,7 +320,7 @@ func (dc *decomposer) decompose(rails []int, l int) (*Network, []int, bool) {
 	var resultRails []int
 	var try func(i, side0 int) bool
 	try = func(i, side0 int) bool {
-		if side0 > half || side0+most[i] < half {
+		if side0 > half || side0+most[i] < half || dc.stopped() {
 			return false
 		}
 		if i == len(groups) {

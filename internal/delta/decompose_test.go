@@ -1,10 +1,15 @@
 package delta
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
+	"shufflenet/internal/network"
+	"shufflenet/internal/par"
 	"shufflenet/internal/perm"
 	"shufflenet/internal/sortcheck"
 )
@@ -164,5 +169,66 @@ func TestDecomposeIteratedCanonical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sparseBlock is a one-block iterated RDN on 2^10 wires, each
+// comparator kept with probability 0.1, behind a random permutation:
+// the split search backtracks on it for about a minute.
+func sparseBlock() *network.Network {
+	rng := rand.New(rand.NewSource(3))
+	it := NewIterated(1 << 10)
+	it.AddBlock(perm.Random(1<<10, rng), Random(10, 0.1, rng))
+	c, _ := it.ToNetwork()
+	return c
+}
+
+func TestDecomposeIteratedCtxBackgroundMatchesPlain(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	for trial := 0; trial < 10; trial++ {
+		l := 1 + rng.Intn(5)
+		it := NewIterated(1 << l)
+		for b := 1 + rng.Intn(3); b > 0; b-- {
+			it.AddBlock(perm.Random(1<<l, rng), Random(l, 0.3+0.7*rng.Float64(), rng))
+		}
+		c, _ := it.ToNetwork()
+		want, wantOK := DecomposeIterated(c, l)
+		got, ok, err := DecomposeIteratedCtx(context.Background(), c, l)
+		if err != nil || ok != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: DecomposeIteratedCtx (%v, %v) differs from DecomposeIterated (%v)", trial, ok, err, wantOK)
+		}
+	}
+}
+
+func TestDecomposeIteratedCtxCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := Butterfly(4).ToNetwork()
+	it, ok, err := DecomposeIteratedCtx(ctx, c, 4)
+	var ce *par.ErrCanceled
+	if !errors.As(err, &ce) || ce.Op != "delta.DecomposeIterated" || !errors.Is(err, context.Canceled) {
+		t.Fatalf("error = %v, want ErrCanceled{Op: delta.DecomposeIterated} over context.Canceled", err)
+	}
+	if it != nil || ok || ce.BlocksDone != 0 {
+		t.Fatalf("canceled run returned (%v, %v), blocks done %d", it, ok, ce.BlocksDone)
+	}
+}
+
+// TestDecomposeIteratedCtxDeadline: a deadline cuts the backtracking
+// split search on a sparse block, which runs for about a minute
+// without one.
+func TestDecomposeIteratedCtxDeadline(t *testing.T) {
+	c := sparseBlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err := DecomposeIteratedCtx(ctx, c, 10)
+	took := time.Since(start)
+	var ce *par.ErrCanceled
+	if !errors.As(err, &ce) || ce.Op != "delta.DecomposeIterated" || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error = %v after %v, want ErrCanceled{Op: delta.DecomposeIterated} over the deadline", err, took)
+	}
+	if took > 2*time.Second {
+		t.Fatalf("a 100 ms deadline took %v to end the search", took)
 	}
 }

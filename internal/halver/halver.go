@@ -31,8 +31,10 @@ import (
 	"shufflenet/internal/perm"
 )
 
-// Halver metrics: masks exhausted per Epsilon call (added once per
-// call, never per mask) and the most recently measured ε.
+// Halver metrics: the 2^n inputs each completed Epsilon call settles
+// (added once per call, never per mask; the kernel words the image
+// scan took are network.evalbits.words) and the most recently measured
+// ε.
 var (
 	metEpsMasks = obs.C("halver.epsilon.masks")
 	metEpsCalls = obs.C("halver.epsilon.calls")
@@ -67,9 +69,10 @@ func CrossMatchings(n, passes int, rng *rand.Rand) *network.Network {
 // widths this large practical (the cap was 24 before the kernel).
 const MaxEpsilonWires = 28
 
-// laneClass[c] has bit j set when j has c ones. Lane j of block b
-// carries mask 64b+j, so for n >= 6 its ones count is popcount(b) + c
-// with c = popcount(j): each class is one ones count per block.
+// laneClass[c] has bit j set when j has c ones. Lane j of an image
+// block (network.BitBatch.LoadImage) carries j on the lane wires, so
+// its ones count is the block's plus c = popcount(j): each class is
+// one ones count per block.
 var laneClass = func() (cl [7]uint64) {
 	for j := uint(0); j < 64; j++ {
 		cl[mathbits.OnesCount(j)] |= 1 << j
@@ -78,14 +81,17 @@ var laneClass = func() (cl [7]uint64) {
 }()
 
 // Epsilon returns the exact halving quality of the network: the
-// smallest ε such that c is an ε-halver, computed by exhausting all
-// 2^n 0-1 inputs in parallel on the bit-sliced kernel: 64 masks per
-// block, with each lane's count of ones in the lower half (which also
-// fixes its count of zeros in the upper half) accumulated in vertical
-// bit-plane counters rather than per-mask loops, and read back once
-// per popcount class of lanes (see EpsilonCtx). A perfect halver has
-// ε = 0; a network that does nothing has ε = 1. n must be at most
-// MaxEpsilonWires. Epsilon is EpsilonCtx under context.Background().
+// smallest ε such that c is an ε-halver. It settles all 2^n 0-1 inputs
+// by scanning the image of the network's first level (3^k·2^(n−2k)
+// vectors for a level of k comparators, which every input maps onto
+// with its ones count kept) in parallel on the bit-sliced kernel: 64
+// vectors per block, with each lane's count of ones in the lower half
+// (which also fixes its count of zeros in the upper half) accumulated
+// in vertical bit-plane counters rather than per-lane loops, and read
+// back once per popcount class of lanes (see EpsilonCtx). A perfect
+// halver has ε = 0; a network that does nothing has ε = 1. n must be
+// at most MaxEpsilonWires. Epsilon is EpsilonCtx under
+// context.Background().
 func Epsilon(c *network.Network, workers int) float64 {
 	eps, _ := EpsilonCtx(context.Background(), c, workers)
 	return eps
@@ -94,15 +100,18 @@ func Epsilon(c *network.Network, workers int) float64 {
 // EpsilonCtx is Epsilon under a context. Cancellation is observed once
 // per worker chunk. On cancellation the returned value is the maximum
 // misplacement ratio over the chunks that finished — a valid *lower*
-// bound on the true ε (ε can only grow as more masks are seen) — and
-// the *par.ErrCanceled reports how many masks were settled.
+// bound on the true ε (ε can only grow as more inputs are seen) — and
+// the *par.ErrCanceled's MasksChecked counts the inputs the finished
+// blocks stand for.
 //
-// The readout keeps, per denominator k (the ones count of a mask whose
-// lower half is read, or the zeros count of one whose upper half is),
-// the largest misplacement count seen, and divides once per k when the
-// scan ends. ε is bit-identical to a per-mask maximum of count/k: for
-// a fixed k > 0 a correctly rounded divide is monotone in the count,
-// so max(count)/k == max(count/k).
+// The scan is exact: an input's output is its image's, and the image
+// keeps its ones count, which fixes the denominator. The readout keeps,
+// per denominator k (the ones count of a mask whose lower half is
+// read, or the zeros count of one whose upper half is), the largest
+// misplacement count seen, and divides once per k when the scan ends.
+// ε is bit-identical to a per-mask maximum of count/k: for a fixed
+// k > 0 a correctly rounded divide is monotone in the count, so
+// max(count)/k == max(count/k).
 func EpsilonCtx(ctx context.Context, c *network.Network, workers int) (float64, error) {
 	n := c.Wires()
 	if n > MaxEpsilonWires {
@@ -113,21 +122,23 @@ func EpsilonCtx(ctx context.Context, c *network.Network, workers int) (float64, 
 	}
 	m := n / 2
 	prog := c.Compile()
-	blocks, laneMask := network.ZeroOneBlocks(n)
-	lanes := mathbits.OnesCount64(laneMask)
+	blocks, laneMask := prog.ImageBlocks()
+	lanes := int64(mathbits.OnesCount64(laneMask))
 	var classes [len(laneClass)]uint64
 	for i, cl := range laneClass {
 		classes[i] = cl & laneMask
 	}
 	var mu sync.Mutex
 	var worst counts
-	var scanned int64
+	var settled int64 // inputs the settled blocks stand for
 	cerr := par.ForEachChunk(ctx, blocks, workers, par.DefaultGrain, func(lo, hi int) {
 		bb := network.NewBitBatch(prog)
 		defer bb.FlushMetrics()
 		var local counts
+		var inputs int64
 		for b := lo; b < hi; b++ {
-			bb.LoadBlock(uint64(b))
+			blockOnes, in := bb.LoadImage(uint64(b))
+			inputs += in * lanes
 			out := bb.Eval()
 			// Vertical counters: plane p of low[ ] holds bit p of the
 			// per-lane count of ones on the lower-half wires. m <= 14 <
@@ -136,11 +147,10 @@ func EpsilonCtx(ctx context.Context, c *network.Network, workers int) (float64, 
 			for i := 0; i < m; i++ {
 				addPlane(&low, out[i])
 			}
-			// Wires 6 and up are constant across the block, so a
-			// class's ones count is the block's share plus the class.
-			top := mathbits.OnesCount64(uint64(b))
+			// The block's wires are constant across it, so a class's
+			// ones count is the block's share plus the class.
 			for cl, sel := range classes {
-				ones := top + cl
+				ones := blockOnes + cl
 				if sel == 0 || ones == 0 || ones == n {
 					continue
 				}
@@ -166,14 +176,14 @@ func EpsilonCtx(ctx context.Context, c *network.Network, workers int) (float64, 
 			worst[k] = max(worst[k], v)
 		}
 		mu.Unlock()
-		atomic.AddInt64(&scanned, int64(hi-lo))
+		atomic.AddInt64(&settled, inputs)
 	})
 	eps := worst.ratio() // ForEachChunk has waited for every chunk
 	if cerr != nil {
 		return eps, &par.ErrCanceled{
 			Op:           "halver.Epsilon",
 			Cause:        cerr,
-			MasksChecked: atomic.LoadInt64(&scanned) * int64(lanes),
+			MasksChecked: atomic.LoadInt64(&settled),
 		}
 	}
 	metEpsCalls.Inc()

@@ -1,6 +1,10 @@
 package network
 
-import "shufflenet/internal/obs"
+import (
+	mathbits "math/bits"
+
+	"shufflenet/internal/obs"
+)
 
 // Bit-sliced 0-1 enumeration: the 2^n inputs of the 0-1 principle are
 // walked in blocks of 64, with block b covering masks 64b..64b+63.
@@ -9,6 +13,15 @@ import "shufflenet/internal/obs"
 // constant 0 or all-ones word per block. One EvalBits call then settles
 // 64 inputs with two bitwise ops per comparator — the kernel the
 // optimal-sorting-network searches (Bundala–Závodný, Harder) run on.
+//
+// The exhaustive scans walk fewer blocks: the image of the program's
+// first level (LoadImage). A level of k comparators maps {0,1}^n onto
+// 3^k·2^(n−2k) vectors, since each comparator leaves its wires in one
+// of three states, (0,0), (0,1) or (1,1) (min wire first). The level
+// leaves every image vector unchanged and keeps each input's ones
+// count, so an input's output is its image's: scanning the image
+// settles every input. Mask order (LoadBlock, Run) is kept for the
+// smallest failing mask, which the image does not order.
 
 // laneIndex[k] has bit j equal to bit k of j: the lane constants that
 // seed wires 0..5 for every block.
@@ -35,7 +48,11 @@ func ZeroOneBlocks(n int) (blocks int, laneMask uint64) {
 // Bit-sliced kernel metrics: EvalBits itself carries no per-call
 // atomics (an atomic add would cost several percent of a ~100ns call),
 // so BitBatch counts words locally and workers flush once per chunk
-// via FlushMetrics.
+// via FlushMetrics. A word is one 64-lane evaluation, of a mask-order
+// or an image block alike, and lanes are 64 per word: so an image scan
+// adds its ImageBlocks, not 2^n/64, and the inputs a scan settled are
+// counted by its caller (sortcheck.zeroone.masks,
+// halver.epsilon.masks).
 var (
 	metBitsWords = obs.C("network.evalbits.words")
 	metBitsLanes = obs.C("network.evalbits.lanes")
@@ -47,7 +64,9 @@ var (
 type BitBatch struct {
 	prog  *Program
 	state []uint64
-	words int64 // 64-lane evaluations since the last FlushMetrics
+	from  int    // comparators Eval skips: the first level after LoadImage
+	img   *image // LoadImage's layout, built on first use
+	words int64  // 64-lane evaluations since the last FlushMetrics
 }
 
 // NewBitBatch returns scratch for evaluating 64-wide 0-1 blocks of p.
@@ -66,13 +85,132 @@ func (b *BitBatch) LoadBlock(block uint64) {
 	for w := 6; w < n; w++ {
 		s[w] = -(block >> uint(w-6) & 1) // 0 or all-ones
 	}
+	b.from = 0
+}
+
+// firstLevel returns how many comparators the program's first level
+// has: the first level with any, since empty levels before it change
+// nothing. They are pairs[0 : 2*firstLevel()].
+func (p *Program) firstLevel() int {
+	for _, off := range p.levelOff[1:] {
+		if off > 0 {
+			return int(off)
+		}
+	}
+	return 0
+}
+
+// image is how LoadImage lays the image of a program's first level
+// over the lanes and the blocks. The lane wires are the wires of up to
+// three first-level comparators, then idle wires (those the level
+// leaves alone): lane j carries bit i of j on lane wire i before the
+// level, so every lane stands for inputs of its own, and the level's
+// lane comparators are applied once, to the lane constants. Of a block
+// index, the low bits set the block's idle wires and the base-3 digits
+// above them the states of its comparators: 0 is (0,0), 1 is (0,1)
+// and 2 is (1,1).
+type image struct {
+	skip   int       // the first level's comparators
+	lane   [6]uint64 // lane-wire words after the first level
+	laneAt [6]int32  // the lane wires
+	lanes  int       // how many of them there are: min(n, 6)
+	idle   []int32   // the block's idle wires, by bit
+	comps  []int32   // the block's comparators, flat (min, max) pairs
+}
+
+func newImage(p *Program) *image {
+	k := p.firstLevel()
+	first := p.pairs[:2*k]
+	im := &image{
+		skip:  k,
+		comps: make([]int32, 0, max(2*k-6, 0)),
+		idle:  make([]int32, 0, max(p.n-2*k-6, 0)),
+	}
+	used := make([]bool, p.n)
+	for i := 0; i < len(first); i += 2 {
+		lo, hi := first[i], first[i+1]
+		used[lo], used[hi] = true, true
+		if i >= 6 {
+			im.comps = append(im.comps, lo, hi)
+			continue
+		}
+		a, b := laneIndex[i], laneIndex[i+1]
+		im.laneAt[i], im.laneAt[i+1] = lo, hi
+		im.lane[i], im.lane[i+1] = a&b, a|b
+		im.lanes += 2
+	}
+	for w := range used {
+		if used[w] {
+			continue
+		}
+		if im.lanes < 6 {
+			im.laneAt[im.lanes], im.lane[im.lanes] = int32(w), laneIndex[im.lanes]
+			im.lanes++
+			continue
+		}
+		im.idle = append(im.idle, int32(w))
+	}
+	return im
+}
+
+// ImageBlocks returns how many 64-lane blocks cover the image of the
+// program's first level, and the mask of valid lanes within each (as
+// for ZeroOneBlocks: all 64 for n >= 6, the low 2^n below). The six
+// lane wires take up to three of the level's comparators, then idle
+// wires; each other comparator triples the blocks and each other idle
+// wire doubles them: 243 for 16 wires under a full level, against
+// 1,024 mask-order blocks.
+func (p *Program) ImageBlocks() (blocks int, laneMask uint64) {
+	im := newImage(p)
+	blocks = 1 << uint(len(im.idle))
+	for range len(im.comps) / 2 {
+		blocks *= 3
+	}
+	_, laneMask = ZeroOneBlocks(p.n)
+	return blocks, laneMask
+}
+
+// LoadImage fills the lanes with the image block numbered block (of
+// ImageBlocks) and
+// makes the next Eval skip the first level, which leaves every image
+// vector unchanged. It returns the block's ones count, so lane j holds
+// ones + popcount(j) ones, and how many 0-1 inputs each lane stands
+// for: two for each block comparator in state (0,1), whose inputs
+// (0,1) and (1,0) the level maps to it, so the valid lanes of all the
+// blocks stand for the 2^n inputs exactly once.
+func (b *BitBatch) LoadImage(block uint64) (ones int, inputs int64) {
+	im := b.img
+	if im == nil {
+		im = newImage(b.prog)
+		b.img = im
+	}
+	s := b.state
+	for i := 0; i < im.lanes; i++ {
+		s[im.laneAt[i]] = im.lane[i]
+	}
+	for i, w := range im.idle {
+		s[w] = -(block >> uint(i) & 1)
+	}
+	ones = mathbits.OnesCount64(block & (1<<uint(len(im.idle)) - 1))
+	inputs = 1
+	digits := block >> uint(len(im.idle))
+	for i := 0; i+1 < len(im.comps); i += 2 {
+		d := digits % 3
+		digits /= 3
+		s[im.comps[i]] = -(d >> 1)         // 1 in state (1,1)
+		s[im.comps[i+1]] = -((d + 1) >> 1) // 1 in states (0,1) and (1,1)
+		ones += int(d)
+		inputs <<= d & 1
+	}
+	b.from = im.skip
+	return ones, inputs
 }
 
 // Eval runs the compiled program over the loaded lanes in place and
 // returns the state: state[w] holds wire w's output bit for each lane.
 func (b *BitBatch) Eval() []uint64 {
 	b.words++
-	b.prog.EvalBits(b.state)
+	b.prog.evalBits(b.state, b.from)
 	return b.state
 }
 

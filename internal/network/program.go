@@ -134,11 +134,15 @@ func (p *Program) EvalInto(dst, input []int) {
 // This is sound for 0-1 values by the same monotone-threshold argument
 // as the 0-1 principle itself, and it is what makes exhaustive
 // verification run two orders of magnitude faster than scalar Eval.
-func (p *Program) EvalBits(state []uint64) {
+func (p *Program) EvalBits(state []uint64) { p.evalBits(state, 0) }
+
+// evalBits is EvalBits from comparator from on: the comparators before
+// it are skipped, and the output gather is applied as usual.
+func (p *Program) evalBits(state []uint64, from int) {
 	if len(state) != p.n {
 		panic(fmt.Sprintf("network.Program.EvalBits: state length %d != %d wires", len(state), p.n))
 	}
-	pairs := p.pairs
+	pairs := p.pairs[2*from:]
 	for i := 0; i+1 < len(pairs); i += 2 {
 		lo, hi := pairs[i], pairs[i+1]
 		a, b := state[lo], state[hi]

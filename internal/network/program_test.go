@@ -1,7 +1,9 @@
 package network
 
 import (
+	mathbits "math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -182,6 +184,119 @@ func TestZeroOneBlocks(t *testing.T) {
 		if blocks != tc.blocks || mask != tc.mask {
 			t.Errorf("ZeroOneBlocks(%d) = (%d, %#x), want (%d, %#x)",
 				tc.n, blocks, mask, tc.blocks, tc.mask)
+		}
+	}
+}
+
+// TestLoadImageCoversInputs: the image blocks' valid lanes, each
+// weighted by the inputs LoadImage says it stands for, are the first
+// level's image with the multiplicity the level maps onto each vector;
+// every lane carries the ones count LoadImage reports; and Eval from
+// the image equals the whole program on it. Circuits (some behind
+// empty levels) and register programs, whose output gather Eval must
+// still apply, at every width up to 12.
+func TestLoadImageCoversInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		var p *Program
+		switch {
+		case trial%3 == 2 && n >= 2:
+			p = randomRegister(n&^1, 1+rng.Intn(4), rng).Compile()
+			n &^= 1
+		case trial%3 == 1:
+			c := New(n)
+			for i := rng.Intn(3); i > 0; i-- {
+				c.AddLevel(nil)
+			}
+			p = c.Append(randomNetwork(n, rng.Intn(4), rng)).Compile()
+		default:
+			p = randomNetwork(n, rng.Intn(5), rng).Compile()
+		}
+		k := p.firstLevel()
+		image := func(x uint64) uint64 {
+			for i := 0; i < 2*k; i += 2 {
+				lo, hi := uint(p.pairs[i]), uint(p.pairs[i+1])
+				if x>>lo&1 == 1 && x>>hi&1 == 0 {
+					x ^= 1<<lo | 1<<hi
+				}
+			}
+			return x
+		}
+		want := map[uint64]int64{}
+		for x := uint64(0); x < 1<<uint(n); x++ {
+			want[image(x)]++
+		}
+		got := map[uint64]int64{}
+		blocks, laneMask := p.ImageBlocks()
+		bb := NewBitBatch(p)
+		full := make([]uint64, n)
+		for b := 0; b < blocks; b++ {
+			ones, inputs := bb.LoadImage(uint64(b))
+			copy(full, bb.State())
+			p.EvalBits(full)
+			out := bb.Eval()
+			for j := uint(0); j < 64; j++ {
+				if laneMask>>j&1 == 0 {
+					continue
+				}
+				var v uint64
+				for w := 0; w < n; w++ {
+					v |= (full[w] ^ out[w]) >> j & 1 << uint(w)
+				}
+				if v != 0 {
+					t.Fatalf("trial %d n=%d block %d lane %d: Eval from the image differs from the program", trial, n, b, j)
+				}
+			}
+			bb.LoadImage(uint64(b))
+			s := bb.State()
+			for j := uint(0); j < 64; j++ {
+				if laneMask>>j&1 == 0 {
+					continue
+				}
+				var v uint64
+				for w := 0; w < n; w++ {
+					v |= s[w] >> j & 1 << uint(w)
+				}
+				if c := mathbits.OnesCount64(v); c != ones+mathbits.OnesCount(j) {
+					t.Fatalf("trial %d n=%d block %d lane %d: %d ones, LoadImage says %d + %d", trial, n, b, j, c, ones, mathbits.OnesCount(j))
+				}
+				got[v] += inputs
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d n=%d k=%d (%d blocks): image weights\n%v\nwant\n%v", trial, n, k, blocks, got, want)
+		}
+	}
+}
+
+func TestImageBlocks(t *testing.T) {
+	full := func(n int) *Program {
+		c := New(n)
+		lv := Level{}
+		for i := 0; i+1 < n; i += 2 {
+			lv = append(lv, Comparator{Min: i, Max: i + 1})
+		}
+		return c.AddLevel(lv).Compile()
+	}
+	cases := []struct {
+		name   string
+		p      *Program
+		blocks int
+		mask   uint64
+	}{
+		{"n=1", New(1).Compile(), 1, 0x3},
+		{"n=4 full", full(4), 1, 0xFFFF},
+		{"n=16 no levels", New(16).Compile(), 1 << 10, ^uint64(0)},
+		{"n=16 full", full(16), 243, ^uint64(0)},
+		{"n=16 one comparator", New(16).AddComparators(3, 9).Compile(), 1 << 10, ^uint64(0)},
+		{"n=16 four comparators", New(16).AddComparators(0, 1, 2, 3, 4, 5, 6, 7).Compile(), 3 << 8, ^uint64(0)},
+		{"n=28 full", full(28), 177147, ^uint64(0)},
+	}
+	for _, tc := range cases {
+		blocks, mask := tc.p.ImageBlocks()
+		if blocks != tc.blocks || mask != tc.mask {
+			t.Errorf("%s: ImageBlocks = (%d, %#x), want (%d, %#x)", tc.name, blocks, mask, tc.blocks, tc.mask)
 		}
 	}
 }

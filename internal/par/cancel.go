@@ -18,12 +18,15 @@ type ErrCanceled struct {
 	// Cause is the context's error: context.Canceled or
 	// context.DeadlineExceeded.
 	Cause error
-	// BlocksDone counts adversary blocks fully completed before the
-	// cancellation was observed (0 for the checkers).
+	// BlocksDone counts adversary blocks fully completed, or blocks
+	// of an iterated network decomposed, before the cancellation was
+	// observed (0 for the checkers).
 	BlocksDone int
-	// MasksChecked counts 0-1 input masks settled before the
-	// cancellation was observed — a lower bound, since in-flight
-	// chunks are abandoned without reporting (0 for the adversary).
+	// MasksChecked counts 0-1 inputs settled before the cancellation
+	// was observed — for a scan of a first level's image, the inputs
+	// its finished blocks stand for — a lower bound, since in-flight
+	// chunks are abandoned without reporting (0 for the adversary and
+	// the decomposition).
 	MasksChecked int64
 	// Survivors is the adversary's current surviving-set size |D|
 	// (the result of the last completed block; 0 for the checkers).

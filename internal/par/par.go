@@ -120,6 +120,7 @@ func ForEach(ctx context.Context, n, workers, grain int, body func(i int)) error
 		return nil
 	}
 	var wg sync.WaitGroup
+	var cut atomic.Bool // some worker abandoned part of its range
 	chunk := (n + w - 1) / w
 	metChunks.Add(int64((n + chunk - 1) / chunk))
 	metWorkers.Set(int64(w))
@@ -132,6 +133,7 @@ func ForEach(ctx context.Context, n, workers, grain int, body func(i int)) error
 			defer workerExit()
 			for ; lo < hi; lo += grain {
 				if canceled(done) {
+					cut.Store(true)
 					return
 				}
 				stop := min(lo+grain, hi)
@@ -142,11 +144,19 @@ func ForEach(ctx context.Context, n, workers, grain int, body func(i int)) error
 		}(lo, hi)
 	}
 	wg.Wait()
-	if canceled(done) {
-		metCanceled.Inc()
-		return ctx.Err()
+	return cutShort(ctx, &cut)
+}
+
+// cutShort is a parallel loop's result once its workers are done:
+// ctx.Err() if some worker abandoned part of its range, nil otherwise,
+// even when the context ended after the last piece finished, since
+// every index was then visited.
+func cutShort(ctx context.Context, cut *atomic.Bool) error {
+	if !cut.Load() {
+		return nil
 	}
-	return nil
+	metCanceled.Inc()
+	return ctx.Err()
 }
 
 // ForEachChunk invokes body(lo, hi) for a partition of [0, n) into
@@ -190,6 +200,7 @@ func ForEachChunk(ctx context.Context, n, workers, grain int, body func(lo, hi i
 		return nil
 	}
 	var wg sync.WaitGroup
+	var cut atomic.Bool
 	chunk := (n + w - 1) / w
 	metChunks.Add(int64((n + chunk - 1) / chunk))
 	metWorkers.Set(int64(w))
@@ -206,6 +217,7 @@ func ForEachChunk(ctx context.Context, n, workers, grain int, body func(lo, hi i
 			}
 			for ; lo < hi; lo += grain {
 				if canceled(done) {
+					cut.Store(true)
 					return
 				}
 				body(lo, min(lo+grain, hi))
@@ -213,11 +225,7 @@ func ForEachChunk(ctx context.Context, n, workers, grain int, body func(lo, hi i
 		}(lo, hi)
 	}
 	wg.Wait()
-	if canceled(done) {
-		metCanceled.Inc()
-		return ctx.Err()
-	}
-	return nil
+	return cutShort(ctx, &cut)
 }
 
 // Find searches [0, n) in parallel for an index satisfying pred and
@@ -329,6 +337,7 @@ func SumInt64(ctx context.Context, n, workers int, f func(i int) int64) (int64, 
 	}
 	partial := make([]int64, w)
 	var wg sync.WaitGroup
+	var cut atomic.Bool
 	chunk := (n + w - 1) / w
 	metChunks.Add(int64((n + chunk - 1) / chunk))
 	metWorkers.Set(int64(w))
@@ -343,6 +352,7 @@ func SumInt64(ctx context.Context, n, workers int, f func(i int) int64) (int64, 
 			var s int64
 			for ; lo < hi; lo += DefaultGrain {
 				if canceled(done) {
+					cut.Store(true)
 					break
 				}
 				stop := min(lo+DefaultGrain, hi)
@@ -359,9 +369,5 @@ func SumInt64(ctx context.Context, n, workers int, f func(i int) int64) (int64, 
 	for _, s := range partial {
 		total += s
 	}
-	if canceled(done) {
-		metCanceled.Inc()
-		return total, ctx.Err()
-	}
-	return total, nil
+	return total, cutShort(ctx, &cut)
 }

@@ -297,3 +297,45 @@ func TestFindCtxCancelKeepsHit(t *testing.T) {
 		t.Fatalf("hit = %d, want 3", got)
 	}
 }
+
+// TestForEachChunkCtxCanceledAfterLastPiece: a context that ends after
+// every piece has run cuts nothing short, so the parallel loops report
+// no error. Each of two workers gets one piece, and the last index to
+// run cancels the context.
+func TestForEachChunkCtxCanceledAfterLastPiece(t *testing.T) {
+	const n = 2 * DefaultGrain
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var seen atomic.Int64
+	err := ForEachChunk(ctx, n, 2, DefaultGrain, func(lo, hi int) {
+		if seen.Add(int64(hi-lo)) == n {
+			cancel()
+		}
+	})
+	if err != nil || seen.Load() != n {
+		t.Fatalf("err = %v after %d of %d indices, want nil after all", err, seen.Load(), n)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	seen.Store(0)
+	err = ForEach(ctx, n, 2, DefaultGrain, func(int) {
+		if seen.Add(1) == n {
+			cancel()
+		}
+	})
+	if err != nil || seen.Load() != n {
+		t.Fatalf("ForEach: err = %v after %d of %d indices, want nil after all", err, seen.Load(), n)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	seen.Store(0)
+	sum, err := SumInt64(ctx, n, 2, func(int) int64 {
+		if seen.Add(1) == n {
+			cancel()
+		}
+		return 1
+	})
+	if err != nil || sum != n {
+		t.Fatalf("SumInt64: (%d, %v), want (%d, nil)", sum, err, n)
+	}
+}

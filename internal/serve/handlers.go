@@ -166,7 +166,10 @@ func (s *Server) handleAdversary(ctx context.Context, req *request, c *network.N
 		l = bits.Lg(n)
 	}
 	return s.cached(req, fmt.Sprintf("adversary:%s:l=%d:k=%d", canonicalKey(c), l, req.K), func() (any, error) {
-		it, ok := delta.DecomposeIterated(c, l)
+		it, ok, err := delta.DecomposeIteratedCtx(ctx, c, l)
+		if err != nil {
+			return nil, err // the deadline cut the split search: 504
+		}
 		if !ok {
 			return nil, errf(http.StatusUnprocessableEntity,
 				"the circuit is not an iterated reverse delta network of block height %d; the paper's lower bound does not apply to it", l)

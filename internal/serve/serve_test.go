@@ -373,6 +373,38 @@ func TestServeAdversaryWide(t *testing.T) {
 	t.Logf("2^14-wire adversary: %d-byte body in %v", w.Body.Len(), took)
 }
 
+// TestServeAdversaryDecomposeTimeout: the request deadline reaches the
+// decomposition. A one-block reverse delta network on 2^10 wires with
+// each comparator kept with probability 0.1 sends its split search
+// backtracking for about a minute; with timeout_ms 200 the request
+// answers 504 within 2 s instead of holding its admission slot.
+func TestServeAdversaryDecomposeTimeout(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	it := delta.NewIterated(1 << 10)
+	it.AddBlock(perm.Random(1<<10, rng), delta.Random(10, 0.1, rng))
+	c, _ := it.ToNetwork()
+	body, err := json.Marshal(map[string]any{"network": netText(t, c), "timeout_ms": 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(Config{}).Handler()
+	start := time.Now()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/adversary", bytes.NewReader(body)))
+	took := time.Since(start)
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d after %v, want 504 (%.300s)", w.Code, took, w.Body.Bytes())
+	}
+	if took > 2*time.Second {
+		t.Fatalf("a 200 ms deadline answered after %v", took)
+	}
+	var eb errorBody
+	decode(t, w.Body.Bytes(), &eb)
+	if op := eb.Partial["op"]; op != "delta.DecomposeIterated" {
+		t.Fatalf("partial op %v, want delta.DecomposeIterated (%s)", op, w.Body.Bytes())
+	}
+}
+
 // TestServeDeadlinePartial: a request whose deadline expires answers
 // 504 and the error body carries the engine's partial progress — the
 // *par.ErrCanceled fields plus the halver's ε lower bound.
@@ -871,5 +903,50 @@ func BenchmarkServeOptimalWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		warm()
+	}
+}
+
+// BenchmarkServeColdPass measures the cold answer per endpoint, the
+// service layer of perfbench serve-repeat's cold_s: each op mounts a
+// fresh New(Config{MemoBytes: 64 << 20}), the daemon's table size, and
+// answers one request through Handler(), so the mount, the engine and
+// the optimal leg's first touch of the fresh table's pages are all
+// timed. The requests cycle through 8 seeded circuits per leg, at
+// serve-repeat's shapes: a 16-wire sorter check (one random level
+// ahead of the bitonic sorter), a 16-wire two-pass halver, a 10-wire
+// depth-4 optimum and a 16-wire one-block adversary.
+func BenchmarkServeColdPass(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	bitonic := netbuild.Bitonic(16)
+	legs := []struct {
+		name, path string
+		gen        func() *network.Network
+	}{
+		{"check", "/v1/check", func() *network.Network { return randnet.Levels(16, 1, rng).Append(bitonic) }},
+		{"halver", "/v1/halver", func() *network.Network { return halver.CrossMatchings(16, 2, rng) }},
+		{"optimal", "/v1/optimal", func() *network.Network { return randnet.Levels(10, 4, rng) }},
+		{"adversary", "/v1/adversary", func() *network.Network {
+			it := delta.NewIterated(16)
+			it.AddBlock(perm.Random(16, rng), delta.Random(4, 1, rng))
+			c, _ := it.ToNetwork()
+			return c
+		}},
+	}
+	for _, leg := range legs {
+		var bodies [8][]byte
+		for i := range bodies {
+			bodies[i], _ = json.Marshal(map[string]any{"network": netText(b, leg.gen())})
+		}
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h := New(Config{MemoBytes: 64 << 20}).Handler()
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, leg.path, bytes.NewReader(bodies[i%len(bodies)])))
+				if w.Code != 200 || w.Header().Get("X-Cache") != "miss" {
+					b.Fatalf("%d X-Cache=%q %.300s", w.Code, w.Header().Get("X-Cache"), w.Body.Bytes())
+				}
+			}
+		})
 	}
 }

@@ -9,11 +9,13 @@ package sortcheck_test
 
 import (
 	"context"
+	mathbits "math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"shufflenet/internal/delta"
+	"shufflenet/internal/halver"
 	"shufflenet/internal/netbuild"
 	"shufflenet/internal/network"
 	"shufflenet/internal/shuffle"
@@ -158,4 +160,231 @@ func TestExhaustivePathIndependent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// maskOrder is the mask-order oracle for the image scans: every block
+// of ZeroOneBlocks through BitBatch.Run, read lane by lane. It returns
+// the verdict, the smallest failing mask, the count of sorted inputs
+// and, for even n, ε as the scalar readout computes it.
+func maskOrder(p *network.Program) (sorts bool, firstBad uint64, good int64, eps float64) {
+	n := p.Wires()
+	m := n / 2
+	blocks, laneMask := network.ZeroOneBlocks(n)
+	bb := network.NewBitBatch(p)
+	sorts = true
+	for b := 0; b < blocks; b++ {
+		bad := bb.Run(uint64(b))
+		out := bb.State()
+		for j := uint(0); j < 64; j++ {
+			if laneMask>>j&1 == 0 {
+				continue
+			}
+			mask := uint64(b)*64 + uint64(j)
+			if bad>>j&1 == 1 {
+				if sorts {
+					sorts, firstBad = false, mask
+				}
+			} else {
+				good++
+			}
+			ones := mathbits.OnesCount64(mask)
+			if n%2 != 0 || ones == 0 || ones == n {
+				continue
+			}
+			onesLow, zerosHigh := 0, 0
+			for i := 0; i < n; i++ {
+				bit := int(out[i] >> j & 1)
+				if i < m {
+					onesLow += bit
+				} else {
+					zerosHigh += 1 - bit
+				}
+			}
+			if ones <= m {
+				eps = max(eps, float64(onesLow)/float64(ones))
+			}
+			if zeros := n - ones; zeros <= m {
+				eps = max(eps, float64(zerosHigh)/float64(zeros))
+			}
+		}
+	}
+	return sorts, firstBad, good, eps
+}
+
+// randomLevel returns a level of about density·n/2 comparators on
+// random wire pairs, each pointing either way.
+func randomLevel(n int, density float64, rng *rand.Rand) network.Level {
+	w := rng.Perm(n)
+	var lv network.Level
+	for i := 0; i+1 < n; i += 2 {
+		if rng.Float64() < density {
+			lv = append(lv, network.Comparator{Min: w[i], Max: w[i+1]})
+		}
+	}
+	return lv
+}
+
+// dropOne returns c with one random comparator removed.
+func dropOne(c *network.Network, rng *rand.Rand) *network.Network {
+	levels := c.Levels()
+	out := network.New(c.Wires())
+	li := rng.Intn(len(levels))
+	for i, lv := range levels {
+		if i == li && len(lv) > 0 {
+			j := rng.Intn(len(lv))
+			lv = append(lv[:j:j], lv[j+1:]...)
+		}
+		out.AddLevel(lv)
+	}
+	return out
+}
+
+// TestImageScanMatchesMaskOrder: on 1,080 random circuits of 1 to 18
+// wires, ZeroOne's verdict and witness, ZeroOneFraction and, at even
+// widths, halver.Epsilon equal the mask-order oracle. The set has
+// random levels (empty, partial and full first levels), sorters behind
+// a random level, the same missing one comparator, and register
+// programs with an output gather.
+func TestImageScanMatchesMaskOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ctx := context.Background()
+	const perWidth = 60
+	for n := 1; n <= 18; n++ {
+		if testing.Short() && n > 14 {
+			break
+		}
+		merge := network.New(n) // sorts one wire
+		if n > 1 {
+			merge = netbuild.MergeExchange(n)
+		}
+		for i := 0; i < perWidth; i++ {
+			var ev sortcheck.Evaluator
+			var c *network.Network
+			kind := i % 4
+			switch kind {
+			case 0: // random levels
+				c = network.New(n)
+				for d := rng.Intn(6); d >= 0; d-- {
+					c.AddLevel(randomLevel(n, rng.Float64()*1.2, rng))
+				}
+			case 1: // a sorter behind a random level
+				c = network.New(n).AddLevel(randomLevel(n, rng.Float64()*1.2, rng)).Append(merge)
+			case 2: // the same missing one comparator
+				c = dropOne(network.New(n).AddLevel(randomLevel(n, 1, rng)).Append(merge), rng)
+			default: // a register program: the circuit's model twin, gathered
+				c = network.New(n)
+				for d := rng.Intn(5); d >= 0; d-- {
+					c.AddLevel(randomLevel(n, rng.Float64()*1.2, rng))
+				}
+				if rng.Intn(2) == 0 {
+					c.Append(merge)
+				}
+				if n%2 == 0 {
+					ev, _ = network.ToRegister(c)
+				}
+			}
+			if ev == nil {
+				ev = c
+			}
+			p := ev.(network.Compilable).Compile()
+			sorts, firstBad, good, eps := maskOrder(p)
+			var want []int
+			if !sorts {
+				want = sortcheck.ZeroOneInput(firstBad, n)
+			}
+			ok, w := sortcheck.ZeroOne(n, ev, 0)
+			if ok != sorts || !reflect.DeepEqual(w, want) {
+				t.Fatalf("n=%d kind %d %v: ZeroOne (%v, %v), mask order (%v, %v)", n, kind, c.Levels(), ok, w, sorts, want)
+			}
+			frac, err := sortcheck.ZeroOneFraction(ctx, n, ev, 0)
+			if wantFrac := float64(good) / float64(int64(1)<<uint(n)); err != nil || frac != wantFrac {
+				t.Fatalf("n=%d kind %d %v: ZeroOneFraction %v (%v), mask order %v", n, kind, c.Levels(), frac, err, wantFrac)
+			}
+			if n%2 == 0 && ev == sortcheck.Evaluator(c) { // ε reads the circuit's wires
+				if got := halver.Epsilon(c, 0); got != eps {
+					t.Fatalf("n=%d kind %d %v: Epsilon %v, mask order %v", n, kind, c.Levels(), got, eps)
+				}
+			}
+		}
+	}
+}
+
+// FuzzZeroOne: on circuits of at most 12 wires and 8 levels whose
+// comparators point either way, ZeroOneCtx (verdict and witness) and
+// ZeroOneFraction at 1 and 2 workers equal the scalar path. The first
+// byte picks the width. The second picks the first level: empty, full
+// (adjacent pairs from a rotation, directions from its high bits), or
+// read from the bytes like the later levels, and so mostly partial.
+// Each later byte is a comparator (high nibble to low nibble, mod n),
+// and a byte that cannot join the current level closes it.
+func FuzzZeroOne(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{11, 0})
+	f.Add([]byte{7, 0x1d, 0x01, 0x23, 0x00, 0x45})
+	f.Add([]byte{9, 0x02, 0x01, 0x23, 0x45, 0x67, 0x89, 0x00, 0x10, 0x32})
+	f.Add([]byte{5, 0x05, 0x70, 0x61, 0x52, 0x43, 0x11, 0x07, 0x16, 0x25, 0x34})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		const maxDepth = 8
+		n := 1 + int(data[0]%12)
+		c := network.New(n)
+		if len(data) > 1 {
+			switch mode := data[1]; mode % 3 {
+			case 0:
+				c.AddLevel(nil)
+			case 1:
+				var lv network.Level
+				for i := 0; i+1 < n; i += 2 {
+					a, b := (i+int(mode>>2))%n, (i+1+int(mode>>2))%n
+					if mode>>(2+i/2%6)&1 == 1 {
+						a, b = b, a
+					}
+					lv = append(lv, network.Comparator{Min: a, Max: b})
+				}
+				c.AddLevel(lv)
+			}
+			data = data[1:]
+		}
+		var lv network.Level
+		var used uint64
+		for _, x := range data[1:] {
+			if c.Depth() == maxDepth {
+				break
+			}
+			a, b := int(x>>4)%n, int(x&15)%n
+			if a != b && used>>a&1 == 0 && used>>b&1 == 0 {
+				lv = append(lv, network.Comparator{Min: a, Max: b})
+				used |= 1<<a | 1<<b
+				continue
+			}
+			if len(lv) > 0 {
+				c.AddLevel(lv)
+				lv, used = nil, 0
+			}
+		}
+		if len(lv) > 0 && c.Depth() < maxDepth {
+			c.AddLevel(lv)
+		}
+		ctx := context.Background()
+		okS, wS, err := sortcheck.ZeroOneCtx(ctx, n, opaque{c}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fracS, err := sortcheck.ZeroOneFraction(ctx, n, opaque{c}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			ok, w, err := sortcheck.ZeroOneCtx(ctx, n, c, workers)
+			if err != nil || ok != okS || !reflect.DeepEqual(w, wS) {
+				t.Fatalf("workers=%d on %v: ZeroOneCtx (%v, %v, %v), scalar (%v, %v)", workers, c.Levels(), ok, w, err, okS, wS)
+			}
+			frac, err := sortcheck.ZeroOneFraction(ctx, n, c, workers)
+			if err != nil || frac != fracS {
+				t.Fatalf("workers=%d on %v: ZeroOneFraction %v (%v), scalar %v", workers, c.Levels(), frac, err, fracS)
+			}
+		}
+	})
 }

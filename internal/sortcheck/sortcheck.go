@@ -13,10 +13,16 @@
 // network.Compilable — both *network.Network and *network.Register do),
 // the exhaustive 0-1 checkers run on the compiled bit-sliced kernel:
 // 64 inputs per uint64 lane-set, two bitwise ops per comparator, no
-// allocation (network.Program.EvalBits). Opaque evaluators fall back to
-// the unexported scalar enumeration (one Eval per mask), which returns
-// identical verdicts, witnesses and fractions; the differential tests
-// reach it by hiding Compile.
+// allocation (network.Program.EvalBits). They do not walk all 2^n
+// inputs. The network's first level maps {0,1}^n onto 3^k·2^(n−2k)
+// vectors (k comparators), keeps each input's ones count and leaves
+// each of those vectors unchanged, so the checkers scan that image,
+// weighting each vector by the inputs it stands for
+// (network.BitBatch.LoadImage). Only a check that fails then scans the
+// masks in order, for the smallest failing one. Opaque evaluators fall
+// back to the unexported scalar enumeration (one Eval per mask), which
+// returns identical verdicts, witnesses and fractions; the
+// differential tests reach it by hiding Compile.
 package sortcheck
 
 import (
@@ -35,10 +41,13 @@ import (
 
 // Checker metrics. Counts are flushed at chunk granularity on the
 // bit-sliced paths (one atomic per worker chunk), never per mask, so
-// the kernel throughput is unaffected. On the scalar fallback paths the
-// mask count is the number of masks *settled* in scan order (exact
-// when the check passes; on failure the masks at and before the
-// witness).
+// the kernel throughput is unaffected. sortcheck.zeroone.masks counts
+// the inputs each scan *settled*: on the bit-sliced paths the inputs
+// the image blocks stand for (2^n for a check that passes), plus, for
+// a check that fails, the masks its in-order witness scan settled; the
+// kernel words behind them are network.evalbits.words. On the scalar
+// fallback paths it is the masks settled in scan order (exact when the
+// check passes; on failure the masks at and before the witness).
 var (
 	metMasks      = obs.C("sortcheck.zeroone.masks")
 	metWitnesses  = obs.C("sortcheck.zeroone.witnesses")
@@ -128,13 +137,15 @@ func failsZeroOne(n int, ev Evaluator) func(mask int) bool {
 	}
 }
 
-// ZeroOne applies the 0-1 principle: it evaluates the network on all
-// 2^n inputs from {0,1}^n (in parallel across workers; 0 = GOMAXPROCS)
-// and returns ok = true if every output is sorted. On failure, witness
-// is the smallest-mask failing 0-1 input. n must be at most
-// MaxZeroOneWires. Compilable evaluators run on the bit-sliced kernel,
-// 64 masks per block; others on the scalar path. Both agree exactly.
-// ZeroOne is ZeroOneCtx under context.Background().
+// ZeroOne applies the 0-1 principle: it settles all 2^n inputs from
+// {0,1}^n (in parallel across workers; 0 = GOMAXPROCS) and returns
+// ok = true if every output is sorted. On failure, witness is the
+// smallest-mask failing 0-1 input. n must be at most MaxZeroOneWires.
+// Compilable evaluators run on the bit-sliced kernel, which scans the
+// image of the first level, 64 vectors per block, and only on a
+// failure the masks in order for the witness; others run on the scalar
+// path, one Eval per mask. Both agree exactly. ZeroOne is ZeroOneCtx
+// under context.Background().
 func ZeroOne(n int, ev Evaluator, workers int) (ok bool, witness []int) {
 	ok, witness, _ = ZeroOneCtx(context.Background(), n, ev, workers)
 	return ok, witness
@@ -143,8 +154,9 @@ func ZeroOne(n int, ev Evaluator, workers int) (ok bool, witness []int) {
 // ZeroOneCtx is ZeroOne under a context: cancellation is observed once
 // per worker chunk (never per mask, so the kernel throughput is
 // unchanged). On cancellation it returns a *par.ErrCanceled whose
-// MasksChecked field records how many of the 2^n inputs were settled
-// before the run was cut short; ok and witness are then meaningless.
+// MasksChecked field records how many of the 2^n inputs the
+// interrupted scan settled (for the image scan, the inputs its
+// finished blocks stand for); ok and witness are then meaningless.
 func ZeroOneCtx(ctx context.Context, n int, ev Evaluator, workers int) (ok bool, witness []int, err error) {
 	if n > MaxZeroOneWires {
 		panic(fmt.Sprintf("sortcheck.ZeroOne: n = %d exceeds %d (2^n inputs)", n, MaxZeroOneWires))
@@ -195,11 +207,64 @@ func zeroOneScalar(ctx context.Context, n int, ev Evaluator, workers int) (ok bo
 	return false, ZeroOneInput(uint64(bad), n), nil
 }
 
-// zeroOneBits scans all 2^n masks through the bit-sliced kernel in
-// 64-wide blocks chunked across workers, returning the smallest failing
-// mask (matching the scalar path's witness exactly) or ok = true. On
-// cancellation the error carries the number of masks settled so far.
+// zeroOneBits decides the 0-1 principle on the bit-sliced kernel: it
+// scans the image of the program's first level, and only when that
+// scan sees a failure does it scan the masks in order for the smallest
+// failing one (matching the scalar path's witness exactly). ok = true
+// means every input is sorted. On cancellation the error carries the
+// inputs the interrupted scan settled.
 func zeroOneBits(ctx context.Context, n int, p *network.Program, workers int) (firstBad uint64, ok bool, err error) {
+	if ok, err := imageSorts(ctx, p, workers); ok || err != nil {
+		return 0, ok, err
+	}
+	return firstFailingMask(ctx, n, p, workers)
+}
+
+// imageSorts reports whether the program sorts every vector in the
+// image of its first level, and so every input. Chunks stop at the
+// first failure any of them sees.
+func imageSorts(ctx context.Context, p *network.Program, workers int) (bool, error) {
+	blocks, laneMask := p.ImageBlocks()
+	lanes := int64(mathbits.OnesCount64(laneMask))
+	var failed atomic.Bool
+	var settled int64 // inputs the settled blocks stand for
+	cerr := par.ForEachChunk(ctx, blocks, workers, par.DefaultGrain, func(lo, hi int) {
+		bb := network.NewBitBatch(p)
+		defer bb.FlushMetrics()
+		var inputs int64
+		defer func() {
+			metMasks.Add(inputs)
+			atomic.AddInt64(&settled, inputs)
+		}()
+		for b := lo; b < hi; b++ {
+			if failed.Load() {
+				metEarlyExits.Inc()
+				return
+			}
+			_, in := bb.LoadImage(uint64(b))
+			bb.Eval()
+			inputs += in * lanes
+			if bb.UnsortedLanes()&laneMask != 0 {
+				failed.Store(true)
+				return
+			}
+		}
+	})
+	if cerr != nil {
+		return false, &par.ErrCanceled{
+			Op:           "sortcheck.ZeroOne",
+			Cause:        cerr,
+			MasksChecked: atomic.LoadInt64(&settled),
+		}
+	}
+	return !failed.Load(), nil
+}
+
+// firstFailingMask scans all 2^n masks in order through the bit-sliced
+// kernel, in 64-wide blocks chunked across workers, and returns the
+// smallest failing mask, or ok = true when there is none. On
+// cancellation the error carries the number of masks settled so far.
+func firstFailingMask(ctx context.Context, n int, p *network.Program, workers int) (firstBad uint64, ok bool, err error) {
 	blocks, laneMask := network.ZeroOneBlocks(n)
 	lanes := int64(mathbits.OnesCount64(laneMask))
 	best := int64(blocks)
@@ -247,11 +312,12 @@ func zeroOneBits(ctx context.Context, n int, p *network.Program, workers int) (f
 }
 
 // ZeroOneFraction returns the fraction of the 2^n 0-1 inputs that the
-// network sorts, evaluated exhaustively in parallel (bit-sliced for
-// Compilable evaluators, scalar otherwise). n must be at most
-// MaxZeroOneWires. On cancellation the returned fraction is
-// meaningless (in-flight chunks are abandoned) and the
-// *par.ErrCanceled reports the masks settled.
+// network sorts, exactly and in parallel: Compilable evaluators scan
+// the image of the first level on the bit-sliced kernel, counting each
+// sorted vector once per input it stands for; others enumerate every
+// mask on the scalar path. n must be at most MaxZeroOneWires. On
+// cancellation the returned fraction is meaningless (in-flight chunks
+// are abandoned) and the *par.ErrCanceled reports the inputs settled.
 func ZeroOneFraction(ctx context.Context, n int, ev Evaluator, workers int) (float64, error) {
 	if n > MaxZeroOneWires {
 		panic(fmt.Sprintf("sortcheck.ZeroOneFraction: n = %d exceeds %d", n, MaxZeroOneWires))
@@ -260,24 +326,27 @@ func ZeroOneFraction(ctx context.Context, n int, ev Evaluator, workers int) (flo
 	if p == nil {
 		return zeroOneFractionScalar(ctx, n, ev, workers)
 	}
-	blocks, laneMask := network.ZeroOneBlocks(n)
-	lanes := mathbits.OnesCount64(laneMask)
-	var good, scanned int64
+	blocks, laneMask := p.ImageBlocks()
+	lanes := int64(mathbits.OnesCount64(laneMask))
+	var good, settled int64
 	cerr := par.ForEachChunk(ctx, blocks, workers, par.DefaultGrain, func(lo, hi int) {
 		bb := network.NewBitBatch(p)
 		defer bb.FlushMetrics()
-		var g int64
+		var g, s int64
 		for b := lo; b < hi; b++ {
-			g += int64(lanes - mathbits.OnesCount64(bb.Run(uint64(b))&laneMask))
+			_, in := bb.LoadImage(uint64(b))
+			bb.Eval()
+			g += in * (lanes - int64(mathbits.OnesCount64(bb.UnsortedLanes()&laneMask)))
+			s += in * lanes
 		}
 		atomic.AddInt64(&good, g)
-		atomic.AddInt64(&scanned, int64(hi-lo))
+		atomic.AddInt64(&settled, s)
 	})
 	if cerr != nil {
 		return 0, &par.ErrCanceled{
 			Op:           "sortcheck.ZeroOneFraction",
 			Cause:        cerr,
-			MasksChecked: atomic.LoadInt64(&scanned) * int64(lanes),
+			MasksChecked: atomic.LoadInt64(&settled),
 		}
 	}
 	total := int64(1) << uint(n)
