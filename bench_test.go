@@ -568,10 +568,29 @@ func (o opaqueEval) Eval(in []int) []int { return o.c.Eval(in) }
 // Batcher's bitonic sorter at n = 16 (2^16 inputs per op) on the
 // bit-sliced kernel vs. the scalar fallback — the acceptance benchmark
 // for the SWAR evaluation engine (EXPERIMENTS.md records the ratio).
+// The broken legs time failing checks: each op checks the sorter
+// missing one comparator, cycling through every such copy that fails,
+// so the smallest failing mask comes early for some and late for
+// others.
 func BenchmarkZeroOneScalarVsBits(b *testing.B) {
 	const n = 16
 	c := netbuild.Bitonic(n)
 	ctx := context.Background()
+	var broken []*network.Network
+	for l, lv := range c.Levels() {
+		for j := range lv {
+			d := network.New(n)
+			for i, lv := range c.Levels() {
+				if i == l {
+					lv = append(lv[:j:j], lv[j+1:]...)
+				}
+				d.AddLevel(lv)
+			}
+			if ok, _ := sortcheck.ZeroOne(n, d, 0); !ok {
+				broken = append(broken, d)
+			}
+		}
+	}
 	b.Run("bits", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if ok, _ := sortcheck.ZeroOne(n, c, 0); !ok {
@@ -587,6 +606,20 @@ func BenchmarkZeroOneScalarVsBits(b *testing.B) {
 			}
 		}
 		reportInputsPerSec(b, 1<<n)
+	})
+	b.Run("broken-bits", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if ok, _ := sortcheck.ZeroOne(n, broken[i%len(broken)], 0); ok {
+				b.Fatal("a broken copy sorts")
+			}
+		}
+	})
+	b.Run("broken-scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if ok, _ := sortcheck.ZeroOne(n, opaqueEval{broken[i%len(broken)]}, 0); ok {
+				b.Fatal("a broken copy sorts")
+			}
+		}
 	})
 	b.Run("fraction-bits", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

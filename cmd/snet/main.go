@@ -174,11 +174,8 @@ func main() {
 		sp := obs.NewSpan("check", obs.A("n", width))
 		if width <= maxExhaustiveCheck {
 			if prog != nil {
-				// The masks counter counts the inputs each scan
-				// settled, cumulatively across the process; baseline
-				// it so the fraction covers this check only. A failing
-				// check's witness scan counts its masks on top of the
-				// image scan's inputs, and the fraction stops at 1.
+				// The masks counter is cumulative across the process;
+				// baseline it so the fraction covers this scan only.
 				masks := obs.C("sortcheck.zeroone.masks")
 				base := masks.Value()
 				total := float64(int64(1) << uint(width))

@@ -54,9 +54,11 @@ func DecomposeIterated(c *network.Network, l int) (*Iterated, bool) {
 }
 
 // DecomposeIteratedCtx is DecomposeIterated under a context, checked
-// once per recursive step of a segment's decomposition: the split
-// search backtracks over bipartition choices, which can take minutes
-// on sparse blocks. On cancellation it returns a *par.ErrCanceled
+// once per recursive step of a segment's decomposition and once per
+// step of each split search within it: the split search backtracks
+// over bipartition choices, which can take minutes on sparse blocks
+// between two decomposition steps, so its checks are the ones that
+// bound the wait. On cancellation it returns a *par.ErrCanceled
 // (Op "delta.DecomposeIterated", BlocksDone the segments decomposed)
 // and no structure.
 func DecomposeIteratedCtx(ctx context.Context, c *network.Network, l int) (*Iterated, bool, error) {

@@ -122,7 +122,8 @@ func EpsilonCtx(ctx context.Context, c *network.Network, workers int) (float64, 
 	}
 	m := n / 2
 	prog := c.Compile()
-	blocks, laneMask := prog.ImageBlocks()
+	im := prog.Image()
+	blocks, laneMask := im.Blocks()
 	lanes := int64(mathbits.OnesCount64(laneMask))
 	var classes [len(laneClass)]uint64
 	for i, cl := range laneClass {
@@ -137,7 +138,7 @@ func EpsilonCtx(ctx context.Context, c *network.Network, workers int) (float64, 
 		var local counts
 		var inputs int64
 		for b := lo; b < hi; b++ {
-			blockOnes, in := bb.LoadImage(uint64(b))
+			blockOnes, in := bb.LoadImage(im, uint64(b))
 			inputs += in * lanes
 			out := bb.Eval()
 			// Vertical counters: plane p of low[ ] holds bit p of the

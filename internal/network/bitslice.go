@@ -2,6 +2,7 @@ package network
 
 import (
 	mathbits "math/bits"
+	"slices"
 
 	"shufflenet/internal/obs"
 )
@@ -20,8 +21,9 @@ import (
 // of three states, (0,0), (0,1) or (1,1) (min wire first). The level
 // leaves every image vector unchanged and keeps each input's ones
 // count, so an input's output is its image's: scanning the image
-// settles every input. Mask order (LoadBlock, Run) is kept for the
-// smallest failing mask, which the image does not order.
+// settles every input, and the smallest input a failing lane stands
+// for (Image.Witness) gives the smallest failing mask. LoadBlock and
+// Run keep mask order, the tests' reference for the image.
 
 // laneIndex[k] has bit j equal to bit k of j: the lane constants that
 // seed wires 0..5 for every block.
@@ -50,8 +52,8 @@ func ZeroOneBlocks(n int) (blocks int, laneMask uint64) {
 // so BitBatch counts words locally and workers flush once per chunk
 // via FlushMetrics. A word is one 64-lane evaluation, of a mask-order
 // or an image block alike, and lanes are 64 per word: so an image scan
-// adds its ImageBlocks, not 2^n/64, and the inputs a scan settled are
-// counted by its caller (sortcheck.zeroone.masks,
+// adds the image blocks it evaluated, not 2^n/64, and the inputs a
+// scan settled are counted by its caller (sortcheck.zeroone.masks,
 // halver.epsilon.masks).
 var (
 	metBitsWords = obs.C("network.evalbits.words")
@@ -64,9 +66,8 @@ var (
 type BitBatch struct {
 	prog  *Program
 	state []uint64
-	from  int    // comparators Eval skips: the first level after LoadImage
-	img   *image // LoadImage's layout, built on first use
-	words int64  // 64-lane evaluations since the last FlushMetrics
+	from  int   // comparators Eval skips: the first level after LoadImage
+	words int64 // 64-lane evaluations since the last FlushMetrics
 }
 
 // NewBitBatch returns scratch for evaluating 64-wide 0-1 blocks of p.
@@ -100,93 +101,139 @@ func (p *Program) firstLevel() int {
 	return 0
 }
 
-// image is how LoadImage lays the image of a program's first level
-// over the lanes and the blocks. The lane wires are the wires of up to
-// three first-level comparators, then idle wires (those the level
-// leaves alone): lane j carries bit i of j on lane wire i before the
-// level, so every lane stands for inputs of its own, and the level's
-// lane comparators are applied once, to the lane constants. Of a block
+// Image lays the image of a program's first level over 64-lane blocks
+// (LoadImage). The lane wires are the wires of up to three first-level
+// comparators, then idle wires (those the level leaves alone), and lane
+// j carries bit i of j on the i-th lowest lane wire before the level:
+// so every lane stands for inputs of its own, and the level's lane
+// comparators are applied once, to the lane constants. Of a block
 // index, the low bits set the block's idle wires and the base-3 digits
-// above them the states of its comparators: 0 is (0,0), 1 is (0,1)
-// and 2 is (1,1).
-type image struct {
-	skip   int       // the first level's comparators
-	lane   [6]uint64 // lane-wire words after the first level
-	laneAt [6]int32  // the lane wires
-	lanes  int       // how many of them there are: min(n, 6)
-	idle   []int32   // the block's idle wires, by bit
-	comps  []int32   // the block's comparators, flat (min, max) pairs
+// above them the states of its comparators: 0 is (0,0), 1 is (0,1) and
+// 2 is (1,1). Comparators are taken in order of their higher wire,
+// first for the lanes, then for the digits from the lowest, so block
+// order roughly follows mask order, which lets a witness search skip
+// blocks early (Least). An Image is read-only: a scan builds one and
+// shares it among its workers.
+type Image struct {
+	skip     int        // the first level's comparators
+	lane     [6]uint64  // lane-wire words after the first level
+	laneAt   [6]int32   // the lane wires, ascending
+	lanes    int        // how many of them there are: min(n, 6)
+	idle     []int32    // the block's idle wires, by bit
+	comps    [][2]int32 // the block's comparators, (min, max), by digit
+	blocks   int
+	laneMask uint64
 }
 
-func newImage(p *Program) *image {
+// Image returns the layout of the image of the program's first level.
+func (p *Program) Image() *Image {
 	k := p.firstLevel()
-	first := p.pairs[:2*k]
-	im := &image{
+	comps := make([][2]int32, k)
+	used := make([]bool, p.n)
+	for i := range comps {
+		lo, hi := p.pairs[2*i], p.pairs[2*i+1]
+		comps[i] = [2]int32{lo, hi}
+		used[lo], used[hi] = true, true
+	}
+	slices.SortFunc(comps, func(a, b [2]int32) int { return int(max(a[0], a[1]) - max(b[0], b[1])) })
+	onLanes := comps[:min(k, 3)]
+	im := &Image{
 		skip:  k,
-		comps: make([]int32, 0, max(2*k-6, 0)),
+		comps: comps[len(onLanes):],
 		idle:  make([]int32, 0, max(p.n-2*k-6, 0)),
 	}
-	used := make([]bool, p.n)
-	for i := 0; i < len(first); i += 2 {
-		lo, hi := first[i], first[i+1]
-		used[lo], used[hi] = true, true
-		if i >= 6 {
-			im.comps = append(im.comps, lo, hi)
-			continue
-		}
-		a, b := laneIndex[i], laneIndex[i+1]
-		im.laneAt[i], im.laneAt[i+1] = lo, hi
-		im.lane[i], im.lane[i+1] = a&b, a|b
-		im.lanes += 2
+	laneAt := im.laneAt[:0]
+	for _, c := range onLanes {
+		laneAt = append(laneAt, c[0], c[1])
 	}
-	for w := range used {
-		if used[w] {
-			continue
+	for w, u := range used {
+		switch {
+		case u:
+		case len(laneAt) < 6:
+			laneAt = append(laneAt, int32(w))
+		default:
+			im.idle = append(im.idle, int32(w))
 		}
-		if im.lanes < 6 {
-			im.laneAt[im.lanes], im.lane[im.lanes] = int32(w), laneIndex[im.lanes]
-			im.lanes++
-			continue
-		}
-		im.idle = append(im.idle, int32(w))
 	}
+	slices.Sort(laneAt)
+	im.lanes = len(laneAt)
+	im.lane = laneIndex
+	for _, c := range onLanes {
+		lo, hi := slices.Index(laneAt, c[0]), slices.Index(laneAt, c[1])
+		a, b := laneIndex[lo], laneIndex[hi]
+		im.lane[lo], im.lane[hi] = a&b, a|b
+	}
+	im.blocks = 1 << uint(len(im.idle))
+	for range im.comps {
+		im.blocks *= 3
+	}
+	_, im.laneMask = ZeroOneBlocks(p.n)
 	return im
 }
 
-// ImageBlocks returns how many 64-lane blocks cover the image of the
-// program's first level, and the mask of valid lanes within each (as
-// for ZeroOneBlocks: all 64 for n >= 6, the low 2^n below). The six
-// lane wires take up to three of the level's comparators, then idle
-// wires; each other comparator triples the blocks and each other idle
-// wire doubles them: 243 for 16 wires under a full level, against
-// 1,024 mask-order blocks.
-func (p *Program) ImageBlocks() (blocks int, laneMask uint64) {
-	im := newImage(p)
-	blocks = 1 << uint(len(im.idle))
-	for range len(im.comps) / 2 {
-		blocks *= 3
-	}
-	_, laneMask = ZeroOneBlocks(p.n)
-	return blocks, laneMask
+// Blocks returns how many 64-lane blocks cover the image, and the mask
+// of valid lanes within each (as for ZeroOneBlocks: all 64 for n >= 6,
+// the low 2^n below). The six lane wires take up to three of the
+// level's comparators, then idle wires; each other comparator triples
+// the blocks and each other idle wire doubles them: 243 for 16 wires
+// under a full level, against 1,024 mask-order blocks.
+func (im *Image) Blocks() (blocks int, laneMask uint64) {
+	return im.blocks, im.laneMask
 }
 
-// LoadImage fills the lanes with the image block numbered block (of
-// ImageBlocks) and
-// makes the next Eval skip the first level, which leaves every image
-// vector unchanged. It returns the block's ones count, so lane j holds
-// ones + popcount(j) ones, and how many 0-1 inputs each lane stands
-// for: two for each block comparator in state (0,1), whose inputs
-// (0,1) and (1,0) the level maps to it, so the valid lanes of all the
-// blocks stand for the 2^n inputs exactly once.
-func (b *BitBatch) LoadImage(block uint64) (ones int, inputs int64) {
-	im := b.img
-	if im == nil {
-		im = newImage(b.prog)
-		b.img = im
+// Least returns the smallest 0-1 input (bit w of the mask is wire w)
+// that block stands for: its lane wires 0, its idle wires as the block
+// sets them, and each comparator in state (0,1) with its 1 on its
+// lower-numbered wire. Every input the block stands for is at least
+// Least, so a witness search skips a block whose Least is not below
+// the smallest failing input it has found.
+func (im *Image) Least(block uint64) uint64 {
+	var x uint64
+	for i, w := range im.idle {
+		x |= block >> uint(i) & 1 << uint(w)
 	}
+	digits := block >> uint(len(im.idle))
+	for _, c := range im.comps {
+		d := digits % 3
+		digits /= 3
+		lo, hi := uint(c[0]), uint(c[1])
+		switch d {
+		case 1:
+			x |= 1 << min(lo, hi)
+		case 2:
+			x |= 1<<lo | 1<<hi
+		}
+	}
+	return x
+}
+
+// Witness returns the smallest 0-1 input that the lanes bad (a nonzero
+// set of valid lanes) of block stand for. An input fails to sort iff
+// its lane does, so the smallest failing input is the least Witness
+// over the blocks' failing lanes. Lane j's share of an input is the
+// bits of j on the lane wires in wire order, which grows with j, so
+// the lowest lane of bad holds the smallest.
+func (im *Image) Witness(block, bad uint64) uint64 {
+	j := uint64(mathbits.TrailingZeros64(bad))
+	x := im.Least(block)
+	for i, w := range im.laneAt[:im.lanes] {
+		x |= j >> uint(i) & 1 << uint(w)
+	}
+	return x
+}
+
+// LoadImage fills the lanes with block (of im.Blocks) of the image of
+// the program's first level and makes the next Eval skip that level,
+// which leaves every image vector unchanged. It returns the block's
+// ones count, so lane j holds ones + popcount(j) ones, and how many
+// 0-1 inputs each lane stands for: two for each block comparator in
+// state (0,1), whose inputs (0,1) and (1,0) the level maps to it, so
+// the valid lanes of all the blocks stand for the 2^n inputs exactly
+// once. im must be the Image of b's program.
+func (b *BitBatch) LoadImage(im *Image, block uint64) (ones int, inputs int64) {
 	s := b.state
-	for i := 0; i < im.lanes; i++ {
-		s[im.laneAt[i]] = im.lane[i]
+	for i, w := range im.laneAt[:im.lanes] {
+		s[w] = im.lane[i]
 	}
 	for i, w := range im.idle {
 		s[w] = -(block >> uint(i) & 1)
@@ -194,11 +241,11 @@ func (b *BitBatch) LoadImage(block uint64) (ones int, inputs int64) {
 	ones = mathbits.OnesCount64(block & (1<<uint(len(im.idle)) - 1))
 	inputs = 1
 	digits := block >> uint(len(im.idle))
-	for i := 0; i+1 < len(im.comps); i += 2 {
+	for _, c := range im.comps {
 		d := digits % 3
 		digits /= 3
-		s[im.comps[i]] = -(d >> 1)         // 1 in state (1,1)
-		s[im.comps[i+1]] = -((d + 1) >> 1) // 1 in states (0,1) and (1,1)
+		s[c[0]] = -(d >> 1)       // 1 in state (1,1)
+		s[c[1]] = -((d + 1) >> 1) // 1 in states (0,1) and (1,1)
 		ones += int(d)
 		inputs <<= d & 1
 	}

@@ -191,10 +191,13 @@ func TestZeroOneBlocks(t *testing.T) {
 // TestLoadImageCoversInputs: the image blocks' valid lanes, each
 // weighted by the inputs LoadImage says it stands for, are the first
 // level's image with the multiplicity the level maps onto each vector;
-// every lane carries the ones count LoadImage reports; and Eval from
-// the image equals the whole program on it. Circuits (some behind
-// empty levels) and register programs, whose output gather Eval must
-// still apply, at every width up to 12.
+// every lane carries the ones count LoadImage reports; Eval from the
+// image equals the whole program on it; and each lane's Witness is the
+// smallest input that it stands for (that the level maps onto its
+// vector and that agrees with it on the lane wires), never below its
+// block's Least, and the Witness of a set of lanes is their least. Circuits (some behind empty levels) and register
+// programs, whose output gather Eval must still apply, at every width
+// up to 12.
 func TestLoadImageCoversInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -228,11 +231,20 @@ func TestLoadImageCoversInputs(t *testing.T) {
 			want[image(x)]++
 		}
 		got := map[uint64]int64{}
-		blocks, laneMask := p.ImageBlocks()
+		im := p.Image()
+		var laneWires uint64
+		for _, w := range im.laneAt[:im.lanes] {
+			laneWires |= 1 << uint(w)
+		}
+		smallest := map[[2]uint64]uint64{} // (image, lane wires) -> least input
+		for x := uint64(1<<uint(n)) - 1; x < 1<<uint(n); x-- {
+			smallest[[2]uint64{image(x), x & laneWires}] = x
+		}
+		blocks, laneMask := im.Blocks()
 		bb := NewBitBatch(p)
 		full := make([]uint64, n)
 		for b := 0; b < blocks; b++ {
-			ones, inputs := bb.LoadImage(uint64(b))
+			ones, inputs := bb.LoadImage(im, uint64(b))
 			copy(full, bb.State())
 			p.EvalBits(full)
 			out := bb.Eval()
@@ -248,8 +260,9 @@ func TestLoadImageCoversInputs(t *testing.T) {
 					t.Fatalf("trial %d n=%d block %d lane %d: Eval from the image differs from the program", trial, n, b, j)
 				}
 			}
-			bb.LoadImage(uint64(b))
+			bb.LoadImage(im, uint64(b))
 			s := bb.State()
+			var leastOf [64]uint64
 			for j := uint(0); j < 64; j++ {
 				if laneMask>>j&1 == 0 {
 					continue
@@ -262,6 +275,25 @@ func TestLoadImageCoversInputs(t *testing.T) {
 					t.Fatalf("trial %d n=%d block %d lane %d: %d ones, LoadImage says %d + %d", trial, n, b, j, c, ones, mathbits.OnesCount(j))
 				}
 				got[v] += inputs
+				var lane uint64 // lane j's own input on the lane wires
+				for i, w := range im.laneAt[:im.lanes] {
+					lane |= uint64(j) >> uint(i) & 1 << uint(w)
+				}
+				least := smallest[[2]uint64{v, lane}]
+				if w := im.Witness(uint64(b), 1<<j); w != least || im.Least(uint64(b)) > w {
+					t.Fatalf("trial %d n=%d block %d lane %d: Witness %#x, Least %#x, want %#x", trial, n, b, j, w, im.Least(uint64(b)), least)
+				}
+				leastOf[j] = least
+			}
+			suffix := ^uint64(0) // the least input lanes j.. stand for
+			for j := 63; j >= 0; j-- {
+				if laneMask>>uint(j)&1 == 0 {
+					continue
+				}
+				suffix = min(suffix, leastOf[j])
+				if w := im.Witness(uint64(b), laneMask>>uint(j)<<uint(j)); w != suffix {
+					t.Fatalf("trial %d n=%d block %d: Witness of lanes %d.. %#x, want %#x", trial, n, b, j, w, suffix)
+				}
 			}
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -294,9 +326,9 @@ func TestImageBlocks(t *testing.T) {
 		{"n=28 full", full(28), 177147, ^uint64(0)},
 	}
 	for _, tc := range cases {
-		blocks, mask := tc.p.ImageBlocks()
+		blocks, mask := tc.p.Image().Blocks()
 		if blocks != tc.blocks || mask != tc.mask {
-			t.Errorf("%s: ImageBlocks = (%d, %#x), want (%d, %#x)", tc.name, blocks, mask, tc.blocks, tc.mask)
+			t.Errorf("%s: Image().Blocks() = (%d, %#x), want (%d, %#x)", tc.name, blocks, mask, tc.blocks, tc.mask)
 		}
 	}
 }

@@ -309,6 +309,37 @@ func TestImageScanMatchesMaskOrder(t *testing.T) {
 	}
 }
 
+// TestZeroOneWitnessAcrossWorkers: at 20 wires the image of a full
+// first level has 2,187 blocks, enough for ForEachChunk to split it,
+// so workers race to lower the best witness and skip blocks against
+// it. On sorters behind a random level missing one comparator, the
+// witness at 1, 2 and 3 workers is the first failing mask of an
+// in-order walk.
+func TestZeroOneWitnessAcrossWorkers(t *testing.T) {
+	const n = 20
+	rng := rand.New(rand.NewSource(10))
+	merge := netbuild.MergeExchange(n)
+	for i := 0; i < 6; i++ {
+		c := dropOne(network.New(n).AddLevel(randomLevel(n, 1, rng)).Append(merge), rng)
+		p := c.Compile()
+		bb := network.NewBitBatch(p)
+		blocks, _ := network.ZeroOneBlocks(n)
+		var want []int
+		for b := uint64(0); b < uint64(blocks); b++ {
+			if bad := bb.Run(b); bad != 0 {
+				want = sortcheck.ZeroOneInput(b*64+uint64(mathbits.TrailingZeros64(bad)), n)
+				break
+			}
+		}
+		for _, workers := range []int{1, 2, 3} {
+			ok, w := sortcheck.ZeroOne(n, c, workers)
+			if ok != (want == nil) || !reflect.DeepEqual(w, want) {
+				t.Fatalf("circuit %d workers=%d: ZeroOne (%v, %v), first failing mask %v", i, workers, ok, w, want)
+			}
+		}
+	}
+}
+
 // FuzzZeroOne: on circuits of at most 12 wires and 8 levels whose
 // comparators point either way, ZeroOneCtx (verdict and witness) and
 // ZeroOneFraction at 1 and 2 workers equal the scalar path. The first

@@ -18,10 +18,10 @@
 // vectors (k comparators), keeps each input's ones count and leaves
 // each of those vectors unchanged, so the checkers scan that image,
 // weighting each vector by the inputs it stands for
-// (network.BitBatch.LoadImage). Only a check that fails then scans the
-// masks in order, for the smallest failing one. Opaque evaluators fall
-// back to the unexported scalar enumeration (one Eval per mask), which
-// returns identical verdicts, witnesses and fractions; the
+// (network.BitBatch.LoadImage), and a failing check takes the smallest
+// input a failing vector stands for as its witness. Opaque evaluators
+// fall back to the unexported scalar enumeration (one Eval per mask),
+// which returns identical verdicts, witnesses and fractions; the
 // differential tests reach it by hiding Compile.
 package sortcheck
 
@@ -43,11 +43,12 @@ import (
 // bit-sliced paths (one atomic per worker chunk), never per mask, so
 // the kernel throughput is unaffected. sortcheck.zeroone.masks counts
 // the inputs each scan *settled*: on the bit-sliced paths the inputs
-// the image blocks stand for (2^n for a check that passes), plus, for
-// a check that fails, the masks its in-order witness scan settled; the
-// kernel words behind them are network.evalbits.words. On the scalar
-// fallback paths it is the masks settled in scan order (exact when the
-// check passes; on failure the masks at and before the witness).
+// the evaluated image blocks stand for (2^n for a check that passes;
+// a check that fails skips the blocks that cannot hold a smaller
+// witness, counted in sortcheck.zeroone.early_exits); the kernel
+// words behind them are network.evalbits.words. On the scalar fallback
+// paths it is the masks settled in scan order (exact when the check
+// passes; on failure the masks at and before the witness).
 var (
 	metMasks      = obs.C("sortcheck.zeroone.masks")
 	metWitnesses  = obs.C("sortcheck.zeroone.witnesses")
@@ -142,10 +143,10 @@ func failsZeroOne(n int, ev Evaluator) func(mask int) bool {
 // ok = true if every output is sorted. On failure, witness is the
 // smallest-mask failing 0-1 input. n must be at most MaxZeroOneWires.
 // Compilable evaluators run on the bit-sliced kernel, which scans the
-// image of the first level, 64 vectors per block, and only on a
-// failure the masks in order for the witness; others run on the scalar
-// path, one Eval per mask. Both agree exactly. ZeroOne is ZeroOneCtx
-// under context.Background().
+// image of the first level, 64 vectors per block, and reads the
+// witness off the failing lanes; others run on the scalar path, one
+// Eval per mask. Both agree exactly. ZeroOne is ZeroOneCtx under
+// context.Background().
 func ZeroOne(n int, ev Evaluator, workers int) (ok bool, witness []int) {
 	ok, witness, _ = ZeroOneCtx(context.Background(), n, ev, workers)
 	return ok, witness
@@ -156,13 +157,13 @@ func ZeroOne(n int, ev Evaluator, workers int) (ok bool, witness []int) {
 // unchanged). On cancellation it returns a *par.ErrCanceled whose
 // MasksChecked field records how many of the 2^n inputs the
 // interrupted scan settled (for the image scan, the inputs its
-// finished blocks stand for); ok and witness are then meaningless.
+// evaluated blocks stand for); ok and witness are then meaningless.
 func ZeroOneCtx(ctx context.Context, n int, ev Evaluator, workers int) (ok bool, witness []int, err error) {
 	if n > MaxZeroOneWires {
 		panic(fmt.Sprintf("sortcheck.ZeroOne: n = %d exceeds %d (2^n inputs)", n, MaxZeroOneWires))
 	}
 	if p := compiled(n, ev); p != nil {
-		mask, ok, err := zeroOneBits(ctx, n, p, workers)
+		mask, ok, err := zeroOneBits(ctx, p, workers)
 		if err != nil {
 			return false, nil, err
 		}
@@ -207,108 +208,57 @@ func zeroOneScalar(ctx context.Context, n int, ev Evaluator, workers int) (ok bo
 	return false, ZeroOneInput(uint64(bad), n), nil
 }
 
-// zeroOneBits decides the 0-1 principle on the bit-sliced kernel: it
-// scans the image of the program's first level, and only when that
-// scan sees a failure does it scan the masks in order for the smallest
-// failing one (matching the scalar path's witness exactly). ok = true
-// means every input is sorted. On cancellation the error carries the
-// inputs the interrupted scan settled.
-func zeroOneBits(ctx context.Context, n int, p *network.Program, workers int) (firstBad uint64, ok bool, err error) {
-	if ok, err := imageSorts(ctx, p, workers); ok || err != nil {
-		return 0, ok, err
-	}
-	return firstFailingMask(ctx, n, p, workers)
-}
-
-// imageSorts reports whether the program sorts every vector in the
-// image of its first level, and so every input. Chunks stop at the
-// first failure any of them sees.
-func imageSorts(ctx context.Context, p *network.Program, workers int) (bool, error) {
-	blocks, laneMask := p.ImageBlocks()
+// zeroOneBits decides the 0-1 principle on the bit-sliced kernel in
+// one scan of the image of the program's first level, and returns the
+// smallest failing mask, or ok = true when there is none. Every input
+// an image lane stands for fails with it, so the smallest failing mask
+// is the least network.Image.Witness over the failing lanes: the scalar
+// path's witness exactly. Once a failure is known, a block whose Least
+// is not below it is skipped. On cancellation the error carries the
+// inputs the evaluated blocks stand for.
+func zeroOneBits(ctx context.Context, p *network.Program, workers int) (firstBad uint64, ok bool, err error) {
+	im := p.Image()
+	blocks, laneMask := im.Blocks()
 	lanes := int64(mathbits.OnesCount64(laneMask))
-	var failed atomic.Bool
-	var settled int64 // inputs the settled blocks stand for
+	const none = ^uint64(0)
+	var best atomic.Uint64 // the smallest failing mask found
+	best.Store(none)
+	var settled int64 // inputs the evaluated blocks stand for
 	cerr := par.ForEachChunk(ctx, blocks, workers, par.DefaultGrain, func(lo, hi int) {
 		bb := network.NewBitBatch(p)
 		defer bb.FlushMetrics()
-		var inputs int64
+		var inputs, skipped int64
 		defer func() {
 			metMasks.Add(inputs)
+			metEarlyExits.Add(skipped)
 			atomic.AddInt64(&settled, inputs)
 		}()
-		for b := lo; b < hi; b++ {
-			if failed.Load() {
-				metEarlyExits.Inc()
-				return
-			}
-			_, in := bb.LoadImage(uint64(b))
-			bb.Eval()
-			inputs += in * lanes
-			if bb.UnsortedLanes()&laneMask != 0 {
-				failed.Store(true)
-				return
-			}
-		}
-	})
-	if cerr != nil {
-		return false, &par.ErrCanceled{
-			Op:           "sortcheck.ZeroOne",
-			Cause:        cerr,
-			MasksChecked: atomic.LoadInt64(&settled),
-		}
-	}
-	return !failed.Load(), nil
-}
-
-// firstFailingMask scans all 2^n masks in order through the bit-sliced
-// kernel, in 64-wide blocks chunked across workers, and returns the
-// smallest failing mask, or ok = true when there is none. On
-// cancellation the error carries the number of masks settled so far.
-func firstFailingMask(ctx context.Context, n int, p *network.Program, workers int) (firstBad uint64, ok bool, err error) {
-	blocks, laneMask := network.ZeroOneBlocks(n)
-	lanes := int64(mathbits.OnesCount64(laneMask))
-	best := int64(blocks)
-	var scanned int64 // blocks settled across all chunks (progress reporting)
-	cerr := par.ForEachChunk(ctx, blocks, workers, par.DefaultGrain, func(lo, hi int) {
-		bb := network.NewBitBatch(p)
-		defer bb.FlushMetrics()
-		processed := int64(0)
-		defer func() {
-			metMasks.Add(processed * lanes)
-			atomic.AddInt64(&scanned, processed)
-		}()
-		for b := lo; b < hi; b++ {
-			if int64(b) >= atomic.LoadInt64(&best) {
-				metEarlyExits.Inc()
-				return // a smaller failing block already found
-			}
-			processed++
-			if bb.Run(uint64(b))&laneMask == 0 {
+		for b := uint64(lo); b < uint64(hi); b++ {
+			if cur := best.Load(); cur != none && im.Least(b) >= cur {
+				skipped++
 				continue
 			}
-			for {
-				cur := atomic.LoadInt64(&best)
-				if int64(b) >= cur || atomic.CompareAndSwapInt64(&best, cur, int64(b)) {
-					break
+			_, in := bb.LoadImage(im, b)
+			bb.Eval()
+			inputs += in * lanes
+			if bad := bb.UnsortedLanes() & laneMask; bad != 0 {
+				w := im.Witness(b, bad)
+				for cur := best.Load(); w < cur && !best.CompareAndSwap(cur, w); cur = best.Load() {
 				}
 			}
-			return
 		}
 	})
 	if cerr != nil {
 		return 0, false, &par.ErrCanceled{
 			Op:           "sortcheck.ZeroOne",
 			Cause:        cerr,
-			MasksChecked: atomic.LoadInt64(&scanned) * lanes,
+			MasksChecked: atomic.LoadInt64(&settled),
 		}
 	}
-	if best == int64(blocks) {
-		return 0, true, nil
+	if w := best.Load(); w != none {
+		return w, false, nil
 	}
-	bb := network.NewBitBatch(p)
-	bad := bb.Run(uint64(best)) & laneMask
-	bb.FlushMetrics()
-	return uint64(best)*64 + uint64(mathbits.TrailingZeros64(bad)), false, nil
+	return 0, true, nil
 }
 
 // ZeroOneFraction returns the fraction of the 2^n 0-1 inputs that the
@@ -326,7 +276,8 @@ func ZeroOneFraction(ctx context.Context, n int, ev Evaluator, workers int) (flo
 	if p == nil {
 		return zeroOneFractionScalar(ctx, n, ev, workers)
 	}
-	blocks, laneMask := p.ImageBlocks()
+	im := p.Image()
+	blocks, laneMask := im.Blocks()
 	lanes := int64(mathbits.OnesCount64(laneMask))
 	var good, settled int64
 	cerr := par.ForEachChunk(ctx, blocks, workers, par.DefaultGrain, func(lo, hi int) {
@@ -334,7 +285,7 @@ func ZeroOneFraction(ctx context.Context, n int, ev Evaluator, workers int) (flo
 		defer bb.FlushMetrics()
 		var g, s int64
 		for b := lo; b < hi; b++ {
-			_, in := bb.LoadImage(uint64(b))
+			_, in := bb.LoadImage(im, uint64(b))
 			bb.Eval()
 			g += in * (lanes - int64(mathbits.OnesCount64(bb.UnsortedLanes()&laneMask)))
 			s += in * lanes
